@@ -8,8 +8,9 @@ Subcommands
     sweep      tabulate the progression or the second-variation density
                over a momentum grid
 
-Exit codes: 0 success, 2 admissibility/domain, 3 convergence, 4 invariant
-breach, 5 I/O.  PELASTICA_THREADS caps row-level parallelism.
+Every argument is validated before any computation.  Exit codes: 0 success,
+2 invalid argument/admissibility/domain, 3 convergence, 4 invariant breach or
+unresolvable quadrature, 5 I/O.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -60,15 +59,7 @@ REFERENCE_TABLE = (
 A_TOL = 0.02
 ENERGY_TOL = 0.05
 DELTA2_REL_TOL = 0.01
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("PELASTICA_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return max(1, n) if n > 0 else min(8, os.cpu_count() or 1)
+_CURVE_FORMATS = ("csv", "json", "svg")
 
 
 def _load_config(path: str | None) -> dict:
@@ -86,6 +77,73 @@ def _load_config(path: str | None) -> dict:
     return out
 
 
+def _apply_config(args, argv) -> None:
+    """Let the --config file set tol and samples where the command line did not."""
+    config = _load_config(args.config)
+    given = argv or sys.argv
+    for key, cast in (("tol", float), ("samples", int)):
+        if key in config and hasattr(args, key) and f"--{key}" not in given:
+            try:
+                setattr(args, key, cast(config[key]))
+            except ValueError:
+                raise DomainError(f"config {key} = {config[key]!r} is not a number") from None
+
+
+def _parse_pole(text: str) -> tuple | None:
+    """Four finite comma-separated components, not all zero; None otherwise."""
+    try:
+        pole = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        return None
+    if len(pole) != 4 or not all(map(math.isfinite, pole)) or not any(pole):
+        return None
+    return pole
+
+
+def _check_arguments(args) -> None:
+    """Raise DomainError for any argument the command cannot run with.
+
+    Runs before any computation, so a bad argument never costs a solve.
+    """
+    cmd = args.command
+    if cmd == "table1":
+        return
+    if not 0.0 < args.p < 1.0:
+        raise DomainError(f"--p must lie in (0, 1), got {args.p}")
+    if cmd == "sweep":
+        if args.count <= 0:
+            raise DomainError("--count must be positive")
+        if not 0.0 < args.offset_min <= args.offset_max < math.inf:
+            raise DomainError("need 0 < --offset-min <= --offset-max < inf")
+        return
+    if cmd == "stability":
+        if args.a is not None and (args.n is not None or args.m is not None):
+            raise DomainError("give either --a or --n/--m, not both")
+        if args.a is not None:
+            if not math.isfinite(args.a):
+                raise DomainError("--a must be finite")
+            return
+        if args.n is None or args.m is None:
+            raise DomainError("give either --a or both --n and --m")
+    if cmd == "curve":
+        if not 0.0 < args.tol < math.inf:
+            raise DomainError("--tol must be positive")
+        unknown = set(args.format.split(",")) - set(_CURVE_FORMATS)
+        if unknown:
+            raise DomainError(
+                f"--format {args.format!r}: choose from {','.join(_CURVE_FORMATS)}"
+            )
+    if cmd in ("curve", "hopf") and args.samples <= 0:
+        raise DomainError("--samples must be positive")
+    if cmd == "hopf" and _parse_pole(args.pole) is None:
+        raise DomainError("--pole needs four finite comma-separated components, not all zero")
+    if not closure.is_admissible(args.n, args.m):
+        raise DomainError(
+            f"({args.n}, {args.m}) is not admissible: need gcd(n, m) = 1 and "
+            "m < 2n < sqrt(2) m"
+        )
+
+
 def _solve_row(row):
     tag, p, n, m, *_ = row
     solved = closure.solve_closure(p, closure.ClosureIndex(n, m))
@@ -96,8 +154,7 @@ def _solve_row(row):
 
 
 def cmd_table1(args) -> int:
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        computed = list(pool.map(_solve_row, REFERENCE_TABLE))
+    computed = [_solve_row(row) for row in REFERENCE_TABLE]
     rows = []
     all_ok = True
     for ref, got in zip(REFERENCE_TABLE, computed):
@@ -130,13 +187,6 @@ def cmd_table1(args) -> int:
 
 def cmd_curve(args) -> int:
     index = closure.ClosureIndex(args.n, args.m)
-    if not closure.is_admissible(args.n, args.m):
-        print(
-            f"({args.n}, {args.m}) is not admissible: need gcd(n, m) = 1 and "
-            "m < 2n < sqrt(2) m",
-            file=sys.stderr,
-        )
-        return EXIT_ADMISSIBILITY
     trace = curve.trace_closed_curve(
         args.p, index, step_tol=args.tol, samples_per_period=args.samples
     )
@@ -156,16 +206,10 @@ def cmd_curve(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    if args.a is not None and (args.n or args.m):
-        print("give either --a or --n/--m, not both", file=sys.stderr)
-        return EXIT_ADMISSIBILITY
     m = 1
     if args.a is not None:
         a_val = args.a
     else:
-        if not closure.is_admissible(args.n, args.m):
-            print(f"({args.n}, {args.m}) is not admissible", file=sys.stderr)
-            return EXIT_ADMISSIBILITY
         solved = closure.solve_closure(args.p, closure.ClosureIndex(args.n, args.m))
         a_val, m = solved.a_solved, args.m
     report = stability.stability_report(args.p, a_val, m=m)
@@ -188,16 +232,9 @@ def cmd_stability(args) -> int:
 
 
 def cmd_hopf(args) -> int:
-    index = closure.ClosureIndex(args.n, args.m)
-    if not closure.is_admissible(args.n, args.m):
-        print(f"({args.n}, {args.m}) is not admissible", file=sys.stderr)
-        return EXIT_ADMISSIBILITY
-    trace = curve.trace_closed_curve(args.p, index)
+    pole = _parse_pole(args.pole)
+    trace = curve.trace_closed_curve(args.p, closure.ClosureIndex(args.n, args.m))
     patch = hopf.build_torus(trace, s_samples=args.samples)
-    pole = tuple(float(v) for v in args.pole.split(","))
-    if len(pole) != 4:
-        print("--pole needs four comma-separated components", file=sys.stderr)
-        return EXIT_ADMISSIBILITY
     base = args.out or f"hopf_p{args.p}_n{args.n}_m{args.m}"
     hopf.patch_to_obj(patch, base + ".obj", pole=pole)
     hopf.patch_to_json(patch, base + ".json")
@@ -220,8 +257,7 @@ def cmd_sweep(args) -> int:
             return closure.lambda_p(params)
         return stability.upsilon(params).upsilon
 
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        values = list(pool.map(one, grid))
+    values = [one(a_val) for a_val in grid]
     writer_target = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(writer_target)
@@ -284,18 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = _load_config(args.config)
-    if "tol" in config and hasattr(args, "tol") and "--tol" not in (argv or sys.argv):
-        args.tol = float(config["tol"])
-    if (
-        "samples" in config
-        and hasattr(args, "samples")
-        and "--samples" not in (argv or sys.argv)
-    ):
-        args.samples = int(config["samples"])
+    args = build_parser().parse_args(argv)
     try:
+        _apply_config(args, argv)
+        _check_arguments(args)
         return args.func(args)
     except (InvariantBreach, ResolutionError) as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)

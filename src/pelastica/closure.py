@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from scipy.optimize import brentq
 
-from .errors import DomainError, NotFound
+from .errors import DomainError, NotFound, ResolutionError
 from .qpotential import ElasticaParams, a_star, make_params, momentum_cap
 from .quad import DEFAULT_REL_TOL, integrate_over_arch
 
@@ -74,10 +74,18 @@ def lambda_p(params: ElasticaParams, rel_tol: float = DEFAULT_REL_TOL) -> float:
     # The denominator collapses to ~(1-p)^2 beta^2 at the lower root while Q
     # grows like Q'(beta) (alpha-beta) theta^2 away from it; their crossover
     # sets the theta scale of the inner layer the quadrature mesh must reach.
-    qp_beta = params.q_prime(params.beta)
-    layer = 0.0
-    if qp_beta > 0.0:
-        layer = (1.0 - p) * params.beta / math.sqrt(qp_beta * (params.alpha - params.beta))
+    # With the on-shell Q'(beta) = 2p(1-p)(p - (1-p) beta^2)/beta the scale is
+    # formed in logs: at large momenta beta and the layer fall far below the
+    # float range, and a layer the mesh cannot reach must raise there.
+    beta = params.beta
+    layer = None
+    on_shell = p - (1.0 - p) * beta * beta
+    if on_shell > 0.0:
+        layer = math.exp(
+            math.log1p(-p)
+            + 1.5 * math.log(beta)
+            - 0.5 * math.log(2.0 * p * (1.0 - p) * on_shell * (params.alpha - beta))
+        )
     pref = 2.0 * p * (1.0 - p) ** 2 * math.sqrt(params.a)
     return pref * integrate_over_arch(params, numerator, rel_tol, grade_floor=layer).value
 
@@ -94,7 +102,9 @@ def solve_closure(p: float, index: ClosureIndex, tol: float = 1e-10) -> ClosureI
 
     Scans the geometric grid a_k = a_* (1 + 2^k * 1e-4) for sign changes and
     refines every bracket found; monotonicity of Lambda is conjectural, so no
-    uniqueness is assumed.  a_solved is the smallest refined root.
+    uniqueness is assumed.  a_solved is the smallest refined root.  The scan
+    ends at momentum_cap or at the first momentum whose Lambda the arch mesh
+    cannot resolve, whichever comes first.
     """
     if not is_admissible(index.n, index.m):
         raise DomainError(f"({index.n}, {index.m}) is not an admissible closure pair")
@@ -120,7 +130,10 @@ def solve_closure(p: float, index: ClosureIndex, tol: float = 1e-10) -> ClosureI
         a_next = thr * (1.0 + 2.0**k * _SCAN_BASE)
         if a_next > a_cap:
             break
-        g_next = gap(a_next)
+        try:
+            g_next = gap(a_next)
+        except ResolutionError:
+            break
         if g_prev == 0.0:
             roots.append(a_prev)
         elif g_prev * g_next < 0.0:

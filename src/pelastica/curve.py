@@ -207,24 +207,30 @@ def trace_closed_curve(
     return embed(params, profile.states, index=index, profile=profile)
 
 
+def unit_tangent(params: ElasticaParams, kappa, kappa_prime, psi) -> np.ndarray:
+    """Analytic unit tangent gamma'(s) from profile values, shape (..., 3).
+
+    Takes numpy arrays or scalars (the dense profile solution's values).
+    """
+    p, a = params.p, params.a
+    x = p * kappa ** (p - 1.0) / math.sqrt(a)
+    xp = p * (p - 1.0) * kappa ** (p - 2.0) * kappa_prime / math.sqrt(a)
+    r = np.sqrt(1.0 - x**2)
+    rp = -x * xp / r
+    psip = psi_rate(p, a, kappa, kappa_prime)
+    sin_psi, cos_psi = np.sin(psi), np.cos(psi)
+    return np.stack(
+        [xp, rp * sin_psi + r * psip * cos_psi, rp * cos_psi - r * psip * sin_psi],
+        axis=-1,
+    )
+
+
 def tangent_vectors(trace: CurveTrace) -> np.ndarray:
     """Analytic unit tangents gamma'(s) at every sample."""
-    p, a = trace.params.p, trace.params.a
     kappa = np.array([st.kappa for st in trace.states])
     kp = np.array([st.kappa_prime for st in trace.states])
     psi = np.array([st.psi for st in trace.states])
-    x = p * kappa ** (p - 1.0) / math.sqrt(a)
-    xp = p * (p - 1.0) * kappa ** (p - 2.0) * kp / math.sqrt(a)
-    r = np.sqrt(1.0 - x**2)
-    rp = -x * xp / r
-    psip = psi_rate(p, a, kappa, kp)
-    return np.column_stack(
-        [
-            xp,
-            rp * np.sin(psi) + r * psip * np.cos(psi),
-            rp * np.cos(psi) - r * psip * np.sin(psi),
-        ]
-    )
+    return unit_tangent(trace.params, kappa, kp, psi)
 
 
 def geodesic_curvature_check(trace: CurveTrace) -> float:

@@ -1,6 +1,8 @@
 """Exception hierarchy shared across the library.
 
-Each exception maps to a distinct CLI exit code (see cli.EXIT_CODES).
+The CLI maps each exception to one of its exit codes, the EXIT_* constants
+in pelastica.cli: domain errors to 2, invariant breaches and resolution
+errors to 4, and every other library error to 3.
 """
 
 

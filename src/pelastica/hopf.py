@@ -5,9 +5,12 @@ Identifying R^4 with C^2 via q = (z, w), the submersion
     pi(z, w) = (1/4) (|z|^2 - |w|^2, 2 conj(z) w)
 
 maps the radius-2 sphere onto the unit 2-sphere with circle fibers generated
-by q -> e^(it) q.  A horizontal lift of a closed base curve is integrated as
-an ODE; phase-rotating the lift sweeps out a flat torus (or cylinder segment
-when the holonomy does not close) whose mean curvature is kappa/2.
+by q -> e^(it) q.  On that sphere the projection Jacobian J satisfies
+J J^T = I, J q = 2 pi(q) and J (iq) = 0, so the horizontal lift of a unit
+base tangent T is exactly J^T T; the lift of a closed base curve is
+integrated once as an ODE with that velocity.  Phase-rotating the lift sweeps
+out a flat torus (or cylinder segment when the holonomy does not close) whose
+mean curvature is kappa/2.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .curve import CurveTrace, psi_rate
+from .curve import CurveTrace, tangent_vectors, unit_tangent
 from .errors import (
     CoverOverflow,
     DomainError,
@@ -70,7 +73,8 @@ def fiber_seed(base_point) -> np.ndarray:
 
 
 def _projection_jacobian(q) -> np.ndarray:
-    x0, x1, x2, x3 = q
+    """Differential of hopf_project at points q (..., 4), as an array (3, 4, ...)."""
+    x0, x1, x2, x3 = np.asarray(q, dtype=float).T
     return 0.5 * np.array(
         [
             [x0, x1, -x2, -x3],
@@ -78,6 +82,19 @@ def _projection_jacobian(q) -> np.ndarray:
             [x3, -x2, -x1, x0],
         ]
     )
+
+
+def _horizontal_velocity(q, tangent) -> np.ndarray:
+    """Horizontal lift J(q)^T T of base tangents T at points q of the sphere.
+
+    J^T T is orthogonal to q while hopf_project(q) is orthogonal to T.  Once
+    an integrated lift drifts off the base curve that fails and J^T T gains a
+    radial part; it is removed, so that the flow keeps |q| = 2.
+    """
+    q = np.asarray(q, dtype=float)
+    vel = np.einsum("ij...,...i->...j", _projection_jacobian(q), tangent)
+    radial = np.einsum("...i,...i->...", vel, q) / np.einsum("...i,...i->...", q, q)
+    return vel - radial[..., None] * q
 
 
 @dataclass
@@ -88,25 +105,7 @@ class HopfLift:
     s: np.ndarray
     points: np.ndarray  # (N, 4), norm 2
     holonomy_angle: float  # fiber phase mismatch in [0, 2 pi)
-
-
-def _base_and_tangent(trace: CurveTrace, s: float):
-    """Analytic base point and unit tangent at arc length s."""
-    params = trace.params
-    p, a = params.p, params.a
-    st = trace.profile.state_at(s)
-    k, kp, psi = st.kappa, st.kappa_prime, st.psi
-    x = p * k ** (p - 1.0) / math.sqrt(a)
-    xp = p * (p - 1.0) * k ** (p - 2.0) * kp / math.sqrt(a)
-    r = math.sqrt(1.0 - x * x)
-    rp = -x * xp / r
-    psip = float(psi_rate(p, a, k, kp))
-    sin_psi, cos_psi = math.sin(psi), math.cos(psi)
-    gamma = np.array([x, r * sin_psi, r * cos_psi])
-    tangent = np.array(
-        [xp, rp * sin_psi + r * psip * cos_psi, rp * cos_psi - r * psip * sin_psi]
-    )
-    return gamma, tangent
+    sol: object = field(repr=False)  # scipy OdeSolution over [0, s[-1]]
 
 
 def horizontal_lift(
@@ -114,10 +113,8 @@ def horizontal_lift(
 ) -> HopfLift:
     """Integrate the unique horizontal curve over the base trace.
 
-    The velocity solves the stacked linear system (projection differential
-    matches the base tangent; orthogonality to the position and to the fiber
-    direction), which has a unique exact solution on the horizontal
-    distribution.
+    The velocity is J^T T for the analytic base tangent T; the solution keeps
+    its dense output so that the torus mesh can resample it.
     """
     if trace.profile is None:
         raise DomainError("trace must carry its integrated profile")
@@ -130,12 +127,10 @@ def horizontal_lift(
     if np.linalg.norm(hopf_project(seed) - gamma0) > _SEED_TOL:
         raise SeedError("seed does not project onto the base start point")
 
+    params, profile_at = trace.params, trace.profile.sol
+
     def rhs(s, q):
-        _, tangent = _base_and_tangent(trace, s)
-        a_mat = np.vstack([_projection_jacobian(q), q, fiber_direction(q)])
-        b = np.concatenate([tangent, [0.0, 0.0]])
-        vel, *_ = np.linalg.lstsq(a_mat, b, rcond=None)
-        return vel
+        return _horizontal_velocity(q, unit_tangent(params, *profile_at(s)))
 
     s_grid = np.array([st.s for st in trace.states])
     sol = solve_ivp(
@@ -146,7 +141,7 @@ def horizontal_lift(
         rtol=step_tol,
         atol=step_tol,
         t_eval=s_grid,
-        dense_output=False,
+        dense_output=True,
     )
     if not sol.success:
         raise StepFailure(f"horizontal lift integration failed: {sol.message}")
@@ -159,24 +154,12 @@ def horizontal_lift(
     # endpoint sits on the start fiber.
     phase = z_end * z0.conjugate() + w_end * w0.conjugate()
     angle = math.atan2(phase.imag, phase.real) % (2.0 * math.pi)
-    return HopfLift(trace=trace, s=s_grid, points=points, holonomy_angle=angle)
-
-
-def lift_velocities(lift: HopfLift) -> np.ndarray:
-    """Velocity of the lift at every sample (the ODE right-hand side)."""
-    trace = lift.trace
-    vels = np.empty_like(lift.points)
-    for i, (s, q) in enumerate(zip(lift.s, lift.points)):
-        _, tangent = _base_and_tangent(trace, float(s))
-        a_mat = np.vstack([_projection_jacobian(q), q, fiber_direction(q)])
-        b = np.concatenate([tangent, [0.0, 0.0]])
-        vels[i], *_ = np.linalg.lstsq(a_mat, b, rcond=None)
-    return vels
+    return HopfLift(trace=trace, s=s_grid, points=points, holonomy_angle=angle, sol=sol.sol)
 
 
 def horizontality_residual(lift: HopfLift) -> float:
     """Max |<lift velocity, fiber direction>| over all samples."""
-    vels = lift_velocities(lift)
+    vels = _horizontal_velocity(lift.points, tangent_vectors(lift.trace))
     fib = fiber_direction(lift.points)
     return float(np.max(np.abs(np.einsum("ij,ij->i", vels, fib))))
 
@@ -234,16 +217,11 @@ def build_torus(
         covers = 1
 
     s_one = np.linspace(0.0, length, s_samples, endpoint=False)
-    base_states = [trace.profile.state_at(s) for s in s_one]
-    lift_sol = solve_lift_dense(lift, s_one)
-    cols = []
-    kappas = []
-    for c in range(covers):
-        rot = c * lift.holonomy_angle
-        cols.append(_phase_rotate(lift_sol, rot))
-        kappas.extend(st.kappa for st in base_states)
-    lift_points = np.concatenate(cols, axis=0)
-    kappa = np.array(kappas)
+    lift_one = lift.sol(s_one).T
+    lift_points = np.concatenate(
+        [_phase_rotate(lift_one, c * lift.holonomy_angle) for c in range(covers)], axis=0
+    )
+    kappa = np.tile(trace.profile.sol(s_one)[0], covers)
 
     t = np.linspace(0.0, 2.0 * math.pi, t_samples, endpoint=False)
     cos_t, sin_t = np.cos(t), np.sin(t)
@@ -261,31 +239,6 @@ def build_torus(
         h_field=0.5 * kappa,
         kappa=kappa,
     )
-
-
-def solve_lift_dense(lift: HopfLift, s_values: np.ndarray) -> np.ndarray:
-    """Resample the lift at arbitrary arc lengths by re-integration."""
-    trace = lift.trace
-
-    def rhs(s, q):
-        _, tangent = _base_and_tangent(trace, s)
-        a_mat = np.vstack([_projection_jacobian(q), q, fiber_direction(q)])
-        b = np.concatenate([tangent, [0.0, 0.0]])
-        vel, *_ = np.linalg.lstsq(a_mat, b, rcond=None)
-        return vel
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(max(s_values[-1], lift.s[-1]))),
-        lift.points[0],
-        method="DOP853",
-        rtol=1e-11,
-        atol=1e-11,
-        t_eval=s_values,
-    )
-    if not sol.success:
-        raise StepFailure(f"lift resampling failed: {sol.message}")
-    return sol.y.T
 
 
 def _phase_rotate(points: np.ndarray, angle: float) -> np.ndarray:

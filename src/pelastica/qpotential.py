@@ -11,6 +11,7 @@ which exist exactly when a exceeds the threshold a_* = p^p (1-p)^(1-p).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,34 +29,9 @@ _MAX_BISECT = 200
 # Largest log(kappa) the quadrature layer can square without overflowing
 # float64; kappa_star beyond exp of this is rejected up front.
 _LOG_KAPPA_CAP = 150.0 * math.log(10.0)
-
-CLASS_TAGS = ("zero", "unit", "openInterval01", "two", "naturalAbove2", "otherReal")
-
-
-@dataclass(frozen=True)
-class Exponent:
-    """Energy exponent with its admissible-range classification."""
-
-    p: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.p):
-            raise DomainError("exponent must be finite")
-
-    @property
-    def tag(self) -> str:
-        p = self.p
-        if p == 0.0:
-            return "zero"
-        if p == 1.0:
-            return "unit"
-        if 0.0 < p < 1.0:
-            return "openInterval01"
-        if p == 2.0:
-            return "two"
-        if p > 2.0 and p == int(p):
-            return "naturalAbove2"
-        return "otherReal"
+# Smallest log(kappa) of a normal float64; the curvature minimum may not fall
+# below it.
+_LOG_KAPPA_FLOOR = math.log(sys.float_info.min)
 
 
 def q_eval(p: float, a: float, kappa):
@@ -120,9 +96,6 @@ class ElasticaParams:
     def near_circular(self) -> bool:
         return self.alpha - self.beta < NEAR_CIRCULAR_WIDTH * self.kappa_star
 
-    def q(self, kappa):
-        return q_eval(self.p, self.a, kappa)
-
     def q_prime(self, kappa):
         return q_prime(self.p, self.a, kappa)
 
@@ -132,10 +105,10 @@ def _q_sign_log(p: float, a: float, u: float) -> float:
 
     Q > 0  iff  log a + 2(1-p) u > log((1-p)^2 e^{2u} + p^2), and the right
     hand side is a logaddexp, so neither kappa^2 nor kappa^(2(1-p)) is ever
-    formed explicitly.
+    formed explicitly.  Also valid for p < 0, where Q keeps this form.
     """
     return math.log(a) + 2.0 * (1.0 - p) * u - np.logaddexp(
-        2.0 * u + 2.0 * math.log1p(-p), 2.0 * math.log(p)
+        2.0 * u + 2.0 * math.log1p(-p), 2.0 * math.log(abs(p))
     )
 
 
@@ -189,7 +162,8 @@ def curvature_bounds(p: float, a: float) -> tuple[float, float]:
     """Return (beta, alpha), the two positive roots of Q, beta < alpha.
 
     Brackets are analytically guaranteed: Q(0+) = -p^2 < 0, Q(kappa_*) > 0
-    for a > a_*, and Q(U) < 0 at U = (a/(1-p)^2)^(1/(2p)).
+    for a > a_*, and Q(U) < 0 at U = (a/(1-p)^2)^(1/(2p)).  Momenta whose
+    curvature maximum or minimum leaves the float64 range raise DomainError.
     """
     if not 0.0 < p < 1.0:
         raise DomainError("curvature_bounds requires p in (0, 1)")
@@ -201,6 +175,12 @@ def curvature_bounds(p: float, a: float) -> tuple[float, float]:
         raise DomainError(
             "curvature maximum exceeds the representable range; reduce the momentum"
         )
+    # beta sits just above the point where the leading term of Q balances p^2
+    log_beta = (2.0 * math.log(p) - math.log(a)) / (2.0 * (1.0 - p))
+    if log_beta < _LOG_KAPPA_FLOOR:
+        raise DomainError(
+            "curvature minimum falls below the representable range; reduce the momentum"
+        )
     ks = math.exp(log_ks)
     # At upper the two leading terms of Q cancel exactly, leaving only -p^2;
     # the margin keeps the computed sign out of pow() roundoff noise.
@@ -208,10 +188,7 @@ def curvature_bounds(p: float, a: float) -> tuple[float, float]:
     # Just below the point where the leading term alone balances p^2 the
     # computed Q is negative beyond cancellation noise (the 0.9 factor leaves
     # a deficit of a few percent of p^2).
-    lo = min(
-        _BRACKET_EPS * ks,
-        0.9 * math.exp((2.0 * math.log(p) - math.log(a)) / (2.0 * (1.0 - p))),
-    )
+    lo = min(_BRACKET_EPS * ks, 0.9 * math.exp(log_beta))
     beta = _refine_root(p, a, lo, ks)
     alpha = _refine_root(p, a, ks, upper)
     return beta, alpha
@@ -242,10 +219,7 @@ def _log_sign_fn(p: float, a: float):
     function exactly.
     """
     if p < 1.0:
-        # Q = a k^(2(1-p)) - (1-p)^2 k^2 - p^2
-        return "Q", lambda u: math.log(a) + 2.0 * (1.0 - p) * u - np.logaddexp(
-            2.0 * u + 2.0 * math.log(abs(1.0 - p)), 2.0 * math.log(abs(p))
-        )
+        return "Q", lambda u: _q_sign_log(p, a, u)
     # For p > 1 the oscillation bracket is a - (p-1)^2 k^(2p) - p^2 k^(2(p-1)).
     return "Qtilde", lambda u: math.log(a) - np.logaddexp(
         2.0 * p * u + 2.0 * math.log(p - 1.0),

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DomainError
+from .errors import ConvergenceFailure, DomainError, ResolutionError
 from .qpotential import ElasticaParams, q_second
 
 DEFAULT_REL_TOL = 1e-10
@@ -35,6 +35,9 @@ DEFAULT_REL_TOL = 1e-10
 _Q_SWITCH = 1e-8
 _PANEL_CAP = 20000
 _GRADE_LEVELS = 48
+# Smallest theta the graded mesh may reach (it grades to an eighth of
+# grade_floor); finer panel ends would run out of float64 range.
+_THETA_FLOOR = 1e-300
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
@@ -160,8 +163,10 @@ def integrate_over_arch(
     the panel with the worst error estimate.  Numerators with an interior
     layer near the lower root (the layer theta scale can fall below 1e-40 for
     momenta far above threshold) should pass its theta scale as grade_floor
-    so the initial mesh reaches it.  Near-circular parameters short-circuit
-    to the local-maximum limit.
+    so the initial mesh reaches it; a floor the mesh cannot reach (below
+    8 * 1e-300, including 0 from an underflowed scale) raises
+    ResolutionError.  Near-circular parameters short-circuit to the
+    local-maximum limit.
     """
     if not 1e-14 <= rel_tol <= 1e-3:
         raise DomainError("rel_tol must lie in [1e-14, 1e-3]")
@@ -173,9 +178,14 @@ def integrate_over_arch(
     f = _make_theta_integrand(params, numerator)
     half_pi = 0.5 * math.pi
     low_levels = _GRADE_LEVELS
-    if grade_floor is not None and grade_floor > 0.0:
-        needed = math.ceil(math.log2(half_pi / max(grade_floor / 8.0, 1e-300)))
-        low_levels = max(low_levels, min(needed, 1100))
+    if grade_floor is not None:
+        if not grade_floor / 8.0 >= _THETA_FLOOR:
+            raise ResolutionError(
+                f"inner layer's theta scale is below {8.0 * _THETA_FLOOR:g}, "
+                "the arch mesh's reach"
+            )
+        needed = math.ceil(math.log2(half_pi / (grade_floor / 8.0)))
+        low_levels = max(low_levels, needed)
     lows = [half_pi * 2.0**-k for k in range(low_levels, 0, -1)]
     highs = [half_pi * (1.0 - 2.0**-k) for k in range(2, _GRADE_LEVELS + 1)]
     breaks = [0.0] + lows + highs + [half_pi]

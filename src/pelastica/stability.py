@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import CurveTrace, psi_rate  # noqa: F401  (psi_rate re-exported for cli sweeps)
+from .curve import CurveTrace
 from .errors import DomainError, ResolutionError
 from .qpotential import ElasticaParams, a_star, make_params
 from .quad import DEFAULT_REL_TOL, integrate_over_arch, kappa_moment

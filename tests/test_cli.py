@@ -5,9 +5,11 @@ import json
 
 import pytest
 
+from pelastica import cli
 from pelastica.cli import (
     EXIT_ADMISSIBILITY,
     EXIT_INVARIANT,
+    EXIT_IO,
     EXIT_OK,
     REFERENCE_TABLE,
     build_parser,
@@ -121,3 +123,56 @@ def test_table_command_flags_known_discrepancies(tmp_path, capsys):
     with open(out) as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 12
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stability", "--p", "0.3"],
+        ["stability", "--p", "0.3", "--n", "2"],
+        ["stability", "--p", "0.3", "--a", "nan"],
+        ["hopf", "--p", "0.5", "--n", "2", "--m", "3", "--pole", "a,b,c,d"],
+        ["hopf", "--p", "0.5", "--n", "2", "--m", "3", "--pole", "0,0,1"],
+        ["hopf", "--p", "0.5", "--n", "2", "--m", "3", "--pole", "0,0,0,0"],
+        ["hopf", "--p", "0.5", "--n", "2", "--m", "3", "--samples", "0"],
+        ["curve", "--p", "0.3", "--n", "2", "--m", "3", "--format", "xml"],
+        ["curve", "--p", "0.3", "--n", "2", "--m", "3", "--format", "csv,xml"],
+        ["curve", "--p", "0.3", "--n", "2", "--m", "3", "--samples", "-1"],
+        ["curve", "--p", "0.3", "--n", "2", "--m", "3", "--tol", "0"],
+        ["sweep", "--p", "0.3", "--count", "0"],
+        ["sweep", "--p", "0.3", "--offset-min", "0"],
+        ["sweep", "--p", "0.3", "--offset-min", "10", "--offset-max", "1"],
+        ["sweep", "--p", "nan"],
+    ],
+)
+def test_bad_arguments_exit_2_before_any_computation(argv, tmp_path, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("computation started before argument validation")
+
+    for name in ("trace_closed_curve", "integrate_profile"):
+        monkeypatch.setattr(cli.curve, name, forbidden)
+    for name in ("solve_closure", "lambda_p"):
+        monkeypatch.setattr(cli.closure, name, forbidden)
+    monkeypatch.setattr(cli, "make_params", forbidden)
+    monkeypatch.setattr(cli.stability, "stability_report", forbidden)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_ADMISSIBILITY
+    assert capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_errors_map_to_exit_codes(tmp_path, capsys):
+    argv = ["curve", "--p", "0.3", "--n", "5", "--m", "7"]
+    assert main(["--config", str(tmp_path / "missing.cfg"), *argv]) == EXIT_IO
+    cfg = tmp_path / "cfg"
+    cfg.write_text("samples = many\n")
+    assert main(["--config", str(cfg), *argv]) == EXIT_ADMISSIBILITY
+
+
+def test_sweep_unresolvable_lambda_is_an_invariant_breach(capsys):
+    # Lambda's inner layer at p = 0.99, a = 2e4 a_* is out of the mesh's reach
+    code = main(
+        ["sweep", "--p", "0.99", "--count", "1", "--offset-min", "2e4", "--offset-max", "2e4"]
+    )
+    assert code == EXIT_INVARIANT
+    assert "the arch mesh's reach" in capsys.readouterr().err

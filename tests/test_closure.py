@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pelastica import closure
 from pelastica.closure import (
     ClosureIndex,
     is_admissible,
@@ -14,7 +15,7 @@ from pelastica.closure import (
     period,
     solve_closure,
 )
-from pelastica.errors import DomainError
+from pelastica.errors import DomainError, ResolutionError
 from pelastica.qpotential import a_star, make_params
 
 SQRT2_PI = math.sqrt(2.0) * math.pi
@@ -98,3 +99,31 @@ def test_period_positive_and_scales(g23_params):
     # higher momentum shortens the arch period for this family
     rho_far = period(make_params(0.3, 3.0))
     assert rho_far < rho
+
+
+def test_lambda_unresolvable_layer_raises():
+    # at p = 0.99 the inner layer's theta scale drops below 8e-300 between
+    # 7.5e3 a_* and 1e4 a_*, and underflows float64 altogether by 2e4 a_*
+    thr = a_star(0.99)
+    last = lambda_p(make_params(0.99, thr * (1.0 + 7.5e3)))
+    assert math.pi < last < math.pi + 1e-3
+    for offset in (1e4, 2e4):
+        with pytest.raises(ResolutionError):
+            lambda_p(make_params(0.99, thr * (1.0 + offset)))
+
+
+def test_closure_scan_stops_at_unresolvable_lambda(monkeypatch):
+    seen = []
+    original = closure.lambda_p
+
+    def recording(*args):
+        value = original(*args)
+        seen.append(value)
+        return value
+
+    monkeypatch.setattr(closure, "lambda_p", recording)
+    solved = solve_closure(0.99, ClosureIndex(2, 3))
+    assert solved.a_solved == pytest.approx(0.96, abs=0.02)
+    assert solved.a_candidates == (solved.a_solved,)
+    # every Lambda the scan used is a true progression angle
+    assert all(math.pi < v <= SQRT2_PI for v in seen)

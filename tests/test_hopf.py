@@ -9,6 +9,8 @@ import pytest
 from pelastica.errors import CoverOverflow, PoleCollision, SeedError
 from pelastica.hopf import (
     SPHERE_RADIUS,
+    _horizontal_velocity,
+    _projection_jacobian,
     build_torus,
     discrete_gaussian_curvature,
     discrete_mean_curvature,
@@ -72,6 +74,25 @@ def test_fiber_seed_projects_correctly():
         assert np.max(np.abs(hopf_project(seed) - base)) < 1e-12
     with pytest.raises(SeedError):
         fiber_seed([-1.0, 0.0, 0.0])
+
+
+def test_horizontal_velocity_matches_stacked_least_squares():
+    # reference: the unique solution of [J; q^T; (iq)^T] v = [T; 0; 0]
+    rng = np.random.default_rng(21)
+    q = _random_sphere_points(rng, 200)
+    gamma = hopf_project(q)
+    raw = rng.normal(size=(200, 3))
+    raw -= np.einsum("ij,ij->i", raw, gamma)[:, None] * gamma
+    tangent = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    fast = _horizontal_velocity(q, tangent)
+    for qi, gi, ti, vi in zip(q, gamma, tangent, fast):
+        jac = _projection_jacobian(qi)
+        assert np.max(np.abs(jac @ jac.T - np.eye(3))) < 1e-12
+        assert np.max(np.abs(jac @ qi - 2.0 * gi)) < 1e-12
+        assert np.max(np.abs(jac @ fiber_direction(qi))) < 1e-12
+        stacked = np.vstack([jac, qi, fiber_direction(qi)])
+        ref, *_ = np.linalg.lstsq(stacked, np.concatenate([ti, [0.0, 0.0]]), rcond=None)
+        assert np.max(np.abs(vi - ref)) < 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +171,17 @@ def test_torus_falls_back_to_open_segment(g23_patch):
     assert g23_patch.covers == 1
     with pytest.raises(CoverOverflow):
         build_torus(g23_patch.lift.trace, g23_patch.lift, require_closed=True)
+
+
+def test_half_exponent_torus_closes_after_four_covers(all_traces):
+    # p = 1/2 gamma_{2,3} has holonomy pi/2 (area-holonomy relation)
+    patch = build_torus(all_traces(0.5, 2, 3), t_samples=16, s_samples=32)
+    assert patch.lift.holonomy_angle == pytest.approx(0.5 * math.pi, abs=1e-9)
+    assert patch.closed and patch.covers == 4
+    assert patch.vertices.shape == (16, 4 * 32, 4)
+    # the torus columns come from the same dense solution as the lift samples
+    dense = patch.lift.sol(patch.lift.s).T
+    assert np.max(np.abs(dense - patch.lift.points)) < 1e-12
 
 
 def test_torus_vertices_on_sphere(g23_patch):

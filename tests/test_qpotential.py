@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from pelastica.errors import DomainError, NoPeriodicOrbit
 from pelastica.qpotential import (
-    Exponent,
     a_star,
     classify_positive_roots,
     curvature_bounds,
@@ -108,24 +107,21 @@ def test_momentum_cap_monotone_and_respected():
         curvature_bounds(0.01, caps[0] * 10.0)
 
 
+def test_curvature_minimum_below_float_range_is_a_domain_error():
+    # beta ~ (p^2/a)^(1/(2(1-p))) underflows float64 here
+    with pytest.raises(DomainError):
+        make_params(0.99, a_star(0.99) * (1.0 + 1e7))
+    # still representable (beta ~ 1e-193) a few decades lower
+    beta, _ = curvature_bounds(0.99, a_star(0.99) * (1.0 + 7.5e3))
+    assert 0.0 < beta < 1e-150
+
+
 def test_near_circular_flag():
     p = 0.3
     almost = make_params(p, a_star(p) * (1 + 1e-14))
     assert almost.near_circular
     wide = make_params(p, a_star(p) * 2.0)
     assert not wide.near_circular
-
-
-def test_exponent_tags():
-    assert Exponent(0.0).tag == "zero"
-    assert Exponent(1.0).tag == "unit"
-    assert Exponent(0.3).tag == "openInterval01"
-    assert Exponent(2.0).tag == "two"
-    assert Exponent(3.0).tag == "naturalAbove2"
-    assert Exponent(2.5).tag == "otherReal"
-    assert Exponent(-1.0).tag == "otherReal"
-    with pytest.raises(DomainError):
-        Exponent(float("nan"))
 
 
 def test_classification_two_roots_inside_unit_interval():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
-from pelastica.errors import DomainError
+from pelastica.errors import DomainError, ResolutionError
 from pelastica.qpotential import a_star, make_params
 from pelastica.quad import (
     integrate_over_arch,
@@ -124,3 +124,12 @@ def test_wide_dynamic_range_stays_finite():
         params = make_params(p, a_star(p) * 1e6)
         val = kappa_moment(params, 1.0 - p)
         assert np.isfinite(val) and val > 0.0
+
+
+def test_unreachable_grade_floor_raises():
+    params = make_params(0.3, 2.0)
+    # the mesh grades down to grade_floor / 8 and stops at 1e-300
+    integrate_over_arch(params, lambda k: k, grade_floor=8e-300)
+    for floor in (7e-300, 1e-310, 0.0):
+        with pytest.raises(ResolutionError):
+            integrate_over_arch(params, lambda k: k, grade_floor=floor)
