@@ -60,33 +60,24 @@ A_TOL = 0.02
 ENERGY_TOL = 0.05
 DELTA2_REL_TOL = 0.01
 _CURVE_FORMATS = ("csv", "json", "svg")
+_CONFIG_KEYS = {"tol": float, "samples": int}
 
 
-def _load_config(path: str | None) -> dict:
-    """Optional key=value config file; unknown keys are ignored."""
-    if not path:
-        return {}
+def _load_config(path: str) -> dict:
+    """tol and samples from a key=value config file; other keys are ignored."""
     out = {}
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#") or "=" not in line:
                 continue
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key in _CONFIG_KEYS:
+                try:
+                    out[key] = _CONFIG_KEYS[key](val)
+                except ValueError:
+                    raise DomainError(f"config {key} = {val!r} is not a number") from None
     return out
-
-
-def _apply_config(args, argv) -> None:
-    """Let the --config file set tol and samples where the command line did not."""
-    config = _load_config(args.config)
-    given = argv or sys.argv
-    for key, cast in (("tol", float), ("samples", int)):
-        if key in config and hasattr(args, key) and f"--{key}" not in given:
-            try:
-                setattr(args, key, cast(config[key]))
-            except ValueError:
-                raise DomainError(f"config {key} = {config[key]!r} is not a number") from None
 
 
 def _parse_pole(text: str) -> tuple | None:
@@ -270,7 +261,9 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The command line parser; defaults override the built-in tol and samples."""
+    defaults = defaults or {}
     parser = argparse.ArgumentParser(
         prog="pelastica", description="closed spherical p-elastic curve toolkit"
     )
@@ -285,8 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--p", type=float, required=True)
     cv.add_argument("--n", type=int, required=True)
     cv.add_argument("--m", type=int, required=True)
-    cv.add_argument("--tol", type=float, default=curve.DEFAULT_STEP_TOL)
-    cv.add_argument("--samples", type=int, default=curve.SAMPLES_PER_PERIOD)
+    cv.add_argument("--tol", type=float, default=defaults.get("tol", curve.DEFAULT_STEP_TOL))
+    cv.add_argument(
+        "--samples", type=int, default=defaults.get("samples", curve.SAMPLES_PER_PERIOD)
+    )
     cv.add_argument("--out", help="output path stem")
     cv.add_argument("--format", default="csv,json,svg")
     cv.set_defaults(func=cmd_curve)
@@ -303,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     hp.add_argument("--p", type=float, required=True)
     hp.add_argument("--n", type=int, required=True)
     hp.add_argument("--m", type=int, required=True)
-    hp.add_argument("--samples", type=int, default=128)
+    hp.add_argument("--samples", type=int, default=defaults.get("samples", 128))
     hp.add_argument("--pole", default="0,0,0,-1")
     hp.add_argument("--out", help="output path stem")
     hp.set_defaults(func=cmd_hopf)
@@ -322,7 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _apply_config(args, argv)
+        if args.config:
+            # The config file only sets defaults, so anything the command
+            # line gives, in whatever spelling argparse accepts, wins.
+            args = build_parser(_load_config(args.config)).parse_args(argv)
         _check_arguments(args)
         return args.func(args)
     except (InvariantBreach, ResolutionError) as exc:

@@ -250,20 +250,15 @@ def _phase_rotate(points: np.ndarray, angle: float) -> np.ndarray:
 
 
 def _triangle_fans(nt: int, ns: int, wrap_s: bool):
-    """Triangle index triples for the (possibly s-open) structured grid."""
-    tri = []
-    s_limit = ns if wrap_s else ns - 1
-    for i in range(nt):
-        i2 = (i + 1) % nt
-        for j in range(s_limit):
-            j2 = (j + 1) % ns
-            a = i * ns + j
-            b = i2 * ns + j
-            c = i2 * ns + j2
-            d = i * ns + j2
-            tri.append((a, b, c))
-            tri.append((a, c, d))
-    return np.array(tri, dtype=int)
+    """Triangle index triples for the (possibly s-open) structured grid.
+
+    Each quad (i, j) gives (a, b, c) then (a, c, d), quads in row-major order.
+    """
+    i = np.arange(nt)[:, None]
+    j = np.arange(ns if wrap_s else ns - 1)[None, :]
+    i2, j2 = (i + 1) % nt, (j + 1) % ns
+    a, b, c, d = np.broadcast_arrays(i * ns + j, i2 * ns + j, i2 * ns + j2, i * ns + j2)
+    return np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
 
 
 def _cotan_and_areas(verts: np.ndarray, tris: np.ndarray):

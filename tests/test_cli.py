@@ -90,14 +90,19 @@ def test_config_file_overrides_defaults(tmp_path, capsys):
     cfg = tmp_path / "cfg"
     cfg.write_text("# sampling\nsamples = 300\nunknown = 1\n")
     stem = str(tmp_path / "cfgcurve")
-    code = main(
-        ["--config", str(cfg), "curve", "--p", "0.3", "--n", "2", "--m", "3",
-         "--out", stem, "--format", "json"]
-    )
-    assert code == EXIT_OK
-    meta = json.loads((tmp_path / "cfgcurve.json").read_text())
+    base = ["--config", str(cfg), "curve", "--p", "0.3", "--n", "2", "--m", "3",
+            "--out", stem, "--format", "json"]
     # 300 samples per period over 3 periods, endpoint included
-    assert len(meta["samples"]) == 901
+    for explicit, expected in (
+        ([], 901),
+        # the command line wins over the config file in every spelling
+        (["--samples", "64"], 193),
+        (["--samples=64"], 193),
+        (["--sam", "64"], 193),
+    ):
+        assert main(base + explicit) == EXIT_OK
+        meta = json.loads((tmp_path / "cfgcurve.json").read_text())
+        assert len(meta["samples"]) == expected, explicit
 
 
 def test_reference_table_shape():

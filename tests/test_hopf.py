@@ -11,6 +11,7 @@ from pelastica.hopf import (
     SPHERE_RADIUS,
     _horizontal_velocity,
     _projection_jacobian,
+    _triangle_fans,
     build_torus,
     discrete_gaussian_curvature,
     discrete_mean_curvature,
@@ -93,6 +94,28 @@ def test_horizontal_velocity_matches_stacked_least_squares():
         stacked = np.vstack([jac, qi, fiber_direction(qi)])
         ref, *_ = np.linalg.lstsq(stacked, np.concatenate([ti, [0.0, 0.0]]), rcond=None)
         assert np.max(np.abs(vi - ref)) < 1e-12
+
+
+def _loop_triangle_fans(nt, ns, wrap_s):
+    # explicit-loop reference: two triangles per grid quad, row-major
+    tri = []
+    for i in range(nt):
+        i2 = (i + 1) % nt
+        for j in range(ns if wrap_s else ns - 1):
+            j2 = (j + 1) % ns
+            a, b, c, d = i * ns + j, i2 * ns + j, i2 * ns + j2, i * ns + j2
+            tri.append((a, b, c))
+            tri.append((a, c, d))
+    return np.array(tri, dtype=int)
+
+
+@pytest.mark.parametrize("nt,ns", [(7, 5), (256, 128), (1, 2)])
+@pytest.mark.parametrize("wrap_s", [False, True])
+def test_triangle_fans_match_loop_reference(nt, ns, wrap_s):
+    tris = _triangle_fans(nt, ns, wrap_s)
+    ref = _loop_triangle_fans(nt, ns, wrap_s)
+    assert tris.shape == ref.shape and tris.dtype == ref.dtype
+    assert np.array_equal(tris, ref)
 
 
 @pytest.fixture(scope="module")

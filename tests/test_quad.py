@@ -1,5 +1,6 @@
 """Singular arch quadrature against independent oracles."""
 
+import heapq
 import math
 import warnings
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
+from pelastica import closure, quad
 from pelastica.errors import DomainError, ResolutionError
 from pelastica.qpotential import a_star, make_params
 from pelastica.quad import (
@@ -133,3 +135,103 @@ def test_unreachable_grade_floor_raises():
     for floor in (7e-300, 1e-310, 0.0):
         with pytest.raises(ResolutionError):
             integrate_over_arch(params, lambda k: k, grade_floor=floor)
+
+
+def _gl15(f, lo, hi):
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return float(half * np.dot(quad._GL_WEIGHTS, f(mid + half * quad._GL_NODES)))
+
+
+def _panel(f, lo, hi):
+    mid = 0.5 * (lo + hi)
+    coarse = _gl15(f, lo, hi)
+    fine = _gl15(f, lo, mid) + _gl15(f, mid, hi)
+    return (-abs(coarse - fine), lo, hi, fine)
+
+
+def _per_panel_reference(params, numerator, rel_tol=quad.DEFAULT_REL_TOL, grade_floor=None):
+    """The adaptive arch rule with one integrand call per GL15 rule.
+
+    Returns (value, error estimate, initial panels, bisections).
+    """
+    f = quad._make_theta_integrand(params, numerator)
+    half_pi = 0.5 * math.pi
+    low_levels = quad._GRADE_LEVELS
+    if grade_floor is not None:
+        needed = math.ceil(math.log2(half_pi / (grade_floor / 8.0)))
+        low_levels = max(low_levels, needed)
+    lows = [half_pi * 2.0**-k for k in range(low_levels, 0, -1)]
+    highs = [half_pi * (1.0 - 2.0**-k) for k in range(2, quad._GRADE_LEVELS + 1)]
+    breaks = [0.0] + lows + highs + [half_pi]
+    heap = [_panel(f, lo, hi) for lo, hi in zip(breaks[:-1], breaks[1:])]
+    heapq.heapify(heap)
+    total = sum(item[3] for item in heap)
+    total_err = sum(-item[0] for item in heap)
+    initial, bisections = len(heap), 0
+    while total_err > rel_tol * max(abs(total), 1e-300):
+        assert initial + bisections < quad._PANEL_CAP
+        neg_err, lo, hi, fine = heapq.heappop(heap)
+        total -= fine
+        total_err += neg_err
+        mid = 0.5 * (lo + hi)
+        for child in (_panel(f, lo, mid), _panel(f, mid, hi)):
+            heapq.heappush(heap, child)
+            total += child[3]
+            total_err -= child[0]
+        bisections += 1
+    return total, total_err, initial, bisections
+
+
+def _lambda_call(params, monkeypatch):
+    """Lambda's arch integral: its numerator, rel_tol and grade_floor."""
+    seen = []
+
+    def spy(params, numerator, rel_tol, grade_floor=None):
+        seen.append((numerator, rel_tol, grade_floor))
+        return integrate_over_arch(params, numerator, rel_tol, grade_floor)
+
+    monkeypatch.setattr(closure, "integrate_over_arch", spy)
+    closure.lambda_p(params)
+    (call,) = seen
+    return call
+
+
+@pytest.mark.parametrize(
+    "p,a",
+    [(0.3, 2.0), (0.99, 7.4e3 * a_star(0.99)), (0.01, 1e3 * a_star(0.01))],
+)
+def test_block_evaluation_matches_per_panel_rule_bit_for_bit(p, a, monkeypatch):
+    params = make_params(p, a)
+    numerator, rel_tol, floor = _lambda_call(params, monkeypatch)
+    cases = [
+        (numerator, rel_tol, floor),
+        (lambda k: k**0.7, quad.DEFAULT_REL_TOL, None),
+        # a kink at kappa_* makes the heap bisect, so children are compared too
+        (lambda k: np.abs(k - params.kappa_star) ** 0.5, quad.DEFAULT_REL_TOL, None),
+    ]
+    bisected = 0
+    for numerator, rel_tol, floor in cases:
+        res = integrate_over_arch(params, numerator, rel_tol, floor)
+        value, err, _, bisections = _per_panel_reference(params, numerator, rel_tol, floor)
+        assert (res.value, res.error_estimate) == (value, err)
+        bisected += bisections
+    assert bisected > 0
+
+
+@pytest.mark.parametrize("p,mult", [(0.3, 2.0), (0.99, 7.4e3)])
+def test_initial_mesh_is_evaluated_in_bounded_blocks(p, mult, monkeypatch):
+    # One integrand call per block of at most 128 panels, 45 nodes a panel:
+    # fewer calls than that means unbounded blocks, more means per-panel calls.
+    params = make_params(p, mult * a_star(p))
+    numerator, rel_tol, floor = _lambda_call(params, monkeypatch)
+    _, _, panels, bisections = _per_panel_reference(params, numerator, rel_tol, floor)
+    assert bisections == 0
+    sizes = []
+
+    def counted(k, q):
+        sizes.append(k.size)
+        return numerator(k, q)
+
+    integrate_over_arch(params, counted, rel_tol, floor)
+    assert len(sizes) == math.ceil(panels / 128)
+    assert max(sizes) <= 128 * 45
