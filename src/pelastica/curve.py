@@ -78,11 +78,11 @@ class ProfileResult:
 
     params: ElasticaParams
     states: list[CurveState]
-    sol: object  # scipy OdeSolution over [0, s_end]
+    sol: object  # scipy OdeSolution of (kappa, kappa', psi, A) over [0, s_end]
     s_end: float
 
     def state_at(self, s: float) -> CurveState:
-        k, kp, psi = self.sol(s)
+        k, kp, psi, _ = self.sol(s)
         return CurveState(s=s, kappa=float(k), kappa_prime=float(kp), psi=float(psi))
 
 
@@ -95,18 +95,22 @@ def integrate_profile(
 ) -> ProfileResult:
     """Integrate the curvature ODE from the minimum-curvature point.
 
-    State is (kappa, kappa', psi) with kappa(0) = beta, kappa'(0) = 0,
-    psi(0) = 0.  Sampling is uniform with samples_per_period points per
-    curvature period (period_hint, computed if not given).
+    State is (kappa, kappa', psi, A) with kappa(0) = beta, kappa'(0) = 0,
+    psi(0) = A(0) = 0, where A' = (1 - x) psi' is the spherical area swept
+    between the curve and the pole (1, 0, 0); the Hopf lift takes its fiber
+    phase A/2 from it.  Sampling is uniform with samples_per_period points
+    per curvature period (period_hint, computed if not given).
     """
     if s_end <= 0.0:
         raise DomainError("s_end must be positive")
     p, a = params.p, params.a
+    x_scale = p / math.sqrt(a)
 
     def rhs(s, y):
-        k, kp, psi = y
+        k, kp, psi, _ = y
         k2pp = (2.0 - p) * kp * kp / k - k**3 / p + k / (1.0 - p)
-        return (kp, k2pp, psi_rate(p, a, k, kp))
+        psip = psi_rate(p, a, k, kp)
+        return (kp, k2pp, psip, (1.0 - x_scale * k ** (p - 1.0)) * psip)
 
     rho = period_hint if period_hint is not None else period(params)
     n_samples = max(2, int(round(samples_per_period * s_end / rho)) + 1)
@@ -114,7 +118,7 @@ def integrate_profile(
     sol = solve_ivp(
         rhs,
         (0.0, s_end),
-        [params.beta, 0.0, 0.0],
+        [params.beta, 0.0, 0.0, 0.0],
         method="DOP853",
         rtol=step_tol,
         atol=step_tol * min(params.beta, 1.0),
@@ -123,7 +127,7 @@ def integrate_profile(
     )
     if not sol.success:
         raise StepFailure(f"profile integration failed: {sol.message}")
-    kappa, kappa_prime, psi = sol.y
+    kappa, kappa_prime, psi, _ = sol.y
     worst = float(np.max(first_integral_residual(p, a, kappa, kappa_prime)))
     if worst > _RESIDUAL_BREACH * a:
         raise InvariantBreach(
@@ -223,14 +227,6 @@ def unit_tangent(params: ElasticaParams, kappa, kappa_prime, psi) -> np.ndarray:
         [xp, rp * sin_psi + r * psip * cos_psi, rp * cos_psi - r * psip * sin_psi],
         axis=-1,
     )
-
-
-def tangent_vectors(trace: CurveTrace) -> np.ndarray:
-    """Analytic unit tangents gamma'(s) at every sample."""
-    kappa = np.array([st.kappa for st in trace.states])
-    kp = np.array([st.kappa_prime for st in trace.states])
-    psi = np.array([st.psi for st in trace.states])
-    return unit_tangent(trace.params, kappa, kp, psi)
 
 
 def geodesic_curvature_check(trace: CurveTrace) -> float:

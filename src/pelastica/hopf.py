@@ -5,12 +5,18 @@ Identifying R^4 with C^2 via q = (z, w), the submersion
     pi(z, w) = (1/4) (|z|^2 - |w|^2, 2 conj(z) w)
 
 maps the radius-2 sphere onto the unit 2-sphere with circle fibers generated
-by q -> e^(it) q.  On that sphere the projection Jacobian J satisfies
-J J^T = I, J q = 2 pi(q) and J (iq) = 0, so the horizontal lift of a unit
-base tangent T is exactly J^T T; the lift of a closed base curve is
-integrated once as an ODE with that velocity.  Phase-rotating the lift sweeps
-out a flat torus (or cylinder segment when the holonomy does not close) whose
-mean curvature is kappa/2.
+by q -> e^(it) q.  The section sigma(x, y, z) = (r, 0, 2y/r, 2z/r) with
+r = sqrt(2(1+x)) is regular off (-1, 0, 0), and <sigma', i sigma> =
+-2 (1 - x) psi' along a curve gamma = (x, sqrt(1-x^2) sin psi,
+sqrt(1-x^2) cos psi).  So the horizontal lift of a traced curve is, in
+closed form,
+
+    q(s) = e^(i phi(s)) sigma(gamma(s)),  phi' = (1 - x) psi' / 2,
+
+with phi = A/2 for the swept area A that the profile ODE integrates; the
+holonomy A(L)/2 is the area-holonomy relation (Pinkall 1985).  Phase-rotating
+the lift sweeps out a flat torus (or cylinder segment when the holonomy does
+not close) whose mean curvature is kappa/2.
 """
 
 from __future__ import annotations
@@ -20,21 +26,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .curve import CurveTrace, tangent_vectors, unit_tangent
-from .errors import (
-    CoverOverflow,
-    DomainError,
-    PoleCollision,
-    SeedError,
-    StepFailure,
-)
+from .curve import CurveTrace, _embed_points, psi_rate, unit_tangent
+from .errors import CoverOverflow, DomainError, PoleCollision, SeedError
 
 SPHERE_RADIUS = 2.0
-_SEED_TOL = 1e-8
 DEFAULT_ANGLE_TOL = 1e-6
 MAX_COVERS = 64
+# Lines formatted per string operation when writing OBJ and curvature files:
+# one format per line is slow, one over the whole mesh holds every line's text
+# and float objects at once.
+_BLOCK_LINES = 16384
 
 
 def hopf_project(q):
@@ -60,41 +62,16 @@ def fiber_direction(q):
 
 
 def fiber_seed(base_point) -> np.ndarray:
-    """Deterministic point of the fiber over a base point.
+    """The section sigma: the fiber point over each base point (..., 3).
 
     Chooses the representative with the first complex slot real and
     positive, which exists whenever the base point is off (-1, 0, 0).
     """
-    x, y, z3 = (float(v) for v in base_point)
-    if x <= -1.0 + 1e-12:
+    x, y, z3 = np.moveaxis(np.asarray(base_point, dtype=float), -1, 0)
+    if np.any(x <= -1.0 + 1e-12):
         raise SeedError("no canonical seed over the antipodal pole")
-    zmod = math.sqrt(2.0 * (1.0 + x))
-    return np.array([zmod, 0.0, 2.0 * y / zmod, 2.0 * z3 / zmod])
-
-
-def _projection_jacobian(q) -> np.ndarray:
-    """Differential of hopf_project at points q (..., 4), as an array (3, 4, ...)."""
-    x0, x1, x2, x3 = np.asarray(q, dtype=float).T
-    return 0.5 * np.array(
-        [
-            [x0, x1, -x2, -x3],
-            [x2, x3, x0, x1],
-            [x3, -x2, -x1, x0],
-        ]
-    )
-
-
-def _horizontal_velocity(q, tangent) -> np.ndarray:
-    """Horizontal lift J(q)^T T of base tangents T at points q of the sphere.
-
-    J^T T is orthogonal to q while hopf_project(q) is orthogonal to T.  Once
-    an integrated lift drifts off the base curve that fails and J^T T gains a
-    radial part; it is removed, so that the flow keeps |q| = 2.
-    """
-    q = np.asarray(q, dtype=float)
-    vel = np.einsum("ij...,...i->...j", _projection_jacobian(q), tangent)
-    radial = np.einsum("...i,...i->...", vel, q) / np.einsum("...i,...i->...", q, q)
-    return vel - radial[..., None] * q
+    zmod = np.sqrt(2.0 * (1.0 + x))
+    return np.stack([zmod, np.zeros_like(zmod), 2.0 * y / zmod, 2.0 * z3 / zmod], axis=-1)
 
 
 @dataclass
@@ -105,63 +82,56 @@ class HopfLift:
     s: np.ndarray
     points: np.ndarray  # (N, 4), norm 2
     holonomy_angle: float  # fiber phase mismatch in [0, 2 pi)
-    sol: object = field(repr=False)  # scipy OdeSolution over [0, s[-1]]
 
 
-def horizontal_lift(
-    trace: CurveTrace, seed: np.ndarray | None = None, step_tol: float = 1e-11
-) -> HopfLift:
-    """Integrate the unique horizontal curve over the base trace.
+def _lift_at(trace: CurveTrace, s: np.ndarray) -> np.ndarray:
+    """Closed-form lift e^(i A/2) sigma(gamma) at arc lengths s, shape (len(s), 4)."""
+    kappa, _, psi, area = trace.profile.sol(s)
+    sigma = fiber_seed(_embed_points(trace.params, kappa, psi))
+    return _phase_rotate(sigma, 0.5 * area)
 
-    The velocity is J^T T for the analytic base tangent T; the solution keeps
-    its dense output so that the torus mesh can resample it.
+
+def horizontal_lift(trace: CurveTrace) -> HopfLift:
+    """Evaluate the horizontal lift e^(i phi) sigma(gamma) at the trace samples.
+
+    The phase phi = A/2 and the holonomy A(L)/2 mod 2 pi come from the swept
+    area that the profile ODE carries, so no second ODE is solved.
     """
     if trace.profile is None:
         raise DomainError("trace must carry its integrated profile")
-    gamma0 = trace.points[0]
-    if seed is None:
-        seed = fiber_seed(gamma0)
-    seed = np.asarray(seed, dtype=float)
-    if abs(np.linalg.norm(seed) - SPHERE_RADIUS) > _SEED_TOL:
-        raise SeedError("seed must lie on the radius-2 sphere")
-    if np.linalg.norm(hopf_project(seed) - gamma0) > _SEED_TOL:
-        raise SeedError("seed does not project onto the base start point")
-
-    params, profile_at = trace.params, trace.profile.sol
-
-    def rhs(s, q):
-        return _horizontal_velocity(q, unit_tangent(params, *profile_at(s)))
-
     s_grid = np.array([st.s for st in trace.states])
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(s_grid[-1])),
-        seed,
-        method="DOP853",
-        rtol=step_tol,
-        atol=step_tol,
-        t_eval=s_grid,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise StepFailure(f"horizontal lift integration failed: {sol.message}")
-    points = sol.y.T
-    z_end = complex(points[-1, 0], points[-1, 1])
-    w_end = complex(points[-1, 2], points[-1, 3])
-    z0 = complex(seed[0], seed[1])
-    w0 = complex(seed[2], seed[3])
-    # Hermitian inner product of endpoints; equals 4 e^(i holonomy) when the
-    # endpoint sits on the start fiber.
-    phase = z_end * z0.conjugate() + w_end * w0.conjugate()
-    angle = math.atan2(phase.imag, phase.real) % (2.0 * math.pi)
-    return HopfLift(trace=trace, s=s_grid, points=points, holonomy_angle=angle, sol=sol.sol)
+    area_end = float(trace.profile.sol(trace.profile.s_end)[3])
+    angle = (0.5 * area_end) % (2.0 * math.pi)
+    return HopfLift(trace=trace, s=s_grid, points=_lift_at(trace, s_grid), holonomy_angle=angle)
 
 
 def horizontality_residual(lift: HopfLift) -> float:
-    """Max |<lift velocity, fiber direction>| over all samples."""
-    vels = _horizontal_velocity(lift.points, tangent_vectors(lift.trace))
+    """Max |<q', iq>| over all samples, q' the closed form's own derivative.
+
+    q' = e^(i phi) (D sigma . gamma' + i phi' sigma) with gamma' the analytic
+    unit tangent and phi' = (1 - x) psi' / 2; it vanishes exactly when phi'
+    has the right sign and factor.
+    """
+    params = lift.trace.params
+    kappa, kappa_prime, psi, area = lift.trace.profile.sol(lift.s)
+    gamma = _embed_points(params, kappa, psi)
+    dgamma = unit_tangent(params, kappa, kappa_prime, psi)
+    sigma = fiber_seed(gamma)
+    zmod = sigma[:, 0]
+    # derivative of (zmod, 0, 2y/zmod, 2z/zmod) with zmod' = x'/zmod
+    dzmod = dgamma[:, 0] / zmod
+    dsigma = np.column_stack(
+        [
+            dzmod,
+            np.zeros_like(zmod),
+            (2.0 * dgamma[:, 1] - sigma[:, 2] * dzmod) / zmod,
+            (2.0 * dgamma[:, 2] - sigma[:, 3] * dzmod) / zmod,
+        ]
+    )
+    phase_rate = 0.5 * (1.0 - gamma[:, 0]) * psi_rate(params.p, params.a, kappa, kappa_prime)
+    q_prime = _phase_rotate(dsigma + phase_rate[:, None] * fiber_direction(sigma), 0.5 * area)
     fib = fiber_direction(lift.points)
-    return float(np.max(np.abs(np.einsum("ij,ij->i", vels, fib))))
+    return float(np.max(np.abs(np.einsum("ij,ij->i", q_prime, fib))))
 
 
 def _closing_covers(angle: float, angle_tol: float, max_covers: int) -> int | None:
@@ -195,9 +165,11 @@ def build_torus(
 ) -> HopfPatch:
     """Sweep the lift through the fiber phases into a quad mesh.
 
-    If the lift holonomy is a rational angle, the s-range is extended over
-    the smallest closing cover (the lift over cover k equals the first cover
-    phase-rotated by k times the holonomy, so no re-integration is needed).
+    The first cover's s columns evaluate the closed-form lift
+    e^(i phi) sigma(gamma) from the profile's dense output.  If the lift
+    holonomy is a rational angle, the s-range is extended over the smallest
+    closing cover (the lift over cover k equals the first cover
+    phase-rotated by k times the holonomy).
     Generic holonomy yields an open cylinder segment: the full fiber
     preimage is still a torus, but its (t, s) chart has a phase-twisted seam
     that a structured grid cannot close, so the seam stays open and the
@@ -217,7 +189,7 @@ def build_torus(
         covers = 1
 
     s_one = np.linspace(0.0, length, s_samples, endpoint=False)
-    lift_one = lift.sol(s_one).T
+    lift_one = _lift_at(trace, s_one)
     lift_points = np.concatenate(
         [_phase_rotate(lift_one, c * lift.holonomy_angle) for c in range(covers)], axis=0
     )
@@ -241,8 +213,9 @@ def build_torus(
     )
 
 
-def _phase_rotate(points: np.ndarray, angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
+def _phase_rotate(points: np.ndarray, angle) -> np.ndarray:
+    """Multiply points (N, 4) by e^(i angle), angle a scalar or one per point."""
+    c, s = np.cos(angle), np.sin(angle)
     x0, x1, x2, x3 = points.T
     return np.column_stack(
         [c * x0 - s * x1, s * x0 + c * x1, c * x2 - s * x3, s * x2 + c * x3]
@@ -400,20 +373,24 @@ def _plane_basis(n: np.ndarray) -> np.ndarray:
     return u[:, :3].T
 
 
+def _write_lines(fh, line_format: str, rows: np.ndarray) -> None:
+    """Write line_format once per row of a 2-D array, one % format per block."""
+    for start in range(0, len(rows), _BLOCK_LINES):
+        block = rows[start : start + _BLOCK_LINES]
+        fh.write((line_format * len(block)) % tuple(block.ravel().tolist()))
+
+
 def patch_to_obj(patch: HopfPatch, path: str, pole=(0.0, 0.0, 0.0, -1.0)) -> None:
     """Write the projected mesh as OBJ with a sidecar curvature attribute."""
     projected = stereographic_project(patch.vertices, pole)
     nt, ns, _ = patch.vertices.shape
     tris = _triangle_fans(nt, ns, patch.closed)
+    tris += 1  # OBJ indices are 1-based
     with open(path, "w") as fh:
-        for v in projected.reshape(-1, 3):
-            fh.write(f"v {v[0]:.12g} {v[1]:.12g} {v[2]:.12g}\n")
-        for a, b, c in tris:
-            fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
+        _write_lines(fh, "v %.12g %.12g %.12g\n", projected.reshape(-1, 3))
+        _write_lines(fh, "f %d %d %d\n", tris)
     with open(path + ".meancurv", "w") as fh:
-        for _ in range(nt):
-            for hval in patch.h_field:
-                fh.write(f"{hval:.12g}\n")
+        _write_lines(fh, "%.12g\n", np.tile(patch.h_field, nt)[:, None])
 
 
 def patch_to_json(patch: HopfPatch, path: str) -> None:

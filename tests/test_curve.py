@@ -13,10 +13,10 @@ from pelastica.curve import (
     integrate_profile,
     monotone_progression_check,
     psi_rate,
-    tangent_vectors,
     trace_to_csv,
     trace_to_json,
     trace_to_svg,
+    unit_tangent,
 )
 from pelastica.errors import DomainError
 from pelastica.qpotential import a_star, make_params
@@ -87,7 +87,8 @@ def test_trace_stays_in_open_upper_half(g23_trace):
 
 
 def test_tangents_are_unit_speed(g23_trace):
-    tans = tangent_vectors(g23_trace)
+    kappa, kp, psi = np.array([(st.kappa, st.kappa_prime, st.psi) for st in g23_trace.states]).T
+    tans = unit_tangent(g23_trace.params, kappa, kp, psi)
     speeds = np.linalg.norm(tans, axis=1)
     assert float(np.max(np.abs(speeds - 1.0))) < 1e-8
     # tangency: orthogonal to the position on the sphere

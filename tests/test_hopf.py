@@ -5,12 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from pelastica import hopf
+from pelastica.curve import unit_tangent
 from pelastica.errors import CoverOverflow, PoleCollision, SeedError
 from pelastica.hopf import (
     SPHERE_RADIUS,
-    _horizontal_velocity,
-    _projection_jacobian,
     _triangle_fans,
     build_torus,
     discrete_gaussian_curvature,
@@ -67,14 +68,71 @@ def test_fiber_direction_tangent_to_fiber():
 
 
 def test_fiber_seed_projects_correctly():
-    for base in ([1.0, 0.0, 0.0], [0.2, -0.5, 0.3], [0.0, 0.0, -1.0]):
-        base = np.asarray(base, dtype=float)
-        base /= np.linalg.norm(base)
+    bases = np.array([[1.0, 0.0, 0.0], [0.2, -0.5, 0.3], [0.0, 0.0, -1.0]])
+    bases /= np.linalg.norm(bases, axis=1, keepdims=True)
+    for base in bases:
         seed = fiber_seed(base)
+        assert seed.shape == (4,)
         assert np.linalg.norm(seed) == pytest.approx(SPHERE_RADIUS, rel=1e-14)
         assert np.max(np.abs(hopf_project(seed) - base)) < 1e-12
+    # the section over an array of base points, row by row
+    rng = np.random.default_rng(9)
+    many = hopf_project(_random_sphere_points(rng, 60)).reshape(3, 20, 3)
+    seeds = fiber_seed(many)
+    assert seeds.shape == (3, 20, 4)
+    assert np.array_equal(seeds[1, 7], fiber_seed(many[1, 7]))
+    assert np.max(np.abs(np.linalg.norm(seeds, axis=-1) - SPHERE_RADIUS)) < 1e-14
+    assert np.max(np.abs(hopf_project(seeds.reshape(-1, 4)) - many.reshape(-1, 3))) < 1e-12
+    assert np.all(seeds[..., 1] == 0.0) and np.all(seeds[..., 0] > 0.0)
     with pytest.raises(SeedError):
         fiber_seed([-1.0, 0.0, 0.0])
+    with pytest.raises(SeedError):
+        fiber_seed(np.vstack([bases, [[-1.0, 0.0, 0.0]]]))
+
+
+# Reference lift, tests only: the horizontal velocity J^T T integrated as an
+# ODE, which the closed form e^(i phi) sigma(gamma) replaced.
+
+
+def _projection_jacobian(q):
+    """Differential of hopf_project at points q (..., 4), as an array (3, 4, ...)."""
+    x0, x1, x2, x3 = np.asarray(q, dtype=float).T
+    return 0.5 * np.array(
+        [
+            [x0, x1, -x2, -x3],
+            [x2, x3, x0, x1],
+            [x3, -x2, -x1, x0],
+        ]
+    )
+
+
+def _horizontal_velocity(q, tangent):
+    """J(q)^T T minus its radial part, which keeps an integrated lift at |q| = 2."""
+    q = np.asarray(q, dtype=float)
+    vel = np.einsum("ij...,...i->...j", _projection_jacobian(q), tangent)
+    radial = np.einsum("...i,...i->...", vel, q) / np.einsum("...i,...i->...", q, q)
+    return vel - radial[..., None] * q
+
+
+def _ode_lift(trace):
+    """Lift points at the trace samples and holonomy, from the J^T T ODE."""
+    params, profile_at = trace.params, trace.profile.sol
+    s_grid = np.array([st.s for st in trace.states])
+    seed = fiber_seed(trace.points[0])
+
+    def rhs(s, q):
+        return _horizontal_velocity(q, unit_tangent(params, *profile_at(s)[:3]))
+
+    sol = solve_ivp(
+        rhs, (0.0, s_grid[-1]), seed, method="DOP853", rtol=1e-11, atol=1e-11, t_eval=s_grid
+    )
+    assert sol.success
+    points = sol.y.T
+    # Hermitian product of the endpoints is 4 e^(i holonomy) on the start fiber
+    z, w = complex(*points[-1, :2]), complex(*points[-1, 2:])
+    z0, w0 = complex(*seed[:2]), complex(*seed[2:])
+    phase = z * z0.conjugate() + w * w0.conjugate()
+    return points, math.atan2(phase.imag, phase.real) % (2.0 * math.pi)
 
 
 def test_horizontal_velocity_matches_stacked_least_squares():
@@ -125,7 +183,17 @@ def g23_lift(g23_trace):
 
 def test_lift_stays_on_radius_two_sphere(g23_lift):
     norms = np.linalg.norm(g23_lift.points, axis=1)
-    assert float(np.max(np.abs(norms - SPHERE_RADIUS))) < 1e-10
+    assert float(np.max(np.abs(norms - SPHERE_RADIUS))) < 1e-13
+
+
+@pytest.mark.parametrize("p,n,m", [(0.3, 2, 3), (0.5, 2, 3)])
+def test_lift_matches_ode_reference(all_traces, p, n, m):
+    trace = all_traces(p, n, m)
+    lift = horizontal_lift(trace)
+    ref_points, ref_holonomy = _ode_lift(trace)
+    assert float(np.max(np.abs(lift.points - ref_points))) < 1e-8
+    gap = (lift.holonomy_angle - ref_holonomy) % (2.0 * math.pi)
+    assert min(gap, 2.0 * math.pi - gap) < 1e-9
 
 
 def test_lift_projects_onto_base(g23_lift, g23_trace):
@@ -135,14 +203,6 @@ def test_lift_projects_onto_base(g23_lift, g23_trace):
 
 def test_lift_is_horizontal(g23_lift):
     assert horizontality_residual(g23_lift) < 1e-8
-
-
-def test_lift_seed_validation(g23_trace):
-    with pytest.raises(SeedError):
-        horizontal_lift(g23_trace, seed=np.array([1.0, 0.0, 0.0, 0.0]))
-    good = fiber_seed(g23_trace.points[0])
-    with pytest.raises(SeedError):
-        horizontal_lift(g23_trace, seed=np.roll(good, 2) * 1.0 + 0.3)
 
 
 def test_holonomy_equals_half_enclosed_area(g23_lift, g23_trace):
@@ -202,9 +262,11 @@ def test_half_exponent_torus_closes_after_four_covers(all_traces):
     assert patch.lift.holonomy_angle == pytest.approx(0.5 * math.pi, abs=1e-9)
     assert patch.closed and patch.covers == 4
     assert patch.vertices.shape == (16, 4 * 32, 4)
-    # the torus columns come from the same dense solution as the lift samples
-    dense = patch.lift.sol(patch.lift.s).T
-    assert np.max(np.abs(dense - patch.lift.points)) < 1e-12
+    # the first cover's columns (phase t = 0) are the lift itself: every 48th
+    # of the 512 * 3 trace samples sits at one of the 32 torus arc lengths
+    s_one = np.linspace(0.0, patch.lift.s[-1], 32, endpoint=False)
+    assert np.allclose(patch.lift.s[:-1:48], s_one, rtol=1e-15, atol=0.0)
+    assert np.max(np.abs(patch.vertices[0, :32] - patch.lift.points[:-1:48])) < 1e-12
 
 
 def test_torus_vertices_on_sphere(g23_patch):
@@ -275,3 +337,33 @@ def test_mesh_exports(tmp_path, g23_patch):
     meta = json.loads(json_path.read_text())
     assert meta["closed"] is False
     assert meta["holonomyAngle"] == pytest.approx(g23_patch.lift.holonomy_angle)
+
+
+def _loop_obj_text(patch, pole=(0.0, 0.0, 0.0, -1.0)):
+    # per-line reference writer: one f-string per vertex, face and value
+    projected = stereographic_project(patch.vertices, pole)
+    nt, ns, _ = patch.vertices.shape
+    obj = [f"v {v[0]:.12g} {v[1]:.12g} {v[2]:.12g}\n" for v in projected.reshape(-1, 3)]
+    obj += [f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in _triangle_fans(nt, ns, patch.closed)]
+    curv = [f"{hval:.12g}\n" for _ in range(nt) for hval in patch.h_field]
+    return "".join(obj), "".join(curv)
+
+
+@pytest.mark.parametrize("block_lines", [None, 7])
+@pytest.mark.parametrize("closed", [False, True])
+def test_obj_export_matches_per_line_writer(
+    tmp_path, monkeypatch, all_traces, closed, block_lines
+):
+    # 5 x 6 open and 3 x 4 x 4 closed meshes: every block size leaves a partial block
+    if closed:
+        patch = build_torus(all_traces(0.5, 2, 3), t_samples=3, s_samples=4)
+    else:
+        patch = build_torus(all_traces(0.3, 2, 3), t_samples=5, s_samples=6)
+    assert patch.closed is closed
+    if block_lines is not None:
+        monkeypatch.setattr(hopf, "_BLOCK_LINES", block_lines)
+    path = tmp_path / "mesh.obj"
+    patch_to_obj(patch, str(path))
+    obj_ref, curv_ref = _loop_obj_text(patch)
+    assert path.read_bytes() == obj_ref.encode()
+    assert (tmp_path / "mesh.obj.meancurv").read_bytes() == curv_ref.encode()
