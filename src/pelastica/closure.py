@@ -66,10 +66,11 @@ def lambda_p(params: ElasticaParams, rel_tol: float = DEFAULT_REL_TOL) -> float:
     """
     p = params.p
 
-    # a k^(2(1-p)) - p^2 = Q + (1-p)^2 k^2; the Q-aware form avoids the
-    # cancellation that wrecks the denominator in the inner layer at large a.
-    def numerator(k, q):
-        return k ** (1.0 - p) / (q + (1.0 - p) ** 2 * k**2)
+    # k^(1-p) / (a k^(2(1-p)) - p^2), with the denominator as
+    # Q + (1-p)^2 k^2; the Q-aware form avoids the cancellation that wrecks
+    # it in the inner layer at large a.
+    def numerator(k, q, r):
+        return r / (q + (1.0 - p) ** 2 * k**2)
 
     # The denominator collapses to ~(1-p)^2 beta^2 at the lower root while Q
     # grows like Q'(beta) (alpha-beta) theta^2 away from it; their crossover
@@ -93,7 +94,7 @@ def lambda_p(params: ElasticaParams, rel_tol: float = DEFAULT_REL_TOL) -> float:
 def period(params: ElasticaParams, rel_tol: float = DEFAULT_REL_TOL) -> float:
     """Arc length of one full curvature period, 2p(1-p) int dkappa/(kappa sqrt(Q))."""
     p = params.p
-    val = integrate_over_arch(params, lambda k: 1.0 / k, rel_tol).value
+    val = integrate_over_arch(params, lambda k, q, r: 1.0 / k, rel_tol).value
     return 2.0 * p * (1.0 - p) * val
 
 

@@ -78,6 +78,7 @@ class ProfileResult:
 
     params: ElasticaParams
     states: list[CurveState]
+    area: np.ndarray  # swept area A at the samples of states
     sol: object  # scipy OdeSolution of (kappa, kappa', psi, A) over [0, s_end]
     s_end: float
 
@@ -127,7 +128,7 @@ def integrate_profile(
     )
     if not sol.success:
         raise StepFailure(f"profile integration failed: {sol.message}")
-    kappa, kappa_prime, psi, _ = sol.y
+    kappa, kappa_prime, psi, area = sol.y
     worst = float(np.max(first_integral_residual(p, a, kappa, kappa_prime)))
     if worst > _RESIDUAL_BREACH * a:
         raise InvariantBreach(
@@ -137,7 +138,7 @@ def integrate_profile(
         CurveState(s=float(s), kappa=float(k), kappa_prime=float(kp), psi=float(ps))
         for s, k, kp, ps in zip(s_grid, kappa, kappa_prime, psi)
     ]
-    return ProfileResult(params=params, states=states, sol=sol.sol, s_end=s_end)
+    return ProfileResult(params=params, states=states, area=area, sol=sol.sol, s_end=s_end)
 
 
 @dataclass

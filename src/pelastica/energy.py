@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .qpotential import ElasticaParams, a_star
-from .quad import DEFAULT_REL_TOL, kappa_moment
+from .quad import DEFAULT_REL_TOL, integrate_over_arch
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,9 @@ def energy_closed(
     if m < 1:
         raise DomainError("m must be at least 1")
     p = params.p
-    value = 2.0 * m * p * (1.0 - p) * kappa_moment(params, p - 1.0, rel_tol)
+    # kappa^(p-1) = 1/r, with r = kappa^(1-p) formed by the arch rule
+    moment = integrate_over_arch(params, lambda k, q, r: 1.0 / r, rel_tol).value
+    value = 2.0 * m * p * (1.0 - p) * moment
     return EnergyReport(
         value=value, limit_at_a_star=energy_limit(p, m), context="closedCurve"
     )

@@ -91,18 +91,28 @@ def _lift_at(trace: CurveTrace, s: np.ndarray) -> np.ndarray:
     return _phase_rotate(sigma, 0.5 * area)
 
 
+def _sample_area(trace: CurveTrace) -> np.ndarray:
+    """The swept area A at the trace samples, as the profile ODE sampled it."""
+    if trace.profile is None:
+        raise DomainError("trace must carry its integrated profile")
+    if len(trace.profile.area) != len(trace.states):
+        raise DomainError("trace samples differ from its profile's samples")
+    return trace.profile.area
+
+
 def horizontal_lift(trace: CurveTrace) -> HopfLift:
     """Evaluate the horizontal lift e^(i phi) sigma(gamma) at the trace samples.
 
-    The phase phi = A/2 and the holonomy A(L)/2 mod 2 pi come from the swept
-    area that the profile ODE carries, so no second ODE is solved.
+    The phase phi = A/2 comes from the swept area that the profile ODE
+    sampled along with the trace, and the holonomy A(L)/2 mod 2 pi from its
+    dense output at the end, so no second ODE is solved.
     """
-    if trace.profile is None:
-        raise DomainError("trace must carry its integrated profile")
+    area = _sample_area(trace)
     s_grid = np.array([st.s for st in trace.states])
     area_end = float(trace.profile.sol(trace.profile.s_end)[3])
     angle = (0.5 * area_end) % (2.0 * math.pi)
-    return HopfLift(trace=trace, s=s_grid, points=_lift_at(trace, s_grid), holonomy_angle=angle)
+    points = _phase_rotate(fiber_seed(trace.points), 0.5 * area)
+    return HopfLift(trace=trace, s=s_grid, points=points, holonomy_angle=angle)
 
 
 def horizontality_residual(lift: HopfLift) -> float:
@@ -110,11 +120,18 @@ def horizontality_residual(lift: HopfLift) -> float:
 
     q' = e^(i phi) (D sigma . gamma' + i phi' sigma) with gamma' the analytic
     unit tangent and phi' = (1 - x) psi' / 2; it vanishes exactly when phi'
-    has the right sign and factor.
+    has the right sign and factor.  It checks phi' only: D sigma . gamma' + i
+    phi' sigma is orthogonal to both sigma and i sigma, so a lift rotated by
+    any extra phase still reads 0 here.  The sampled phase is covered by the
+    holonomy and by comparison with an independently integrated lift.
     """
-    params = lift.trace.params
-    kappa, kappa_prime, psi, area = lift.trace.profile.sol(lift.s)
-    gamma = _embed_points(params, kappa, psi)
+    trace = lift.trace
+    params = trace.params
+    area = _sample_area(trace)
+    kappa = np.array([st.kappa for st in trace.states])
+    kappa_prime = np.array([st.kappa_prime for st in trace.states])
+    psi = np.array([st.psi for st in trace.states])
+    gamma = trace.points
     dgamma = unit_tangent(params, kappa, kappa_prime, psi)
     sigma = fiber_seed(gamma)
     zmod = sigma[:, 0]

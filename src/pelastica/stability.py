@@ -17,7 +17,7 @@ import numpy as np
 from .curve import CurveTrace
 from .errors import DomainError, ResolutionError
 from .qpotential import ElasticaParams, a_star, make_params
-from .quad import DEFAULT_REL_TOL, integrate_over_arch, kappa_moment
+from .quad import DEFAULT_REL_TOL, integrate_over_arch
 
 _AGM_TOL = 1e-15
 _MIN_SAMPLES_PER_PERIOD = 200
@@ -40,6 +40,26 @@ def elliptic_ke(zeta: float) -> tuple[float, float]:
     return k_val, k_val * (1.0 - c_sum)
 
 
+def _powers(kappa, r):
+    """kappa^t for t = 1-p, -1-p, p-1, p+1, p-3 from kappa and r = kappa^(1-p)."""
+    k2 = kappa * kappa
+    inv_r = 1.0 / r
+    return r, r / k2, inv_r, k2 * inv_r, inv_r / k2
+
+
+def _eta(params: ElasticaParams, powers):
+    """eta from the five powers of kappa that _powers returns."""
+    p, a = params.p, params.a
+    m_1mp, m_m1mp, m_pm1, m_1pp, m_pm3 = powers
+    return (
+        -(p + 1.0) * a * m_1mp
+        - (2.0 - p) * a * m_m1mp
+        + (1.0 - p) ** 2 * (2.0 * p + 1.0) * m_1pp
+        + 2.0 * (4.0 * p**2 - 4.0 * p + 1.0) * m_pm1
+        + p**2 * (3.0 - 2.0 * p) * m_pm3
+    )
+
+
 def eta(params: ElasticaParams, kappa):
     """Integrand numerator of the phi = 1 second variation.
 
@@ -49,14 +69,7 @@ def eta(params: ElasticaParams, kappa):
     kappa = np.asarray(kappa)
     if np.any(kappa <= 0.0):
         raise DomainError("eta requires kappa > 0")
-    p, a = params.p, params.a
-    return (
-        -(p + 1.0) * a * kappa ** (1.0 - p)
-        - (2.0 - p) * a * kappa ** (-1.0 - p)
-        + (1.0 - p) ** 2 * (2.0 * p + 1.0) * kappa ** (p + 1.0)
-        + 2.0 * (4.0 * p**2 - 4.0 * p + 1.0) * kappa ** (p - 1.0)
-        + p**2 * (3.0 - 2.0 * p) * kappa ** (p - 3.0)
-    )
+    return _eta(params, _powers(kappa, kappa ** (1.0 - params.p)))
 
 
 def upsilon_limit(p: float) -> float:
@@ -77,30 +90,28 @@ class SecondVariationReport:
     method: str  # "quadrature" or "ellipticClosedForm"
 
 
-def _rewrite_values(params: ElasticaParams, rel_tol: float) -> tuple[float, float, float]:
-    """Three equivalent three-moment expressions for Upsilon."""
+def _rewrite_values(params: ElasticaParams, moments) -> tuple[float, float, float]:
+    """Three equivalent three-moment expressions for Upsilon.
+
+    moments are M(t) for t = 1-p, -1-p, p-1, p+1, p-3, in that order.
+    """
     p, a = params.p, params.a
     c_crit = -4.0 * p**4 + 8.0 * p**3 + 2.0 * p**2 - 6.0 * p + 1.0
-
-    def mom(t):
-        return kappa_moment(params, t, rel_tol)
-
-    m_1mp = mom(1.0 - p)
-    m_m1mp = mom(-1.0 - p)
+    m_1mp, m_m1mp, m_pm1, m_1pp, m_pm3 = moments
     r1 = (
         -a * p**2 / (1.0 + p) * m_1mp
         - a * (1.0 - p) ** 2 / (2.0 - p) * m_m1mp
-        + c_crit / ((1.0 + p) * (2.0 - p)) * mom(-1.0 + p)
+        + c_crit / ((1.0 + p) * (2.0 - p)) * m_pm1
     )
     r2 = (
         -a * (1.0 - p) * (p**4 - 2.0 * p**3 - 3.0 * p**2 + 6.0 * p - 1.0)
         / (p**3 * (2.0 - p)) * m_1mp
         - a * (1.0 - p) ** 2 / (2.0 - p) * m_m1mp
-        - (1.0 - p) ** 2 * c_crit / (p**3 * (2.0 - p)) * mom(1.0 + p)
+        - (1.0 - p) ** 2 * c_crit / (p**3 * (2.0 - p)) * m_1pp
     )
     r3 = (
         -a * p**2 / (1.0 + p) * m_1mp
-        - p**2 * c_crit / ((1.0 + p) * (1.0 - p) ** 3) * mom(-3.0 + p)
+        - p**2 * c_crit / ((1.0 + p) * (1.0 - p) ** 3) * m_pm3
         - a * p * (-(p**5) + 4.0 * p**4 - p**3 - 8.0 * p**2 + 3.0 * p + 2.0)
         / ((1.0 + p) * (1.0 - p) ** 3 * (2.0 - p)) * m_m1mp
     )
@@ -110,12 +121,21 @@ def _rewrite_values(params: ElasticaParams, rel_tol: float) -> tuple[float, floa
 def upsilon(
     params: ElasticaParams, m: int = 1, rel_tol: float = DEFAULT_REL_TOL
 ) -> SecondVariationReport:
-    """Upsilon by direct quadrature, cross-checked against its three rewrites."""
+    """Upsilon by direct quadrature, cross-checked against its three rewrites.
+
+    The direct integral of eta and the five moments of the rewrites are the
+    rows of one arch integral, so they share its nodes.
+    """
     if m < 1:
         raise DomainError("m must be at least 1")
-    direct = integrate_over_arch(params, lambda k: eta(params, k), rel_tol).value
+
+    def numerator(k, q, r):
+        powers = _powers(k, r)
+        return (_eta(params, powers),) + powers
+
+    direct, *moments = integrate_over_arch(params, numerator, rel_tol).value.tolist()
     scale = abs(direct) + 1e-300
-    residuals = tuple(abs(r - direct) / scale for r in _rewrite_values(params, rel_tol))
+    residuals = tuple(abs(r - direct) / scale for r in _rewrite_values(params, moments))
     return SecondVariationReport(
         params=params,
         m=m,

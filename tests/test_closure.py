@@ -127,3 +127,15 @@ def test_closure_scan_stops_at_unresolvable_lambda(monkeypatch):
     assert solved.a_candidates == (solved.a_solved,)
     # every Lambda the scan used is a true progression angle
     assert all(math.pi < v <= SQRT2_PI for v in seen)
+
+
+@pytest.mark.parametrize(
+    "p,off,reference",
+    [(0.25, 1e5 - 1.0, 3.1420400156464322), (0.3, 1e-6, 4.4428822417544717)],
+)
+def test_lambda_matches_high_precision_quadrature(p, off, reference):
+    # reference: 40-digit mpmath quadrature of the same integral at the same
+    # float64 momentum, with both roots found to 40 digits; float64 roots
+    # alone leave errors of 1.4e-8 and 6e-10 here
+    value = lambda_p(make_params(p, a_star(p) * (1.0 + off)))
+    assert value == pytest.approx(reference, rel=1e-13)

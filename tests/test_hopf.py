@@ -196,6 +196,16 @@ def test_lift_matches_ode_reference(all_traces, p, n, m):
     assert min(gap, 2.0 * math.pi - gap) < 1e-9
 
 
+@pytest.mark.parametrize("p,n,m", [(0.3, 2, 3), (0.01, 2, 3)])
+def test_lift_samples_match_dense_output(all_traces, p, n, m):
+    # The lift reads A from the samples the profile ODE returned; its dense
+    # output evaluated at the same arc lengths gives the same points.
+    trace = all_traces(p, n, m)
+    lift = horizontal_lift(trace)
+    dense = hopf._lift_at(trace, lift.s)
+    assert float(np.max(np.abs(lift.points - dense))) < 1e-13
+
+
 def test_lift_projects_onto_base(g23_lift, g23_trace):
     proj = hopf_project(g23_lift.points)
     assert float(np.max(np.linalg.norm(proj - g23_trace.points, axis=1))) < 1e-8

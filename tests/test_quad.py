@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from pelastica import closure, quad
+from pelastica.cli import REFERENCE_TABLE
+from pelastica.energy import energy_closed
 from pelastica.errors import DomainError, ResolutionError
 from pelastica.qpotential import a_star, make_params
 from pelastica.quad import (
@@ -19,6 +21,11 @@ from pelastica.quad import (
     limit_at_maximum,
     parts_identity_residual,
 )
+from pelastica.stability import upsilon
+
+
+def _one(k, q, r):
+    return np.ones_like(k)
 
 
 def _oracle_moment(params, t):
@@ -63,7 +70,7 @@ def test_moments_match_scipy_oracle(p, mult, t):
 
 def test_error_estimate_is_honest():
     params = make_params(0.3, 1.5)
-    res = integrate_over_arch(params, lambda k: k)
+    res = integrate_over_arch(params, lambda k, q, r: k)
     ref, ref_err = _oracle_moment(params, 1.0)
     assert abs(res.value - ref) <= max(
         10 * (res.error_estimate + ref_err), 1e-9 * abs(ref)
@@ -75,38 +82,40 @@ def test_near_circular_limit_formula():
     # tends to pi / sqrt(-Q''(kappa_*)/2)
     p = 0.4
     params_limit = make_params(p, a_star(p) * (1 + 1e-13))
-    lim = limit_at_maximum(params_limit, lambda k: 1.0)
+    lim = limit_at_maximum(params_limit, _one)
     seq = make_params(p, a_star(p) * (1 + 1e-7))
-    val = integrate_over_arch(seq, lambda k: 1.0).value
+    val = integrate_over_arch(seq, _one).value
     assert val == pytest.approx(lim, rel=1e-4)
 
 
 def test_near_circular_short_circuit():
     p = 0.4
     params = make_params(p, a_star(p) * (1 + 1e-13))
-    res = integrate_over_arch(params, lambda k: 1.0)
+    res = integrate_over_arch(params, _one)
     assert res.error_estimate == 0.0
-    assert res.value == pytest.approx(limit_at_maximum(params, lambda k: 1.0))
+    assert res.value == pytest.approx(limit_at_maximum(params, _one))
 
 
-def test_two_argument_numerator_receives_q():
+def test_numerator_receives_q_and_r():
     params = make_params(0.3, 1.5)
     seen = {}
 
-    def numerator(k, q):
+    def numerator(k, q, r):
         seen["q_positive"] = bool(np.all(q > 0.0))
+        seen["r_error"] = float(np.max(np.abs(r / k ** (1.0 - params.p) - 1.0)))
         return np.ones_like(k)
 
     integrate_over_arch(params, numerator, rel_tol=1e-6)
     assert seen["q_positive"]
+    assert seen["r_error"] < 1e-17
 
 
 def test_rel_tol_domain():
     params = make_params(0.3, 1.5)
     with pytest.raises(DomainError):
-        integrate_over_arch(params, lambda k: 1.0, rel_tol=1e-20)
+        integrate_over_arch(params, _one, rel_tol=1e-20)
     with pytest.raises(DomainError):
-        integrate_over_arch(params, lambda k: 1.0, rel_tol=0.5)
+        integrate_over_arch(params, _one, rel_tol=0.5)
 
 
 @given(
@@ -131,55 +140,66 @@ def test_wide_dynamic_range_stays_finite():
 def test_unreachable_grade_floor_raises():
     params = make_params(0.3, 2.0)
     # the mesh grades down to grade_floor / 8 and stops at 1e-300
-    integrate_over_arch(params, lambda k: k, grade_floor=8e-300)
+    integrate_over_arch(params, _one, grade_floor=8e-300)
     for floor in (7e-300, 1e-310, 0.0):
         with pytest.raises(ResolutionError):
-            integrate_over_arch(params, lambda k: k, grade_floor=floor)
+            integrate_over_arch(params, _one, grade_floor=floor)
 
 
 def _gl15(f, lo, hi):
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return float(half * np.dot(quad._GL_WEIGHTS, f(mid + half * quad._GL_NODES)))
+    return float(half * np.dot(quad._GL_WEIGHTS, f(mid + half * quad._GL_NODES)[0]))
 
 
 def _panel(f, lo, hi):
+    """(fine, err) of one panel: its halves' GL15 sum and the gap to its own."""
     mid = 0.5 * (lo + hi)
     coarse = _gl15(f, lo, hi)
     fine = _gl15(f, lo, mid) + _gl15(f, mid, hi)
-    return (-abs(coarse - fine), lo, hi, fine)
+    return fine, abs(coarse - fine)
 
 
 def _per_panel_reference(params, numerator, rel_tol=quad.DEFAULT_REL_TOL, grade_floor=None):
     """The adaptive arch rule with one integrand call per GL15 rule.
 
-    Returns (value, error estimate, initial panels, bisections).
+    Runs on the rule's own initial mesh; returns (value, error estimate,
+    initial panels, bisections).
     """
     f = quad._make_theta_integrand(params, numerator)
-    half_pi = 0.5 * math.pi
-    low_levels = quad._GRADE_LEVELS
-    if grade_floor is not None:
-        needed = math.ceil(math.log2(half_pi / (grade_floor / 8.0)))
-        low_levels = max(low_levels, needed)
-    lows = [half_pi * 2.0**-k for k in range(low_levels, 0, -1)]
-    highs = [half_pi * (1.0 - 2.0**-k) for k in range(2, quad._GRADE_LEVELS + 1)]
-    breaks = [0.0] + lows + highs + [half_pi]
-    heap = [_panel(f, lo, hi) for lo, hi in zip(breaks[:-1], breaks[1:])]
+    breaks = quad._arch_breaks(params, grade_floor).tolist()
+    ends = list(zip(breaks[:-1], breaks[1:]))
+    panels = [_panel(f, lo, hi) for lo, hi in ends]
+    total = float(np.sum([fine for fine, _ in panels]))
+    total_err = float(np.sum([err for _, err in panels]))
+    scale = max(abs(total), 1e-300)
+    heap = [(-err / scale, lo, hi, fine, err) for (lo, hi), (fine, err) in zip(ends, panels)]
     heapq.heapify(heap)
-    total = sum(item[3] for item in heap)
-    total_err = sum(-item[0] for item in heap)
     initial, bisections = len(heap), 0
     while total_err > rel_tol * max(abs(total), 1e-300):
         assert initial + bisections < quad._PANEL_CAP
-        neg_err, lo, hi, fine = heapq.heappop(heap)
+        _, lo, hi, fine, err = heapq.heappop(heap)
         total -= fine
-        total_err += neg_err
+        total_err -= err
         mid = 0.5 * (lo + hi)
-        for child in (_panel(f, lo, mid), _panel(f, mid, hi)):
-            heapq.heappush(heap, child)
-            total += child[3]
-            total_err -= child[0]
+        for c_lo, c_hi in ((lo, mid), (mid, hi)):
+            c_fine, c_err = _panel(f, c_lo, c_hi)
+            heapq.heappush(heap, (-c_err / scale, c_lo, c_hi, c_fine, c_err))
+            total += c_fine
+            total_err += c_err
         bisections += 1
     return total, total_err, initial, bisections
+
+
+def _fixed_mesh_breaks(params, grade_floor=None):
+    """The arch mesh before it was sized per (p, a): 48 halving levels toward
+    each root, and more toward beta when grade_floor asks for them."""
+    half_pi = 0.5 * math.pi
+    low_levels = 48
+    if grade_floor is not None:
+        low_levels = max(low_levels, math.ceil(math.log2(half_pi / (grade_floor / 8.0))))
+    lows = [half_pi * 2.0**-k for k in range(low_levels, 0, -1)]
+    highs = [half_pi * (1.0 - 2.0**-k) for k in range(2, 49)]
+    return np.array([0.0] + lows + highs + [half_pi])
 
 
 def _lambda_call(params, monkeypatch):
@@ -205,9 +225,9 @@ def test_block_evaluation_matches_per_panel_rule_bit_for_bit(p, a, monkeypatch):
     numerator, rel_tol, floor = _lambda_call(params, monkeypatch)
     cases = [
         (numerator, rel_tol, floor),
-        (lambda k: k**0.7, quad.DEFAULT_REL_TOL, None),
+        (lambda k, q, r: k**0.7, quad.DEFAULT_REL_TOL, None),
         # a kink at kappa_* makes the heap bisect, so children are compared too
-        (lambda k: np.abs(k - params.kappa_star) ** 0.5, quad.DEFAULT_REL_TOL, None),
+        (lambda k, q, r: np.abs(k - params.kappa_star) ** 0.5, quad.DEFAULT_REL_TOL, None),
     ]
     bisected = 0
     for numerator, rel_tol, floor in cases:
@@ -228,10 +248,88 @@ def test_initial_mesh_is_evaluated_in_bounded_blocks(p, mult, monkeypatch):
     assert bisections == 0
     sizes = []
 
-    def counted(k, q):
+    def counted(k, q, r):
         sizes.append(k.size)
-        return numerator(k, q)
+        return numerator(k, q, r)
 
     integrate_over_arch(params, counted, rel_tol, floor)
     assert len(sizes) == math.ceil(panels / 128)
     assert max(sizes) <= 128 * 45
+
+
+def test_stacked_rows_equal_separate_integrals():
+    params = make_params(0.3, 2.0)
+    ts = (0.0, -1.0, 0.7)
+    stacked = integrate_over_arch(params, lambda k, q, r: [k**t for t in ts])
+    for t, value, err in zip(ts, stacked.value, stacked.error_estimate):
+        single = integrate_over_arch(params, lambda k, q, r: k**t)
+        assert (value, err) == (single.value, single.error_estimate)
+
+
+def _arch_quantities(params):
+    """Lambda, the seven kappa^t moments the package uses, and Upsilon."""
+    p = params.p
+    values = {"lambda": closure.lambda_p(params), "upsilon": upsilon(params).upsilon}
+    for t in (0.0, -1.0, p - 1.0, 1.0 - p, -1.0 - p, 1.0 + p, p - 3.0):
+        values[t] = kappa_moment(params, t)
+    return values
+
+
+# The fixed mesh is a reference wherever its 48 levels reach the kappa^t
+# layer sqrt(beta/(alpha-beta)); at p = 0.01 from ~840 a_* it does not and
+# returns M(p-3) = 0 (see the regression test below).
+_MESH_GRID = [
+    (p, off)
+    for p in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
+    for off in (1e-6, 1e-4, 1e-2, 1.0, 10.0, 100.0)
+] + [(0.1, 1e3), (0.3, 1e4), (0.5, 1e5 - 1.0), (0.9, 1e4), (0.99, 1e3)]
+
+
+@pytest.mark.parametrize("p,off", _MESH_GRID)
+def test_rule_matches_fixed_48_level_mesh(p, off, monkeypatch):
+    params = make_params(p, a_star(p) * (1.0 + off))
+    rule = _arch_quantities(params)
+    monkeypatch.setattr(quad, "_arch_breaks", _fixed_mesh_breaks)
+    fixed = _arch_quantities(params)
+    for key, value in rule.items():
+        tol = 1e-8 if key == "upsilon" else 1e-9
+        assert value == pytest.approx(fixed[key], rel=tol), key
+
+
+def test_moment_below_fixed_mesh_reach_is_resolved():
+    # At p = 0.01 and 1001 a_* the kappa^t layer sits near theta = 4e-77, far
+    # below 48 halving levels; there every panel sum of M(p-3) underflowed
+    # float64 and the moment came out exactly 0.0.
+    p = 0.01
+    params = make_params(p, 1001.0 * a_star(p))
+    m_low = kappa_moment(params, p - 3.0)
+    assert m_low > 0.0
+    # the parts identity at t = p - 2
+    rhs = -params.a * kappa_moment(params, -1.0 - p) - (1.0 - p) ** 2 * (
+        p - 1.0
+    ) * kappa_moment(params, p - 1.0)
+    assert (p - 2.0) * p**2 * m_low == pytest.approx(rhs, rel=1e-8)
+
+
+def test_table_work_stays_within_node_budget(monkeypatch):
+    # Integrand nodes of the 11 reference rows' closure solve, energy and
+    # Upsilon; the fixed 48/48 mesh took 2,956,590.
+    nodes = []
+    make = quad._make_theta_integrand
+
+    def counting(params, numerator):
+        f = make(params, numerator)
+
+        def counted(theta):
+            nodes.append(theta.size)
+            return f(theta)
+
+        return counted
+
+    monkeypatch.setattr(quad, "_make_theta_integrand", counting)
+    for _, p, n, m, *_ in REFERENCE_TABLE:
+        solved = closure.solve_closure(p, closure.ClosureIndex(n, m))
+        params = make_params(p, solved.a_solved)
+        energy_closed(params, m)
+        upsilon(params, m=m)
+    assert sum(nodes) <= 1_200_000

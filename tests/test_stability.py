@@ -61,6 +61,15 @@ def test_rewrites_agree_with_direct_quadrature():
         assert max(rep.rewrite_residuals) < 1e-8
 
 
+@pytest.mark.parametrize("off", [0.5, 5.0, 100.0, 999.0])
+def test_first_and_third_rewrites_agree_at_small_p(off):
+    # At p = 0.01 the float64 upper root is only ~1e-12 accurate; unless the
+    # quadrature refines it, direct and rewritten Upsilon part by 1e-8..1e-7.
+    p = 0.01
+    r1, _, r3 = upsilon(make_params(p, a_star(p) * (1.0 + off))).rewrite_residuals
+    assert max(r1, r3) < 1e-10
+
+
 def test_upsilon_negative_and_delta_squared_scaling():
     rep = upsilon(make_params(0.3, 1.0), m=3)
     assert rep.upsilon < 0.0
