@@ -6,13 +6,7 @@ to flat tori in the 3-sphere.
 """
 
 from .closure import ClosureIndex, is_admissible, lambda_p, period, solve_closure
-from .curve import (
-    CurveState,
-    CurveTrace,
-    embed,
-    integrate_profile,
-    trace_closed_curve,
-)
+from .curve import CurveTrace, embed, integrate_profile, trace_closed_curve
 from .energy import EnergyReport, circle_energy, circle_radius, energy_closed
 from .errors import PElasticaError
 from .qpotential import (
@@ -34,7 +28,6 @@ from .stability import (
 
 __all__ = [
     "ClosureIndex",
-    "CurveState",
     "CurveTrace",
     "ElasticaParams",
     "EnergyReport",

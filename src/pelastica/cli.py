@@ -33,7 +33,7 @@ from .errors import (
     ResolutionError,
     StepFailure,
 )
-from .qpotential import make_params
+from .qpotential import a_star, make_params
 
 EXIT_OK = 0
 EXIT_ADMISSIBILITY = 2
@@ -237,8 +237,6 @@ def cmd_hopf(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .qpotential import a_star
-
     thr = a_star(args.p)
     grid = thr * (1.0 + np.geomspace(args.offset_min, args.offset_max, args.count))
 

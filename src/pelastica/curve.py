@@ -10,6 +10,11 @@ parameterization
 
 which stays inside an open half-sphere and winds monotonically around the
 pole (0, 0, +-1).
+
+integrate_profile samples the ODE uniformly in arc length over a given
+number of curvature periods and keeps the samples as one ProfileSamples
+record of column arrays (s, kappa, kappa_prime, psi, area).  The trace, the
+Hopf lift and the second variation all read those same arrays.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -33,13 +37,26 @@ _RESIDUAL_BREACH = 1e-6
 
 
 @dataclass(frozen=True)
-class CurveState:
-    """Profile sample: arc length, curvature, its derivative, progression."""
+class ProfileSamples:
+    """Profile samples as columns: arc length s and the state
+    (kappa, kappa', psi, A) at s, one entry per sample.
 
-    s: float
-    kappa: float
-    kappa_prime: float
-    psi: float
+    The columns are read-only: the profile, its trace, the Hopf lift and the
+    second variation all hold these same arrays.
+    """
+
+    s: np.ndarray
+    kappa: np.ndarray
+    kappa_prime: np.ndarray
+    psi: np.ndarray
+    area: np.ndarray  # swept area A
+
+    def __post_init__(self):
+        for column in (self.s, self.kappa, self.kappa_prime, self.psi, self.area):
+            column.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.s)
 
 
 def first_integral_residual(p: float, a: float, kappa, kappa_prime):
@@ -74,36 +91,30 @@ def psi_rate(p: float, a: float, kappa, kappa_prime):
 
 @dataclass
 class ProfileResult:
-    """Integrated curvature profile with uniform samples and dense output."""
+    """Integrated curvature profile: uniform samples and dense output."""
 
     params: ElasticaParams
-    states: list[CurveState]
-    area: np.ndarray  # swept area A at the samples of states
-    sol: object  # scipy OdeSolution of (kappa, kappa', psi, A) over [0, s_end]
-    s_end: float
-
-    def state_at(self, s: float) -> CurveState:
-        k, kp, psi, _ = self.sol(s)
-        return CurveState(s=s, kappa=float(k), kappa_prime=float(kp), psi=float(psi))
+    states: ProfileSamples
+    sol: object  # scipy OdeSolution of (kappa, kappa', psi, A) over [0, states.s[-1]]
 
 
 def integrate_profile(
     params: ElasticaParams,
-    s_end: float,
+    periods: float,
     step_tol: float = DEFAULT_STEP_TOL,
     samples_per_period: int = SAMPLES_PER_PERIOD,
-    period_hint: float | None = None,
 ) -> ProfileResult:
-    """Integrate the curvature ODE from the minimum-curvature point.
+    """Integrate the curvature ODE from the minimum-curvature point over
+    `periods` curvature periods (any positive number, not only whole ones).
 
     State is (kappa, kappa', psi, A) with kappa(0) = beta, kappa'(0) = 0,
     psi(0) = A(0) = 0, where A' = (1 - x) psi' is the spherical area swept
     between the curve and the pole (1, 0, 0); the Hopf lift takes its fiber
-    phase A/2 from it.  Sampling is uniform with samples_per_period points
-    per curvature period (period_hint, computed if not given).
+    phase A/2 from it.  The ODE's solution at samples_per_period uniform
+    points per period is kept as the ProfileSamples columns, not copied.
     """
-    if s_end <= 0.0:
-        raise DomainError("s_end must be positive")
+    if periods <= 0.0:
+        raise DomainError("periods must be positive")
     p, a = params.p, params.a
     x_scale = p / math.sqrt(a)
 
@@ -113,9 +124,8 @@ def integrate_profile(
         psip = psi_rate(p, a, k, kp)
         return (kp, k2pp, psip, (1.0 - x_scale * k ** (p - 1.0)) * psip)
 
-    rho = period_hint if period_hint is not None else period(params)
-    n_samples = max(2, int(round(samples_per_period * s_end / rho)) + 1)
-    s_grid = np.linspace(0.0, s_end, n_samples)
+    s_end = periods * period(params)
+    n_samples = max(2, int(round(samples_per_period * periods)) + 1)
     sol = solve_ivp(
         rhs,
         (0.0, s_end),
@@ -124,34 +134,36 @@ def integrate_profile(
         rtol=step_tol,
         atol=step_tol * min(params.beta, 1.0),
         dense_output=True,
-        t_eval=s_grid,
+        t_eval=np.linspace(0.0, s_end, n_samples),
     )
     if not sol.success:
         raise StepFailure(f"profile integration failed: {sol.message}")
-    kappa, kappa_prime, psi, area = sol.y
-    worst = float(np.max(first_integral_residual(p, a, kappa, kappa_prime)))
+    states = ProfileSamples(sol.t, *sol.y)
+    worst = float(np.max(first_integral_residual(p, a, states.kappa, states.kappa_prime)))
     if worst > _RESIDUAL_BREACH * a:
         raise InvariantBreach(
             f"first-integral residual {worst:.3e} exceeds {_RESIDUAL_BREACH:g} * a"
         )
-    states = [
-        CurveState(s=float(s), kappa=float(k), kappa_prime=float(kp), psi=float(ps))
-        for s, k, kp, ps in zip(s_grid, kappa, kappa_prime, psi)
-    ]
-    return ProfileResult(params=params, states=states, area=area, sol=sol.sol, s_end=s_end)
+    return ProfileResult(params=params, states=states, sol=sol.sol)
 
 
 @dataclass
 class CurveTrace:
     """Embedded curve samples with closure diagnostics."""
 
-    params: ElasticaParams
+    profile: ProfileResult = field(repr=False)
     index: ClosureIndex | None
-    states: list[CurveState]
-    points: np.ndarray  # (N, 3) unit vectors
+    points: np.ndarray  # (N, 3) unit vectors, one per profile sample
     closure_gap: float
     winding_number: int
-    profile: ProfileResult | None = field(default=None, repr=False)
+
+    @property
+    def params(self) -> ElasticaParams:
+        return self.profile.params
+
+    @property
+    def states(self) -> ProfileSamples:
+        return self.profile.states
 
 
 def _embed_points(params: ElasticaParams, kappa, psi) -> np.ndarray:
@@ -164,30 +176,20 @@ def _embed_points(params: ElasticaParams, kappa, psi) -> np.ndarray:
     return np.column_stack([x, r * np.sin(psi), r * np.cos(psi)])
 
 
-def embed(
-    params: ElasticaParams,
-    states: Sequence[CurveState],
-    index: ClosureIndex | None = None,
-    profile: ProfileResult | None = None,
-) -> CurveTrace:
-    """Map profile states to points on the unit sphere.
+def embed(profile: ProfileResult, index: ClosureIndex | None = None) -> CurveTrace:
+    """Map the profile samples to points on the unit sphere.
 
     closure_gap is the distance between the first and last points and
     winding_number the number of full turns of psi.
     """
-    kappa = np.array([st.kappa for st in states])
-    psi = np.array([st.psi for st in states])
-    points = _embed_points(params, kappa, psi)
-    gap = float(np.linalg.norm(points[-1] - points[0]))
-    winding = int(round(psi[-1] / (2.0 * math.pi)))
+    psi = profile.states.psi
+    points = _embed_points(profile.params, profile.states.kappa, psi)
     return CurveTrace(
-        params=params,
-        index=index,
-        states=list(states),
-        points=points,
-        closure_gap=gap,
-        winding_number=winding,
         profile=profile,
+        index=index,
+        points=points,
+        closure_gap=float(np.linalg.norm(points[-1] - points[0])),
+        winding_number=int(round(psi[-1] / (2.0 * math.pi))),
     )
 
 
@@ -200,16 +202,13 @@ def trace_closed_curve(
     """Solve the closure condition (unless already solved) and build the trace."""
     if index.a_solved is None:
         index = solve_closure(p, index)
-    params = make_params(p, index.a_solved)
-    rho = period(params)
     profile = integrate_profile(
-        params,
-        index.m * rho,
+        make_params(p, index.a_solved),
+        index.m,
         step_tol=step_tol,
         samples_per_period=samples_per_period,
-        period_hint=rho,
     )
-    return embed(params, profile.states, index=index, profile=profile)
+    return embed(profile, index=index)
 
 
 def unit_tangent(params: ElasticaParams, kappa, kappa_prime, psi) -> np.ndarray:
@@ -238,7 +237,7 @@ def geodesic_curvature_check(trace: CurveTrace) -> float:
     stencils at the ends are too noisy to be informative).
     """
     pts = trace.points
-    s = np.array([st.s for st in trace.states])
+    s = trace.states.s
     if len(s) < 5:
         raise DomainError("trace too short for finite differences")
     h = s[1] - s[0]
@@ -250,29 +249,32 @@ def geodesic_curvature_check(trace: CurveTrace) -> float:
     ) / (12.0 * h**2)
     normal = np.cross(pts[2:-2], d1)
     kg = np.einsum("ij,ij->i", d2, normal)
-    kappa = np.array([st.kappa for st in trace.states])[2:-2]
-    return float(np.max(np.abs(np.abs(kg) - kappa)))
+    return float(np.max(np.abs(np.abs(kg) - trace.states.kappa[2:-2])))
 
 
 def monotone_progression_check(trace: CurveTrace) -> bool:
     """True iff the angular progression is strictly increasing."""
-    psi = [st.psi for st in trace.states]
-    return all(b > a for a, b in zip(psi[:-1], psi[1:]))
+    psi = trace.states.psi
+    return bool(np.all(psi[1:] > psi[:-1]))
 
 
 def trace_to_csv(trace: CurveTrace, path: str) -> None:
     """Write `s,kappa,kappa_prime,psi,x,y,z` rows with 12 significant digits."""
+    st = trace.states
+    rows = np.column_stack([st.s, st.kappa, st.kappa_prime, st.psi, trace.points])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["s", "kappa", "kappa_prime", "psi", "x", "y", "z"])
-        for st, pt in zip(trace.states, trace.points):
-            writer.writerow(
-                [f"{v:.12g}" for v in (st.s, st.kappa, st.kappa_prime, st.psi, *pt)]
-            )
+        # Python floats for one row at a time: converting every sample at once
+        # leaves the allocator holding their memory after the command returns.
+        for row in rows:
+            writer.writerow([f"{v:.12g}" for v in row.tolist()])
 
 
 def trace_to_json(trace: CurveTrace, path: str) -> None:
     """Write trace metadata and samples as JSON."""
+    st = trace.states
+    columns = [c.tolist() for c in (st.s, st.kappa, st.kappa_prime, st.psi, trace.points)]
     meta = {
         "p": trace.params.p,
         "a": trace.params.a,
@@ -281,14 +283,8 @@ def trace_to_json(trace: CurveTrace, path: str) -> None:
         "closureGap": trace.closure_gap,
         "windingNumber": trace.winding_number,
         "samples": [
-            {
-                "s": st.s,
-                "kappa": st.kappa,
-                "kappa_prime": st.kappa_prime,
-                "psi": st.psi,
-                "point": [float(v) for v in pt],
-            }
-            for st, pt in zip(trace.states, trace.points)
+            {"s": s, "kappa": k, "kappa_prime": kp, "psi": psi, "point": point}
+            for s, k, kp, psi, point in zip(*columns)
         ],
     }
     with open(path, "w") as fh:

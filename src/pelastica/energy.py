@@ -24,7 +24,6 @@ class EnergyReport:
 
     value: float
     limit_at_a_star: float
-    context: str  # "closedCurve", "circle" or "infimumSequence"
 
 
 def energy_limit(p: float, m: int = 1) -> float:
@@ -43,9 +42,7 @@ def energy_closed(
     # kappa^(p-1) = 1/r, with r = kappa^(1-p) formed by the arch rule
     moment = integrate_over_arch(params, lambda k, q, r: 1.0 / r, rel_tol).value
     value = 2.0 * m * p * (1.0 - p) * moment
-    return EnergyReport(
-        value=value, limit_at_a_star=energy_limit(p, m), context="closedCurve"
-    )
+    return EnergyReport(value=value, limit_at_a_star=energy_limit(p, m))
 
 
 def circle_energy(r: float, p: float) -> float:

@@ -18,10 +18,6 @@ class NoPeriodicOrbit(DomainError):
     """The momentum parameter does not admit a periodic curvature orbit."""
 
 
-class AdmissibilityError(DomainError):
-    """A lobe/winding pair fails the closure admissibility window."""
-
-
 class ConvergenceFailure(PElasticaError):
     """An iterative scheme exceeded its iteration or panel budget."""
 

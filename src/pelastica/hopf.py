@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curve import CurveTrace, _embed_points, psi_rate, unit_tangent
-from .errors import CoverOverflow, DomainError, PoleCollision, SeedError
+from .errors import CoverOverflow, PoleCollision, SeedError
 
 SPHERE_RADIUS = 2.0
 DEFAULT_ANGLE_TOL = 1e-6
@@ -84,35 +84,25 @@ class HopfLift:
     holonomy_angle: float  # fiber phase mismatch in [0, 2 pi)
 
 
-def _lift_at(trace: CurveTrace, s: np.ndarray) -> np.ndarray:
-    """Closed-form lift e^(i A/2) sigma(gamma) at arc lengths s, shape (len(s), 4)."""
+def _lift_at(trace: CurveTrace, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form lift e^(i A/2) sigma(gamma) at arc lengths s, shape (len(s), 4),
+    and kappa there, from one evaluation of the profile's dense output."""
     kappa, _, psi, area = trace.profile.sol(s)
     sigma = fiber_seed(_embed_points(trace.params, kappa, psi))
-    return _phase_rotate(sigma, 0.5 * area)
-
-
-def _sample_area(trace: CurveTrace) -> np.ndarray:
-    """The swept area A at the trace samples, as the profile ODE sampled it."""
-    if trace.profile is None:
-        raise DomainError("trace must carry its integrated profile")
-    if len(trace.profile.area) != len(trace.states):
-        raise DomainError("trace samples differ from its profile's samples")
-    return trace.profile.area
+    return _phase_rotate(sigma, 0.5 * area), kappa
 
 
 def horizontal_lift(trace: CurveTrace) -> HopfLift:
     """Evaluate the horizontal lift e^(i phi) sigma(gamma) at the trace samples.
 
-    The phase phi = A/2 comes from the swept area that the profile ODE
-    sampled along with the trace, and the holonomy A(L)/2 mod 2 pi from its
-    dense output at the end, so no second ODE is solved.
+    The phase phi = A/2 and the holonomy A(L)/2 mod 2 pi come from the swept
+    area that the profile ODE sampled along with the trace, so no second ODE
+    is solved.
     """
-    area = _sample_area(trace)
-    s_grid = np.array([st.s for st in trace.states])
-    area_end = float(trace.profile.sol(trace.profile.s_end)[3])
-    angle = (0.5 * area_end) % (2.0 * math.pi)
-    points = _phase_rotate(fiber_seed(trace.points), 0.5 * area)
-    return HopfLift(trace=trace, s=s_grid, points=points, holonomy_angle=angle)
+    st = trace.states
+    angle = (0.5 * float(st.area[-1])) % (2.0 * math.pi)
+    points = _phase_rotate(fiber_seed(trace.points), 0.5 * st.area)
+    return HopfLift(trace=trace, s=st.s, points=points, holonomy_angle=angle)
 
 
 def horizontality_residual(lift: HopfLift) -> float:
@@ -127,12 +117,9 @@ def horizontality_residual(lift: HopfLift) -> float:
     """
     trace = lift.trace
     params = trace.params
-    area = _sample_area(trace)
-    kappa = np.array([st.kappa for st in trace.states])
-    kappa_prime = np.array([st.kappa_prime for st in trace.states])
-    psi = np.array([st.psi for st in trace.states])
+    st = trace.states
     gamma = trace.points
-    dgamma = unit_tangent(params, kappa, kappa_prime, psi)
+    dgamma = unit_tangent(params, st.kappa, st.kappa_prime, st.psi)
     sigma = fiber_seed(gamma)
     zmod = sigma[:, 0]
     # derivative of (zmod, 0, 2y/zmod, 2z/zmod) with zmod' = x'/zmod
@@ -145,8 +132,9 @@ def horizontality_residual(lift: HopfLift) -> float:
             (2.0 * dgamma[:, 2] - sigma[:, 3] * dzmod) / zmod,
         ]
     )
-    phase_rate = 0.5 * (1.0 - gamma[:, 0]) * psi_rate(params.p, params.a, kappa, kappa_prime)
-    q_prime = _phase_rotate(dsigma + phase_rate[:, None] * fiber_direction(sigma), 0.5 * area)
+    psip = psi_rate(params.p, params.a, st.kappa, st.kappa_prime)
+    phase_rate = 0.5 * (1.0 - gamma[:, 0]) * psip
+    q_prime = _phase_rotate(dsigma + phase_rate[:, None] * fiber_direction(sigma), 0.5 * st.area)
     fib = fiber_direction(lift.points)
     return float(np.max(np.abs(np.einsum("ij,ij->i", q_prime, fib))))
 
@@ -206,11 +194,11 @@ def build_torus(
         covers = 1
 
     s_one = np.linspace(0.0, length, s_samples, endpoint=False)
-    lift_one = _lift_at(trace, s_one)
+    lift_one, kappa_one = _lift_at(trace, s_one)
     lift_points = np.concatenate(
         [_phase_rotate(lift_one, c * lift.holonomy_angle) for c in range(covers)], axis=0
     )
-    kappa = np.tile(trace.profile.sol(s_one)[0], covers)
+    kappa = np.tile(kappa_one, covers)
 
     t = np.linspace(0.0, 2.0 * math.pi, t_samples, endpoint=False)
     cos_t, sin_t = np.cos(t), np.sin(t)
@@ -327,8 +315,7 @@ def surface_el_identity_residual(trace: CurveTrace) -> float:
     are evaluated by the same finite-difference stencil and compared.
     """
     p = trace.params.p
-    s = np.array([st.s for st in trace.states])
-    kappa = np.array([st.kappa for st in trace.states])
+    s, kappa = trace.states.s, trace.states.kappa
     h = 0.5 * kappa
     ds = s[1] - s[0]
 

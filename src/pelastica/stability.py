@@ -191,19 +191,17 @@ def second_variation(trace: CurveTrace, phi: VariationField) -> float:
     Composite trapezoid over the uniform arc-length grid; the three pieces
     weight (phi'')^2, (phi')^2 and phi^2 with curvature-dependent densities.
     """
-    states = trace.states
-    if len(phi.phi) != len(states):
+    st = trace.states
+    if len(phi.phi) != len(st):
         raise DomainError("variation field length must match the trace")
-    s = np.array([st.s for st in states])
     if trace.index is not None:
-        per_period = (len(states) - 1) / trace.index.m
+        per_period = (len(st) - 1) / trace.index.m
         if per_period < _MIN_SAMPLES_PER_PERIOD:
             raise ResolutionError(
                 f"need at least {_MIN_SAMPLES_PER_PERIOD} samples per period"
             )
     p = trace.params.p
-    kappa = np.array([st.kappa for st in states])
-    kp = np.array([st.kappa_prime for st in states])
+    kappa, kp = st.kappa, st.kappa_prime
     mu = (
         -p * (1.0 - p) * ((p + 1.0) * kappa**2 + 2.0 - p) * kappa ** (p - 4.0) * kp**2
         + (1.0 - p) * kappa ** (p + 2.0)
@@ -218,7 +216,7 @@ def second_variation(trace: CurveTrace, phi: VariationField) -> float:
         * phi.phi_prime**2
         + mu * phi.phi**2
     )
-    return float(np.trapezoid(integrand, s))
+    return float(np.trapezoid(integrand, st.s))
 
 
 def circle_second_variation(p: float) -> float:
@@ -240,7 +238,7 @@ def fourier_diagnostic(trace: CurveTrace, k_max: int = 8) -> list[tuple[str, flo
     k = 1..k_max and returns labelled values; the most negative entry hints
     at the least stable direction.
     """
-    s = np.array([st.s for st in trace.states])
+    s = trace.states.s
     length = s[-1]
     out = [("const", second_variation(trace, constant_field(len(s))))]
     for k in range(1, k_max + 1):

@@ -109,9 +109,8 @@ def test_criterion_03_closure_of_all_rows(solved_rows, all_traces):
         trace = all_traces(p, n, m)
         worst_gap = max(worst_gap, trace.closure_gap)
         windings_ok = windings_ok and trace.winding_number == n
-        kappa = np.array([st.kappa for st in trace.states])
-        kp = np.array([st.kappa_prime for st in trace.states])
-        res = float(np.max(first_integral_residual(p, trace.params.a, kappa, kp)))
+        st = trace.states
+        res = float(np.max(first_integral_residual(p, trace.params.a, st.kappa, st.kappa_prime)))
         worst_res = max(worst_res, res / trace.params.a)
     ok = worst_gap < 1e-6 and windings_ok and worst_res < 1e-8
     _report(
@@ -258,19 +257,16 @@ def test_criterion_08_lift_and_torus(g23_trace):
 
 def test_criterion_09_pipeline_cross_checks(g23_params, g23_solved, g23_trace):
     rho = period(g23_params)
-    prof = integrate_profile(g23_params, 1.3 * rho, period_hint=rho)
-    lam_gap = abs(prof.state_at(rho).psi - lambda_p(g23_params)) / lambda_p(g23_params)
+    prof = integrate_profile(g23_params, 1.3)
+    lam_gap = abs(prof.sol(rho)[2] - lambda_p(g23_params)) / lambda_p(g23_params)
 
-    s = np.array([st.s for st in g23_trace.states])
-    kappa = np.array([st.kappa for st in g23_trace.states])
-    theta_trace = float(np.trapezoid(kappa**g23_params.p, s))
+    st = g23_trace.states
+    theta_trace = float(np.trapezoid(st.kappa**g23_params.p, st.s))
     theta_quad = energy_closed(g23_params, g23_solved.m).value
     theta_gap = abs(theta_trace - theta_quad) / theta_quad
 
     # return time of the curvature minimum: kappa' crosses zero upward near rho
-    rho_ode = brentq(
-        lambda t: prof.state_at(t).kappa_prime, 0.8 * rho, 1.2 * rho, xtol=1e-14
-    )
+    rho_ode = brentq(lambda t: prof.sol(t)[1], 0.8 * rho, 1.2 * rho, xtol=1e-14)
     rho_gap = abs(rho_ode - rho) / rho
     ok = lam_gap < 1e-7 and theta_gap < 1e-6 and rho_gap < 1e-8
     _report(

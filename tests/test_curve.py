@@ -8,6 +8,7 @@ import pytest
 
 from pelastica.closure import lambda_p, period
 from pelastica.curve import (
+    embed,
     first_integral_residual,
     geodesic_curvature_check,
     integrate_profile,
@@ -19,34 +20,43 @@ from pelastica.curve import (
     unit_tangent,
 )
 from pelastica.errors import DomainError
+from pelastica.hopf import horizontal_lift
 from pelastica.qpotential import a_star, make_params
 
 
 def test_profile_conserves_first_integral(g23_params):
-    rho = period(g23_params)
-    prof = integrate_profile(g23_params, 3.0 * rho, period_hint=rho)
-    kappa = np.array([st.kappa for st in prof.states])
-    kp = np.array([st.kappa_prime for st in prof.states])
-    worst = float(np.max(first_integral_residual(0.3, g23_params.a, kappa, kp)))
+    prof = integrate_profile(g23_params, 3.0)
+    st = prof.states
+    worst = float(np.max(first_integral_residual(0.3, g23_params.a, st.kappa, st.kappa_prime)))
     assert worst < 1e-8 * g23_params.a
+
+
+def test_samples_are_one_shared_read_only_record(g23_trace):
+    st = g23_trace.states
+    assert st is g23_trace.profile.states
+    assert len(st) == len(g23_trace.points) == 512 * 3 + 1
+    assert horizontal_lift(g23_trace).s is st.s
+    for column in (st.s, st.kappa, st.kappa_prime, st.psi, st.area):
+        with pytest.raises(ValueError):
+            column[0] = 0.0
 
 
 def test_profile_returns_to_minimum_after_one_period(g23_params):
     rho = period(g23_params)
-    prof = integrate_profile(g23_params, rho, period_hint=rho)
-    end = prof.state_at(rho)
-    assert end.kappa == pytest.approx(g23_params.beta, rel=1e-8)
-    assert abs(end.kappa_prime) < 1e-8 * g23_params.beta
+    prof = integrate_profile(g23_params, 1.0)
+    kappa_end, kappa_prime_end, _, _ = prof.sol(rho)
+    assert kappa_end == pytest.approx(g23_params.beta, rel=1e-8)
+    assert abs(kappa_prime_end) < 1e-8 * g23_params.beta
     # curvature stays within the arch
-    kappa = np.array([st.kappa for st in prof.states])
+    kappa = prof.states.kappa
     assert kappa.min() >= g23_params.beta * (1.0 - 1e-9)
     assert kappa.max() <= g23_params.alpha * (1.0 + 1e-9)
 
 
 def test_psi_over_one_period_equals_lambda(g23_params):
     rho = period(g23_params)
-    prof = integrate_profile(g23_params, rho, period_hint=rho)
-    assert prof.state_at(rho).psi == pytest.approx(lambda_p(g23_params), rel=1e-9)
+    prof = integrate_profile(g23_params, 1.0)
+    assert prof.sol(rho)[2] == pytest.approx(lambda_p(g23_params), rel=1e-9)
 
 
 def test_psi_rate_on_shell_matches_raw_form():
@@ -79,16 +89,15 @@ def test_trace_stays_in_open_upper_half(g23_trace):
     x = g23_trace.points[:, 0]
     assert np.all(x > 0.0) and np.all(x < 1.0)
     # the height maximum sits at the curvature minimum (x decreases in kappa)
-    kappa = np.array([st.kappa for st in g23_trace.states])
-    assert x.argmax() == kappa.argmin()
+    assert x.argmax() == g23_trace.states.kappa.argmin()
     p, a = g23_trace.params.p, g23_trace.params.a
     x_beta = p * g23_trace.params.beta ** (p - 1.0) / math.sqrt(a)
     assert float(x.max()) == pytest.approx(x_beta, rel=1e-9)
 
 
 def test_tangents_are_unit_speed(g23_trace):
-    kappa, kp, psi = np.array([(st.kappa, st.kappa_prime, st.psi) for st in g23_trace.states]).T
-    tans = unit_tangent(g23_trace.params, kappa, kp, psi)
+    st = g23_trace.states
+    tans = unit_tangent(g23_trace.params, st.kappa, st.kappa_prime, st.psi)
     speeds = np.linalg.norm(tans, axis=1)
     assert float(np.max(np.abs(speeds - 1.0))) < 1e-8
     # tangency: orthogonal to the position on the sphere
@@ -119,6 +128,40 @@ def test_exports_roundtrip(tmp_path, g23_trace):
 
     svg = svg_path.read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+def _per_sample_text(trace):
+    # per-sample reference writer: one CSV row and one JSON object per index
+    st = trace.states
+    rows = ["s,kappa,kappa_prime,psi,x,y,z\r\n"]
+    samples = []
+    for i in range(len(st)):
+        s, k, kp, psi = (float(col[i]) for col in (st.s, st.kappa, st.kappa_prime, st.psi))
+        point = [float(v) for v in trace.points[i]]
+        rows.append(",".join(f"{v:.12g}" for v in (s, k, kp, psi, *point)) + "\r\n")
+        samples.append({"s": s, "kappa": k, "kappa_prime": kp, "psi": psi, "point": point})
+    meta = {
+        "p": trace.params.p,
+        "a": trace.params.a,
+        "n": trace.index.n if trace.index else None,
+        "m": trace.index.m if trace.index else None,
+        "closureGap": trace.closure_gap,
+        "windingNumber": trace.winding_number,
+        "samples": samples,
+    }
+    return "".join(rows), json.dumps(meta, indent=1)
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_exports_match_per_sample_writer(tmp_path, g23_trace, g23_params, closed):
+    # the closed gamma_{2,3} trace, and half a period embedded without an index
+    trace = g23_trace if closed else embed(integrate_profile(g23_params, 0.5))
+    assert (trace.index is None) is not closed
+    trace_to_csv(trace, str(tmp_path / "trace.csv"))
+    trace_to_json(trace, str(tmp_path / "trace.json"))
+    csv_ref, json_ref = _per_sample_text(trace)
+    assert (tmp_path / "trace.csv").read_bytes() == csv_ref.encode()
+    assert (tmp_path / "trace.json").read_bytes() == json_ref.encode()
 
 
 def test_trace_other_family_member(all_traces):

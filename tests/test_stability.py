@@ -122,7 +122,7 @@ def test_fourier_diagnostic_contains_constant_direction(g23_trace):
 
 
 def test_smooth_nonconstant_field_runs(g23_trace):
-    s = np.array([st.s for st in g23_trace.states])
+    s = g23_trace.states.s
     w = 2.0 * math.pi / s[-1]
     field = VariationField(
         phi=1.0 + 0.1 * np.cos(w * s),
