@@ -7,7 +7,7 @@ to flat tori in the 3-sphere.
 
 from .closure import ClosureIndex, is_admissible, lambda_p, period, solve_closure
 from .curve import CurveTrace, embed, integrate_profile, trace_closed_curve
-from .energy import EnergyReport, circle_energy, circle_radius, energy_closed
+from .energy import circle_energy, circle_radius, energy_closed
 from .errors import PElasticaError
 from .qpotential import (
     ElasticaParams,
@@ -30,7 +30,6 @@ __all__ = [
     "ClosureIndex",
     "CurveTrace",
     "ElasticaParams",
-    "EnergyReport",
     "PElasticaError",
     "SecondVariationReport",
     "a_star",

@@ -139,7 +139,7 @@ def _solve_row(row):
     tag, p, n, m, *_ = row
     solved = closure.solve_closure(p, closure.ClosureIndex(n, m))
     params = make_params(p, solved.a_solved)
-    theta = energy.energy_closed(params, m).value
+    theta = energy.energy_closed(params, m)
     delta2 = stability.upsilon(params, m=m).delta_squared
     return tag, p, n, m, solved.a_solved, theta, delta2
 
@@ -203,7 +203,7 @@ def cmd_stability(args) -> int:
     else:
         solved = closure.solve_closure(args.p, closure.ClosureIndex(args.n, args.m))
         a_val, m = solved.a_solved, args.m
-    report = stability.stability_report(args.p, a_val, m=m)
+    report = stability.upsilon(make_params(args.p, a_val), m=m)
     payload = {
         "p": args.p,
         "a": a_val,

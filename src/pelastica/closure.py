@@ -23,6 +23,8 @@ from .quad import DEFAULT_REL_TOL, integrate_over_arch
 _SCAN_BASE = 1e-4  # first grid offset relative to a_*
 _SCAN_CAP = 1e6  # scan stops at a = cap * a_*
 _LIMIT_GUARD = 1e-6  # refuse targets this close to the unattained sqrt(2) pi
+# Lambda's quadrature tolerance in the closure scan: a tenth of the default.
+_SCAN_REL_TOL = DEFAULT_REL_TOL * 0.1
 
 
 @dataclass(frozen=True)
@@ -41,10 +43,6 @@ class ClosureIndex:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise DomainError("closure indices must be natural numbers")
-
-    @property
-    def q(self) -> float:
-        return self.n / self.m
 
     @property
     def target(self) -> float:
@@ -91,14 +89,14 @@ def lambda_p(params: ElasticaParams, rel_tol: float = DEFAULT_REL_TOL) -> float:
     return pref * integrate_over_arch(params, numerator, rel_tol, grade_floor=layer).value
 
 
-def period(params: ElasticaParams, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def period(params: ElasticaParams) -> float:
     """Arc length of one full curvature period, 2p(1-p) int dkappa/(kappa sqrt(Q))."""
     p = params.p
-    val = integrate_over_arch(params, lambda k, q, r: 1.0 / k, rel_tol).value
+    val = integrate_over_arch(params, lambda k, q, r: 1.0 / k).value
     return 2.0 * p * (1.0 - p) * val
 
 
-def solve_closure(p: float, index: ClosureIndex, tol: float = 1e-10) -> ClosureIndex:
+def solve_closure(p: float, index: ClosureIndex) -> ClosureIndex:
     """Solve Lambda(a) = 2 pi n / m for the momentum a.
 
     Scans the geometric grid a_k = a_* (1 + 2^k * 1e-4) for sign changes and
@@ -109,18 +107,15 @@ def solve_closure(p: float, index: ClosureIndex, tol: float = 1e-10) -> ClosureI
     """
     if not is_admissible(index.n, index.m):
         raise DomainError(f"({index.n}, {index.m}) is not an admissible closure pair")
-    if tol < 1e-10:
-        raise DomainError("closure tolerance below 1e-10 is not supported")
     target = index.target
     if abs(target - math.sqrt(2.0) * math.pi) < _LIMIT_GUARD:
         raise NotFound(
             "closure target is within 1e-6 of sqrt(2) pi, which is approached but not attained"
         )
     thr = a_star(p)
-    quad_tol = min(DEFAULT_REL_TOL, tol * 1e-1)
 
     def gap(a: float) -> float:
-        return lambda_p(make_params(p, a), quad_tol) - target
+        return lambda_p(make_params(p, a), _SCAN_REL_TOL) - target
 
     a_cap = min(thr * (1.0 + _SCAN_CAP), momentum_cap(p))
     roots = []

@@ -291,9 +291,10 @@ def trace_to_json(trace: CurveTrace, path: str) -> None:
         json.dump(meta, fh, indent=1)
 
 
-def trace_to_svg(trace: CurveTrace, path: str, size: int = 640) -> None:
+def trace_to_svg(trace: CurveTrace, path: str) -> None:
     """Orthographic projection onto the plane x = 0 as a closed polyline."""
     yz = trace.points[:, 1:]
+    size = 640  # square canvas, pixels
     half = size / 2.0
     scale = 0.45 * size
     coords = " ".join(

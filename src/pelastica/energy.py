@@ -11,19 +11,10 @@ while circles of Euclidean radius r have the closed form
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 from .qpotential import ElasticaParams, a_star
-from .quad import DEFAULT_REL_TOL, integrate_over_arch
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """Energy value together with the near-threshold analytic limit."""
-
-    value: float
-    limit_at_a_star: float
+from .quad import integrate_over_arch
 
 
 def energy_limit(p: float, m: int = 1) -> float:
@@ -32,17 +23,14 @@ def energy_limit(p: float, m: int = 1) -> float:
     return m * math.sqrt(2.0 * a_star(p)) * math.pi
 
 
-def energy_closed(
-    params: ElasticaParams, m: int, rel_tol: float = DEFAULT_REL_TOL
-) -> EnergyReport:
+def energy_closed(params: ElasticaParams, m: int) -> float:
     """Total bending energy over m curvature periods."""
     if m < 1:
         raise DomainError("m must be at least 1")
     p = params.p
     # kappa^(p-1) = 1/r, with r = kappa^(1-p) formed by the arch rule
-    moment = integrate_over_arch(params, lambda k, q, r: 1.0 / r, rel_tol).value
-    value = 2.0 * m * p * (1.0 - p) * moment
-    return EnergyReport(value=value, limit_at_a_star=energy_limit(p, m))
+    moment = integrate_over_arch(params, lambda k, q, r: 1.0 / r).value
+    return 2.0 * m * p * (1.0 - p) * moment
 
 
 def circle_energy(r: float, p: float) -> float:

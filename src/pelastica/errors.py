@@ -42,9 +42,5 @@ class SeedError(PElasticaError):
     """A fiber seed point does not project onto the base point."""
 
 
-class CoverOverflow(PElasticaError):
-    """Closing the lift holonomy would require too many covers."""
-
-
 class PoleCollision(PElasticaError):
     """A mesh vertex lies too close to the projection pole."""

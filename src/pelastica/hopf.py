@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .curve import CurveTrace, _embed_points, psi_rate, unit_tangent
-from .errors import CoverOverflow, PoleCollision, SeedError
+from .errors import PoleCollision, SeedError
 
 SPHERE_RADIUS = 2.0
 DEFAULT_ANGLE_TOL = 1e-6
@@ -139,10 +139,10 @@ def horizontality_residual(lift: HopfLift) -> float:
     return float(np.max(np.abs(np.einsum("ij,ij->i", q_prime, fib))))
 
 
-def _closing_covers(angle: float, angle_tol: float, max_covers: int) -> int | None:
-    for c in range(1, max_covers + 1):
+def _closing_covers(angle: float) -> int | None:
+    for c in range(1, MAX_COVERS + 1):
         mismatch = (c * angle) % (2.0 * math.pi)
-        if min(mismatch, 2.0 * math.pi - mismatch) < angle_tol:
+        if min(mismatch, 2.0 * math.pi - mismatch) < DEFAULT_ANGLE_TOL:
             return c
     return None
 
@@ -156,41 +156,26 @@ class HopfPatch:
     closed: bool
     vertices: np.ndarray  # (t_samples, s_total, 4)
     h_field: np.ndarray  # (s_total,) mean curvature kappa/2 per s column
-    kappa: np.ndarray = field(repr=False, default=None)
 
 
-def build_torus(
-    trace: CurveTrace,
-    lift: HopfLift | None = None,
-    t_samples: int = 256,
-    s_samples: int = 128,
-    angle_tol: float = DEFAULT_ANGLE_TOL,
-    max_covers: int = MAX_COVERS,
-    require_closed: bool = False,
-) -> HopfPatch:
+def build_torus(trace: CurveTrace, t_samples: int = 256, s_samples: int = 128) -> HopfPatch:
     """Sweep the lift through the fiber phases into a quad mesh.
 
     The first cover's s columns evaluate the closed-form lift
     e^(i phi) sigma(gamma) from the profile's dense output.  If the lift
     holonomy is a rational angle, the s-range is extended over the smallest
-    closing cover (the lift over cover k equals the first cover
-    phase-rotated by k times the holonomy).
+    closing cover within MAX_COVERS (the lift over cover k equals the first
+    cover phase-rotated by k times the holonomy).
     Generic holonomy yields an open cylinder segment: the full fiber
     preimage is still a torus, but its (t, s) chart has a phase-twisted seam
     that a structured grid cannot close, so the seam stays open and the
     discrete estimators mask the boundary columns.
     """
-    if lift is None:
-        lift = horizontal_lift(trace)
+    lift = horizontal_lift(trace)
     length = float(lift.s[-1])
-    covers = _closing_covers(lift.holonomy_angle, angle_tol, max_covers)
+    covers = _closing_covers(lift.holonomy_angle)
     closed = covers is not None
     if not closed:
-        if require_closed:
-            raise CoverOverflow(
-                f"holonomy {lift.holonomy_angle:.6f} rad does not close within "
-                f"{max_covers} covers"
-            )
         covers = 1
 
     s_one = np.linspace(0.0, length, s_samples, endpoint=False)
@@ -198,7 +183,6 @@ def build_torus(
     lift_points = np.concatenate(
         [_phase_rotate(lift_one, c * lift.holonomy_angle) for c in range(covers)], axis=0
     )
-    kappa = np.tile(kappa_one, covers)
 
     t = np.linspace(0.0, 2.0 * math.pi, t_samples, endpoint=False)
     cos_t, sin_t = np.cos(t), np.sin(t)
@@ -213,8 +197,7 @@ def build_torus(
         covers=covers,
         closed=closed,
         vertices=vertices,
-        h_field=0.5 * kappa,
-        kappa=kappa,
+        h_field=0.5 * np.tile(kappa_one, covers),
     )
 
 

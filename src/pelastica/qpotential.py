@@ -100,8 +100,9 @@ class ElasticaParams:
         return q_prime(self.p, self.a, kappa)
 
 
-def _q_sign_log(p: float, a: float, u: float) -> float:
-    """Sign surrogate for Q at kappa = exp(u), safe at any magnitude.
+def _q_sign_log(p: float, a: float, u):
+    """Sign surrogate for Q at kappa = exp(u) (a float or an array), safe at
+    any magnitude.
 
     Q > 0  iff  log a + 2(1-p) u > log((1-p)^2 e^{2u} + p^2), and the right
     hand side is a logaddexp, so neither kappa^2 nor kappa^(2(1-p)) is ever
@@ -208,20 +209,20 @@ class RootClassification:
 
     count: int
     roots: tuple
-    bracket_function: str  # "Q" for p < 1, "Qtilde" for p > 1
 
 
 def _log_sign_fn(p: float, a: float):
-    """Sign surrogate of the oscillation bracket at kappa = exp(u).
+    """Sign surrogate of the oscillation bracket at kappa = exp(u), u a float
+    or an array.
 
     Working in the log keeps the scan overflow-free at any curvature
     magnitude; the surrogate shares the sign (and roots) of the bracketed
     function exactly.
     """
     if p < 1.0:
-        return "Q", lambda u: _q_sign_log(p, a, u)
+        return lambda u: _q_sign_log(p, a, u)
     # For p > 1 the oscillation bracket is a - (p-1)^2 k^(2p) - p^2 k^(2(p-1)).
-    return "Qtilde", lambda u: math.log(a) - np.logaddexp(
+    return lambda u: math.log(a) - np.logaddexp(
         2.0 * p * u + 2.0 * math.log(p - 1.0),
         2.0 * (p - 1.0) * u + 2.0 * math.log(p),
     )
@@ -237,7 +238,7 @@ def classify_positive_roots(p: float, a: float) -> RootClassification:
         raise DomainError("classify_positive_roots requires a > 0")
     if p in (0.0, 1.0):
         raise DomainError("p in {0, 1} admits no critical curves; classify separately")
-    name, fn = _log_sign_fn(p, a)
+    fn = _log_sign_fn(p, a)
     if 0.0 < p < 1.0 and a > a_star(p):
         # both roots are analytically localized: the lower one where the
         # leading term balances p^2, the upper one where it balances the
@@ -247,13 +248,9 @@ def classify_positive_roots(p: float, a: float) -> RootClassification:
     else:
         u_lo, u_hi = -200.0, 200.0
     grid = np.linspace(u_lo, u_hi, 1024)
-    vals = np.array([fn(u) for u in grid])
+    vals = fn(grid)
     roots = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            roots.append(math.exp(grid[i]))
-        elif vals[i] * vals[i + 1] < 0.0:
-            roots.append(
-                math.exp(brentq(fn, grid[i], grid[i + 1], xtol=1e-14))
-            )
-    return RootClassification(count=len(roots), roots=tuple(roots), bracket_function=name)
+    for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)):
+        u = grid[i] if vals[i] == 0.0 else brentq(fn, grid[i], grid[i + 1], xtol=1e-14)
+        roots.append(math.exp(u))
+    return RootClassification(count=len(roots), roots=tuple(roots))

@@ -97,7 +97,6 @@ class SingularIntegral:
     for a stack of rows.
     """
 
-    params: ElasticaParams
     value: float | np.ndarray
     error_estimate: float | np.ndarray
 
@@ -249,7 +248,7 @@ def integrate_over_arch(
         raise DomainError("rel_tol must lie in [1e-14, 1e-3]")
     if params.near_circular:
         limit = limit_at_maximum(params, numerator)
-        return SingularIntegral(params=params, value=limit, error_estimate=0.0 * limit)
+        return SingularIntegral(value=limit, error_estimate=0.0 * limit)
 
     f = _make_theta_integrand(params, numerator)
     if grade_floor is not None and not grade_floor / 8.0 >= _THETA_FLOOR:
@@ -285,10 +284,10 @@ def integrate_over_arch(
         n_panels += 1
     if total.size == 1:
         total, total_err = float(total[0]), float(total_err[0])
-    return SingularIntegral(params=params, value=total, error_estimate=total_err)
+    return SingularIntegral(value=total, error_estimate=total_err)
 
 
-def kappa_moment(params: ElasticaParams, t: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def kappa_moment(params: ElasticaParams, t: float) -> float:
     """Moment M(t) = int_beta^alpha kappa^t / sqrt(Q) dkappa.
 
     These moments satisfy the integration-by-parts identity
@@ -297,20 +296,18 @@ def kappa_moment(params: ElasticaParams, t: float, rel_tol: float = DEFAULT_REL_
 
     which downstream rewrites of the second variation rely on.
     """
-    return integrate_over_arch(params, lambda k, q, r: k**t, rel_tol).value
+    return integrate_over_arch(params, lambda k, q, r: k**t).value
 
 
-def parts_identity_residual(
-    params: ElasticaParams, t: float, rel_tol: float = DEFAULT_REL_TOL
-) -> float:
+def parts_identity_residual(params: ElasticaParams, t: float) -> float:
     """Relative residual of the integration-by-parts identity at exponent t.
 
     Normalized by the largest of the three term magnitudes: near t = -1 the
     identity's sides both vanish, so side-based normalization is meaningless.
     """
     p, a = params.p, params.a
-    t1 = (1.0 - p) ** 2 * (1.0 + t) * kappa_moment(params, 1.0 + t, rel_tol)
-    t2 = a * (1.0 + t - p) * kappa_moment(params, 1.0 + t - 2.0 * p, rel_tol)
-    t3 = t * p**2 * kappa_moment(params, -1.0 + t, rel_tol)
+    t1 = (1.0 - p) ** 2 * (1.0 + t) * kappa_moment(params, 1.0 + t)
+    t2 = a * (1.0 + t - p) * kappa_moment(params, 1.0 + t - 2.0 * p)
+    t3 = t * p**2 * kappa_moment(params, -1.0 + t)
     scale = max(abs(t1), abs(t2), abs(t3), 1e-300)
     return abs(t1 - (t2 - t3)) / scale

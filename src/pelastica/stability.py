@@ -16,7 +16,7 @@ import numpy as np
 
 from .curve import CurveTrace
 from .errors import DomainError, ResolutionError
-from .qpotential import ElasticaParams, a_star, make_params
+from .qpotential import ElasticaParams, a_star
 from .quad import DEFAULT_REL_TOL, integrate_over_arch
 
 _AGM_TOL = 1e-15
@@ -82,8 +82,6 @@ def upsilon_limit(p: float) -> float:
 class SecondVariationReport:
     """Upsilon with cross-check residuals and the resulting quadratic form."""
 
-    params: ElasticaParams
-    m: int
     upsilon: float
     delta_squared: float
     rewrite_residuals: tuple[float, float, float]
@@ -137,8 +135,6 @@ def upsilon(
     scale = abs(direct) + 1e-300
     residuals = tuple(abs(r - direct) / scale for r in _rewrite_values(params, moments))
     return SecondVariationReport(
-        params=params,
-        m=m,
         upsilon=direct,
         delta_squared=2.0 * m * direct,
         rewrite_residuals=residuals,
@@ -178,11 +174,9 @@ class VariationField:
                 raise DomainError("field arrays must share one length")
 
 
-def constant_field(n: int, value: float = 1.0) -> VariationField:
-    """The phi = const variation (the paper's instability witness)."""
-    return VariationField(
-        phi=np.full(n, value), phi_prime=np.zeros(n), phi_second=np.zeros(n)
-    )
+def constant_field(n: int) -> VariationField:
+    """The phi = 1 variation (the paper's instability witness)."""
+    return VariationField(phi=np.ones(n), phi_prime=np.zeros(n), phi_second=np.zeros(n))
 
 
 def second_variation(trace: CurveTrace, phi: VariationField) -> float:
@@ -230,30 +224,3 @@ def circle_second_variation(p: float) -> float:
         0.5 * (p * math.log(p) + (1.0 - p) * math.log1p(-p))
     )
 
-
-def fourier_diagnostic(trace: CurveTrace, k_max: int = 8) -> list[tuple[str, float]]:
-    """Second variation over a coarse Fourier basis (diagnostic only).
-
-    Evaluates phi in {1, cos(2 pi k s / L), sin(2 pi k s / L)} for
-    k = 1..k_max and returns labelled values; the most negative entry hints
-    at the least stable direction.
-    """
-    s = trace.states.s
-    length = s[-1]
-    out = [("const", second_variation(trace, constant_field(len(s))))]
-    for k in range(1, k_max + 1):
-        w = 2.0 * math.pi * k / length
-        for label, f, df, d2f in (
-            (f"cos{k}", np.cos(w * s), -w * np.sin(w * s), -w * w * np.cos(w * s)),
-            (f"sin{k}", np.sin(w * s), w * np.cos(w * s), -w * w * np.sin(w * s)),
-        ):
-            field = VariationField(phi=f, phi_prime=df, phi_second=d2f)
-            out.append((label, second_variation(trace, field)))
-    return out
-
-
-def stability_report(
-    p: float, a: float, m: int = 1, rel_tol: float = DEFAULT_REL_TOL
-) -> SecondVariationReport:
-    """Convenience wrapper building params and evaluating upsilon."""
-    return upsilon(make_params(p, a), m=m, rel_tol=rel_tol)

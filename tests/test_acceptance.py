@@ -227,8 +227,8 @@ def test_criterion_08_lift_and_torus(g23_trace):
     )
     horiz = horizontality_residual(lift)
 
-    coarse = build_torus(g23_trace, lift, t_samples=64, s_samples=256)
-    fine = build_torus(g23_trace, lift, t_samples=128, s_samples=512)
+    coarse = build_torus(g23_trace, t_samples=64, s_samples=256)
+    fine = build_torus(g23_trace, t_samples=128, s_samples=512)
 
     def h_err(patch):
         est = discrete_mean_curvature(patch)[:, 2:-2]
@@ -262,7 +262,7 @@ def test_criterion_09_pipeline_cross_checks(g23_params, g23_solved, g23_trace):
 
     st = g23_trace.states
     theta_trace = float(np.trapezoid(st.kappa**g23_params.p, st.s))
-    theta_quad = energy_closed(g23_params, g23_solved.m).value
+    theta_quad = energy_closed(g23_params, g23_solved.m)
     theta_gap = abs(theta_trace - theta_quad) / theta_quad
 
     # return time of the curvature minimum: kappa' crosses zero upward near rho

@@ -60,6 +60,16 @@ def test_stability_command_json(tmp_path):
     assert max(payload["residuals"]) < 1e-8
 
 
+def test_stability_command_closed_curve_report(capsys):
+    code = main(["stability", "--p", "0.3", "--n", "2", "--m", "3"])
+    assert code == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"p", "a", "m", "upsilon", "delta2", "residuals", "method"}
+    assert payload["method"] == "quadrature"
+    assert (payload["p"], payload["m"]) == (0.3, 3)
+    assert payload["delta2"] == 2 * payload["m"] * payload["upsilon"]
+
+
 def test_stability_command_rejects_conflicting_args(capsys):
     code = main(["stability", "--p", "0.3", "--a", "1.0", "--n", "2", "--m", "3"])
     assert code == EXIT_ADMISSIBILITY
@@ -159,7 +169,7 @@ def test_bad_arguments_exit_2_before_any_computation(argv, tmp_path, monkeypatch
     for name in ("solve_closure", "lambda_p"):
         monkeypatch.setattr(cli.closure, name, forbidden)
     monkeypatch.setattr(cli, "make_params", forbidden)
-    monkeypatch.setattr(cli.stability, "stability_report", forbidden)
+    monkeypatch.setattr(cli.stability, "upsilon", forbidden)
     monkeypatch.chdir(tmp_path)
     assert main(argv) == EXIT_ADMISSIBILITY
     assert capsys.readouterr().err

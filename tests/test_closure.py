@@ -80,16 +80,10 @@ def test_solve_closure_rejects_inadmissible():
         solve_closure(0.3, ClosureIndex(1, 2))
 
 
-def test_solve_closure_tolerance_floor():
-    with pytest.raises(DomainError):
-        solve_closure(0.3, ClosureIndex(2, 3), tol=1e-12)
-
-
 def test_closure_index_validation():
     with pytest.raises(DomainError):
         ClosureIndex(0, 3)
     idx = ClosureIndex(2, 3)
-    assert idx.q == pytest.approx(2.0 / 3.0)
     assert idx.target == pytest.approx(4.0 * math.pi / 3.0)
 
 

@@ -42,15 +42,13 @@ def _oracle_energy(params, m):
 
 def test_energy_matches_scipy_oracle():
     params = make_params(0.3, 1.5)
-    rep = energy_closed(params, 3)
-    assert rep.value == pytest.approx(_oracle_energy(params, 3), rel=1e-9)
-    assert rep.limit_at_a_star == pytest.approx(energy_limit(0.3, 3))
+    assert energy_closed(params, 3) == pytest.approx(_oracle_energy(params, 3), rel=1e-9)
 
 
 def test_energy_linear_in_periods():
     params = make_params(0.4, 1.0)
-    one = energy_closed(params, 1).value
-    five = energy_closed(params, 5).value
+    one = energy_closed(params, 1)
+    five = energy_closed(params, 5)
     assert five == pytest.approx(5.0 * one, rel=1e-12)
     with pytest.raises(DomainError):
         energy_closed(params, 0)
@@ -58,7 +56,7 @@ def test_energy_linear_in_periods():
 
 def test_energy_threshold_limit():
     for p in (0.2, 0.5, 0.8):
-        near = energy_closed(make_params(p, a_star(p) * (1 + 1e-8)), 1).value
+        near = energy_closed(make_params(p, a_star(p) * (1 + 1e-8)), 1)
         assert near == pytest.approx(energy_limit(p, 1), rel=1e-3)
     assert energy_limit(0.5, 1) == pytest.approx(math.pi)
 
@@ -99,14 +97,12 @@ def test_circle_energy_domain():
 
 def test_closed_curve_energies_positive(solved_rows):
     for (p, n, m), solved in solved_rows.items():
-        rep = energy_closed(make_params(p, solved.a_solved), m)
-        assert rep.value > 0.0
-        assert rep.limit_at_a_star == pytest.approx(energy_limit(p, m))
+        assert energy_closed(make_params(p, solved.a_solved), m) > 0.0
 
 
 def test_energy_against_arc_length_quadrature(g23_trace, g23_solved):
     # independent pipeline: trapezoid of kappa^p over the traced curve
     st = g23_trace.states
     by_trace = float(np.trapezoid(st.kappa**0.3, st.s))
-    rep = energy_closed(g23_trace.params, g23_solved.m)
-    assert by_trace == pytest.approx(rep.value, rel=1e-6)
+    theta = energy_closed(g23_trace.params, g23_solved.m)
+    assert by_trace == pytest.approx(theta, rel=1e-6)

@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 
 from pelastica import hopf
 from pelastica.curve import unit_tangent
-from pelastica.errors import CoverOverflow, PoleCollision, SeedError
+from pelastica.errors import PoleCollision, SeedError
 from pelastica.hopf import (
     SPHERE_RADIUS,
     _triangle_fans,
@@ -256,16 +256,14 @@ def test_great_circle_lift_holonomy_is_pi():
 
 
 @pytest.fixture(scope="module")
-def g23_patch(g23_trace, g23_lift):
-    return build_torus(g23_trace, g23_lift, t_samples=64, s_samples=256)
+def g23_patch(g23_trace):
+    return build_torus(g23_trace, t_samples=64, s_samples=256)
 
 
 def test_torus_falls_back_to_open_segment(g23_patch):
     # the measured holonomy is not a small-denominator rational angle
     assert not g23_patch.closed
     assert g23_patch.covers == 1
-    with pytest.raises(CoverOverflow):
-        build_torus(g23_patch.lift.trace, g23_patch.lift, require_closed=True)
 
 
 def test_half_exponent_torus_closes_after_four_covers(all_traces):
@@ -293,9 +291,9 @@ def test_torus_columns_project_to_base(g23_patch, g23_trace):
         assert float(np.max(np.abs(hopf_project(verts[i]) - base0))) < 1e-9
 
 
-def test_discrete_mean_curvature_converges(g23_trace, g23_lift):
-    coarse = build_torus(g23_trace, g23_lift, t_samples=64, s_samples=256)
-    fine = build_torus(g23_trace, g23_lift, t_samples=128, s_samples=512)
+def test_discrete_mean_curvature_converges(g23_trace):
+    coarse = build_torus(g23_trace, t_samples=64, s_samples=256)
+    fine = build_torus(g23_trace, t_samples=128, s_samples=512)
 
     def rel_err(patch):
         h_est = discrete_mean_curvature(patch)

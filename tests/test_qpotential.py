@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from pelastica import qpotential
 from pelastica.errors import DomainError, NoPeriodicOrbit
 from pelastica.qpotential import (
     a_star,
@@ -131,7 +133,6 @@ def test_classification_two_roots_inside_unit_interval():
         a = a_star(p) * (1.001 + rng.uniform(0.0, 100.0))
         res = classify_positive_roots(p, a)
         assert res.count == 2
-        assert res.bracket_function == "Q"
         beta, alpha = res.roots
         assert beta < alpha
 
@@ -143,6 +144,39 @@ def test_classification_other_exponents_never_two():
         a = rng.uniform(0.05, 20.0)
         res = classify_positive_roots(float(p), float(a))
         assert res.count <= 1
+
+
+def _per_point_roots(p, a):
+    """Reference for classify_positive_roots: the sign surrogate called once
+    per grid point and the grid walked in a Python loop."""
+    fn = qpotential._log_sign_fn(p, a)
+    if 0.0 < p < 1.0 and a > a_star(p):
+        u_lo = (2.0 * math.log(p) - math.log(a)) / (2.0 * (1.0 - p)) - 2.0
+        u_hi = (math.log(a) - 2.0 * math.log1p(-p)) / (2.0 * p) + 2.0
+    else:
+        u_lo, u_hi = -200.0, 200.0
+    grid = np.linspace(u_lo, u_hi, 1024)
+    vals = [fn(u) for u in grid]
+    roots = []
+    for i in range(len(grid) - 1):
+        if vals[i] == 0.0:
+            roots.append(math.exp(grid[i]))
+        elif vals[i] * vals[i + 1] < 0.0:
+            roots.append(math.exp(brentq(fn, grid[i], grid[i + 1], xtol=1e-14)))
+    return tuple(roots)
+
+
+def test_classification_matches_per_point_scan():
+    rng = np.random.default_rng(3)
+    cases = []
+    for _ in range(20):
+        p = rng.uniform(0.01, 0.99)
+        cases.append((p, a_star(p) * (1.0 + 10.0 ** rng.uniform(-6, 4))))
+        cases.append((p, a_star(p) * rng.uniform(0.1, 1.0)))
+        cases.append((-rng.uniform(0.01, 5.0), 10.0 ** rng.uniform(-3, 3)))
+        cases.append((1.0 + rng.uniform(0.01, 5.0), 10.0 ** rng.uniform(-3, 3)))
+    for p, a in cases:
+        assert classify_positive_roots(p, a).roots == _per_point_roots(p, a), (p, a)
 
 
 def test_classification_rejects_p_equal_one():

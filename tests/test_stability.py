@@ -14,9 +14,7 @@ from pelastica.stability import (
     constant_field,
     elliptic_ke,
     eta,
-    fourier_diagnostic,
     second_variation,
-    stability_report,
     upsilon,
     upsilon_elliptic_half,
     upsilon_limit,
@@ -115,12 +113,6 @@ def test_variation_field_length_mismatch(g23_trace):
         second_variation(g23_trace, constant_field(10))
 
 
-def test_fourier_diagnostic_contains_constant_direction(g23_trace):
-    table = dict(fourier_diagnostic(g23_trace, k_max=2))
-    assert set(table) == {"const", "cos1", "sin1", "cos2", "sin2"}
-    assert table["const"] < 0.0
-
-
 def test_smooth_nonconstant_field_runs(g23_trace):
     s = g23_trace.states.s
     w = 2.0 * math.pi / s[-1]
@@ -141,9 +133,3 @@ def test_circle_second_variation_values():
     with pytest.raises(DomainError):
         circle_second_variation(0.0)
 
-
-def test_stability_report_wrapper():
-    rep = stability_report(0.3, 1.0, m=2)
-    assert rep.method == "quadrature"
-    assert rep.m == 2
-    assert rep.delta_squared == pytest.approx(4.0 * rep.upsilon)
