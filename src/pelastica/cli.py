@@ -211,7 +211,7 @@ def cmd_stability(args) -> int:
         "upsilon": report.upsilon,
         "delta2": report.delta_squared,
         "residuals": list(report.rewrite_residuals),
-        "method": report.method,
+        "method": "quadrature",
     }
     text = json.dumps(payload, indent=1)
     if args.out:

@@ -27,16 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import CurveTrace, _embed_points, psi_rate, unit_tangent
+from .curve import CurveTrace, _embed_points, _write_lines, psi_rate, unit_tangent
 from .errors import PoleCollision, SeedError
 
 SPHERE_RADIUS = 2.0
 DEFAULT_ANGLE_TOL = 1e-6
 MAX_COVERS = 64
-# Lines formatted per string operation when writing OBJ and curvature files:
-# one format per line is slow, one over the whole mesh holds every line's text
-# and float objects at once.
-_BLOCK_LINES = 16384
 
 
 def hopf_project(q):
@@ -288,36 +284,6 @@ def discrete_gaussian_curvature(patch: HopfPatch) -> np.ndarray:
     return kg.reshape(nt, ns)
 
 
-def surface_el_identity_residual(trace: CurveTrace) -> float:
-    """Gap between the surface and base-curve critical-point equations.
-
-    With the torus flat and its mean curvature kappa/2, the surface
-    Euler-Lagrange expression p (H^(p-1))'' + 4(p-1) H^(p+1) + p H^(p-1)
-    equals 2^(1-p) times the base expression
-    p (kappa^(p-1))'' + (p-1) kappa^(p+1) + p kappa^(p-1) identically; both
-    are evaluated by the same finite-difference stencil and compared.
-    """
-    p = trace.params.p
-    s, kappa = trace.states.s, trace.states.kappa
-    h = 0.5 * kappa
-    ds = s[1] - s[0]
-
-    def second_deriv(f):
-        return (f[2:] - 2.0 * f[1:-1] + f[:-2]) / ds**2
-
-    surf = (
-        p * second_deriv(h ** (p - 1.0))
-        + 4.0 * (p - 1.0) * (h ** (p + 1.0))[1:-1]
-        + p * (h ** (p - 1.0))[1:-1]
-    )
-    base = (
-        p * second_deriv(kappa ** (p - 1.0))
-        + (p - 1.0) * (kappa ** (p + 1.0))[1:-1]
-        + p * (kappa ** (p - 1.0))[1:-1]
-    )
-    return float(np.max(np.abs(surf - 2.0 ** (1.0 - p) * base)))
-
-
 def stereographic_project(
     vertices: np.ndarray, pole=(0.0, 0.0, 0.0, -1.0)
 ) -> np.ndarray:
@@ -358,13 +324,6 @@ def _plane_basis(n: np.ndarray) -> np.ndarray:
     # take the three dominant left singular vectors of the projector
     u, sv, _ = np.linalg.svd(mat)
     return u[:, :3].T
-
-
-def _write_lines(fh, line_format: str, rows: np.ndarray) -> None:
-    """Write line_format once per row of a 2-D array, one % format per block."""
-    for start in range(0, len(rows), _BLOCK_LINES):
-        block = rows[start : start + _BLOCK_LINES]
-        fh.write((line_format * len(block)) % tuple(block.ravel().tolist()))
 
 
 def patch_to_obj(patch: HopfPatch, path: str, pole=(0.0, 0.0, 0.0, -1.0)) -> None:

@@ -203,14 +203,6 @@ def make_params(p: float, a: float) -> ElasticaParams:
     )
 
 
-@dataclass(frozen=True)
-class RootClassification:
-    """Simple positive roots of the bracketed function relevant for p."""
-
-    count: int
-    roots: tuple
-
-
 def _log_sign_fn(p: float, a: float):
     """Sign surrogate of the oscillation bracket at kappa = exp(u), u a float
     or an array.
@@ -228,8 +220,9 @@ def _log_sign_fn(p: float, a: float):
     )
 
 
-def classify_positive_roots(p: float, a: float) -> RootClassification:
-    """Count simple positive roots by log-space grid scanning plus refinement.
+def classify_positive_roots(p: float, a: float) -> tuple[float, ...]:
+    """Simple positive roots, ascending, by log-space grid scanning plus
+    refinement.
 
     Two simple roots occur only for p in (0, 1) with a > a_*; every other
     real p yields at most one.
@@ -253,4 +246,4 @@ def classify_positive_roots(p: float, a: float) -> RootClassification:
     for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)):
         u = grid[i] if vals[i] == 0.0 else brentq(fn, grid[i], grid[i + 1], xtol=1e-14)
         roots.append(math.exp(u))
-    return RootClassification(count=len(roots), roots=tuple(roots))
+    return tuple(roots)

@@ -48,7 +48,12 @@ def _powers(kappa, r):
 
 
 def _eta(params: ElasticaParams, powers):
-    """eta from the five powers of kappa that _powers returns."""
+    """Integrand numerator of the phi = 1 second variation, from the five
+    powers of kappa that _powers returns.
+
+    eta = -(p+1) a k^(1-p) - (2-p) a k^(-1-p) + (1-p)^2 (2p+1) k^(p+1)
+          + 2 (4p^2-4p+1) k^(p-1) + p^2 (3-2p) k^(p-3).
+    """
     p, a = params.p, params.a
     m_1mp, m_m1mp, m_pm1, m_1pp, m_pm3 = powers
     return (
@@ -58,18 +63,6 @@ def _eta(params: ElasticaParams, powers):
         + 2.0 * (4.0 * p**2 - 4.0 * p + 1.0) * m_pm1
         + p**2 * (3.0 - 2.0 * p) * m_pm3
     )
-
-
-def eta(params: ElasticaParams, kappa):
-    """Integrand numerator of the phi = 1 second variation.
-
-    eta = -(p+1) a k^(1-p) - (2-p) a k^(-1-p) + (1-p)^2 (2p+1) k^(p+1)
-          + 2 (4p^2-4p+1) k^(p-1) + p^2 (3-2p) k^(p-3).
-    """
-    kappa = np.asarray(kappa)
-    if np.any(kappa <= 0.0):
-        raise DomainError("eta requires kappa > 0")
-    return _eta(params, _powers(kappa, kappa ** (1.0 - params.p)))
 
 
 def upsilon_limit(p: float) -> float:
@@ -85,7 +78,6 @@ class SecondVariationReport:
     upsilon: float
     delta_squared: float
     rewrite_residuals: tuple[float, float, float]
-    method: str  # "quadrature" or "ellipticClosedForm"
 
 
 def _rewrite_values(params: ElasticaParams, moments) -> tuple[float, float, float]:
@@ -138,7 +130,6 @@ def upsilon(
         upsilon=direct,
         delta_squared=2.0 * m * direct,
         rewrite_residuals=residuals,
-        method="quadrature",
     )
 
 
@@ -160,34 +151,13 @@ def upsilon_elliptic_half(a: float) -> float:
     return -(4.0 / 3.0) * (math.sqrt(alpha) * a * e_val + math.sqrt(beta) * k_val)
 
 
-@dataclass(frozen=True)
-class VariationField:
-    """Periodic scalar field phi over the trace with supplied derivatives."""
+def second_variation(trace: CurveTrace) -> float:
+    """Second variation under the constant normal variation phi = 1.
 
-    phi: np.ndarray
-    phi_prime: np.ndarray
-    phi_second: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.phi, self.phi_prime, self.phi_second):
-            if len(arr) != len(self.phi):
-                raise DomainError("field arrays must share one length")
-
-
-def constant_field(n: int) -> VariationField:
-    """The phi = 1 variation (the paper's instability witness)."""
-    return VariationField(phi=np.ones(n), phi_prime=np.zeros(n), phi_second=np.zeros(n))
-
-
-def second_variation(trace: CurveTrace, phi: VariationField) -> float:
-    """General quadratic form of the second variation over a sampled trace.
-
-    Composite trapezoid over the uniform arc-length grid; the three pieces
-    weight (phi'')^2, (phi')^2 and phi^2 with curvature-dependent densities.
+    Composite trapezoid of the phi^2 density mu over the uniform arc-length
+    grid of the trace; over a closed curve it equals 2 m Upsilon.
     """
     st = trace.states
-    if len(phi.phi) != len(st):
-        raise DomainError("variation field length must match the trace")
     if trace.index is not None:
         per_period = (len(st) - 1) / trace.index.m
         if per_period < _MIN_SAMPLES_PER_PERIOD:
@@ -202,15 +172,7 @@ def second_variation(trace: CurveTrace, phi: VariationField) -> float:
         - 3.0 * kappa**p
         + p * kappa ** (p - 2.0)
     )
-    integrand = (
-        -p * (1.0 - p) * kappa ** (p - 2.0) * phi.phi_second**2
-        + (1.0 - p)
-        * ((2.0 * p + 1.0) * kappa**2 + 2.0 * p)
-        * kappa ** (p - 2.0)
-        * phi.phi_prime**2
-        + mu * phi.phi**2
-    )
-    return float(np.trapezoid(integrand, st.s))
+    return float(np.trapezoid(mu, st.s))
 
 
 def circle_second_variation(p: float) -> float:

@@ -8,6 +8,7 @@ import pytest
 from pelastica import cli
 from pelastica.cli import (
     EXIT_ADMISSIBILITY,
+    EXIT_CONVERGENCE,
     EXIT_INVARIANT,
     EXIT_IO,
     EXIT_OK,
@@ -48,6 +49,15 @@ def test_curve_command_domain_error_exit(capsys):
     # negative winding index fails index validation inside the library
     code = main(["curve", "--p", "1.5", "--n", "2", "--m", "3"])
     assert code == EXIT_ADMISSIBILITY
+
+
+@pytest.mark.parametrize("command", ["stability", "curve"])
+def test_closure_target_at_the_limit_exits_3(command, capsys):
+    # (2378, 3363) is admissible, but 2 pi 2378/3363 lies within 1e-6 of
+    # sqrt(2) pi, which Lambda approaches only as the momentum tends to a_*
+    code = main([command, "--p", "0.3", "--n", "2378", "--m", "3363"])
+    assert code == EXIT_CONVERGENCE
+    assert capsys.readouterr().err.startswith("convergence failure:")
 
 
 def test_stability_command_json(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from pelastica import hopf
+from pelastica import curve, hopf
 from pelastica.curve import unit_tangent
 from pelastica.errors import PoleCollision, SeedError
 from pelastica.hopf import (
@@ -25,7 +25,6 @@ from pelastica.hopf import (
     patch_to_json,
     patch_to_obj,
     stereographic_project,
-    surface_el_identity_residual,
 )
 
 
@@ -311,10 +310,6 @@ def test_discrete_gaussian_curvature_flat(g23_patch):
     assert float(np.max(np.abs(kg))) < 1e-2
 
 
-def test_surface_el_identity(g23_trace):
-    assert surface_el_identity_residual(g23_trace) < 1e-6
-
-
 def test_stereographic_roundtrip():
     rng = np.random.default_rng(12)
     q = _random_sphere_points(rng, 100)
@@ -371,7 +366,7 @@ def test_obj_export_matches_per_line_writer(
         patch = build_torus(all_traces(0.3, 2, 3), t_samples=5, s_samples=6)
     assert patch.closed is closed
     if block_lines is not None:
-        monkeypatch.setattr(hopf, "_BLOCK_LINES", block_lines)
+        monkeypatch.setattr(curve, "_BLOCK_LINES", block_lines)
     path = tmp_path / "mesh.obj"
     patch_to_obj(patch, str(path))
     obj_ref, curv_ref = _loop_obj_text(patch)

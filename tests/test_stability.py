@@ -9,11 +9,10 @@ from scipy.special import ellipe, ellipk
 from pelastica.errors import DomainError, ResolutionError
 from pelastica.qpotential import a_star, make_params
 from pelastica.stability import (
-    VariationField,
+    _eta,
+    _powers,
     circle_second_variation,
-    constant_field,
     elliptic_ke,
-    eta,
     second_variation,
     upsilon,
     upsilon_elliptic_half,
@@ -43,9 +42,7 @@ def test_eta_matches_direct_formula():
         + 2 * (4 * p**2 - 4 * p + 1) * k ** (p - 1)
         + p**2 * (3 - 2 * p) * k ** (p - 3)
     )
-    assert float(eta(params, k)) == pytest.approx(expected, rel=1e-14)
-    with pytest.raises(DomainError):
-        eta(params, [-1.0, 1.0])
+    assert float(_eta(params, _powers(k, k ** (1 - p)))) == pytest.approx(expected, rel=1e-14)
 
 
 def test_rewrites_agree_with_direct_quadrature():
@@ -96,8 +93,8 @@ def test_upsilon_threshold_limit():
 
 def test_general_form_reduces_to_constant_variation(g23_trace, g23_solved):
     rep = upsilon(g23_trace.params, m=g23_solved.m)
-    general = second_variation(g23_trace, constant_field(len(g23_trace.states)))
-    assert general == pytest.approx(rep.delta_squared, rel=1e-6)
+    traced = second_variation(g23_trace)
+    assert traced == pytest.approx(rep.delta_squared, rel=1e-6)
 
 
 def test_general_form_guards_resolution(g23_solved):
@@ -105,24 +102,7 @@ def test_general_form_guards_resolution(g23_solved):
 
     coarse = trace_closed_curve(0.3, g23_solved, samples_per_period=64)
     with pytest.raises(ResolutionError):
-        second_variation(coarse, constant_field(len(coarse.states)))
-
-
-def test_variation_field_length_mismatch(g23_trace):
-    with pytest.raises(DomainError):
-        second_variation(g23_trace, constant_field(10))
-
-
-def test_smooth_nonconstant_field_runs(g23_trace):
-    s = g23_trace.states.s
-    w = 2.0 * math.pi / s[-1]
-    field = VariationField(
-        phi=1.0 + 0.1 * np.cos(w * s),
-        phi_prime=-0.1 * w * np.sin(w * s),
-        phi_second=-0.1 * w * w * np.cos(w * s),
-    )
-    val = second_variation(g23_trace, field)
-    assert np.isfinite(val)
+        second_variation(coarse)
 
 
 def test_circle_second_variation_values():
