@@ -6,7 +6,7 @@ to flat tori in the 3-sphere.
 """
 
 from .closure import ClosureIndex, is_admissible, lambda_p, period, solve_closure
-from .curve import CurveTrace, embed, integrate_profile, trace_closed_curve
+from .curve import CurveTrace, embed, sample_profile, trace_closed_curve
 from .energy import circle_energy, circle_radius, energy_closed
 from .errors import PElasticaError
 from .qpotential import (
@@ -41,7 +41,6 @@ __all__ = [
     "embed",
     "energy_closed",
     "integrate_over_arch",
-    "integrate_profile",
     "is_admissible",
     "kappa_moment",
     "kappa_star",
@@ -49,6 +48,7 @@ __all__ = [
     "make_params",
     "parts_identity_residual",
     "period",
+    "sample_profile",
     "second_variation",
     "solve_closure",
     "trace_closed_curve",

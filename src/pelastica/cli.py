@@ -31,9 +31,9 @@ from .errors import (
     NotFound,
     PElasticaError,
     ResolutionError,
-    StepFailure,
 )
 from .qpotential import a_star, make_params
+from .quad import DEFAULT_REL_TOL
 
 EXIT_OK = 0
 EXIT_ADMISSIBILITY = 2
@@ -117,8 +117,8 @@ def _check_arguments(args) -> None:
         if args.n is None or args.m is None:
             raise DomainError("give either --a or both --n and --m")
     if cmd == "curve":
-        if not 0.0 < args.tol < math.inf:
-            raise DomainError("--tol must be positive")
+        if not 1e-14 <= args.tol <= 1e-3:
+            raise DomainError(f"--tol must lie in [1e-14, 1e-3], got {args.tol}")
         unknown = set(args.format.split(",")) - set(_CURVE_FORMATS)
         if unknown:
             raise DomainError(
@@ -179,7 +179,7 @@ def cmd_table1(args) -> int:
 def cmd_curve(args) -> int:
     index = closure.ClosureIndex(args.n, args.m)
     trace = curve.trace_closed_curve(
-        args.p, index, step_tol=args.tol, samples_per_period=args.samples
+        args.p, index, rel_tol=args.tol, samples_per_period=args.samples
     )
     base = args.out or f"curve_p{args.p}_n{args.n}_m{args.m}"
     formats = args.format.split(",")
@@ -213,7 +213,10 @@ def cmd_stability(args) -> int:
         "residuals": list(report.rewrite_residuals),
         "method": "quadrature",
     }
-    text = json.dumps(payload, indent=1)
+    try:
+        text = json.dumps(payload, indent=1, allow_nan=False)
+    except ValueError:
+        raise InvariantBreach(f"stability report is not finite: {payload}") from None
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -276,7 +279,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     cv.add_argument("--p", type=float, required=True)
     cv.add_argument("--n", type=int, required=True)
     cv.add_argument("--m", type=int, required=True)
-    cv.add_argument("--tol", type=float, default=defaults.get("tol", curve.DEFAULT_STEP_TOL))
+    cv.add_argument("--tol", type=float, default=defaults.get("tol", DEFAULT_REL_TOL))
     cv.add_argument(
         "--samples", type=int, default=defaults.get("samples", curve.SAMPLES_PER_PERIOD)
     )
@@ -324,7 +327,7 @@ def main(argv=None) -> int:
     except (InvariantBreach, ResolutionError) as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (ConvergenceFailure, NotFound, StepFailure) as exc:
+    except (ConvergenceFailure, NotFound) as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except DomainError as exc:

@@ -18,7 +18,12 @@ from scipy.optimize import brentq
 
 from .errors import DomainError, NotFound, ResolutionError
 from .qpotential import ElasticaParams, a_star, make_params, momentum_cap
-from .quad import DEFAULT_REL_TOL, integrate_over_arch
+from .quad import (
+    DEFAULT_REL_TOL,
+    _progression_layer,
+    _progression_numerator,
+    integrate_over_arch,
+)
 
 _SCAN_BASE = 1e-4  # first grid offset relative to a_*
 _SCAN_CAP = 1e6  # scan stops at a = cap * a_*
@@ -63,30 +68,11 @@ def lambda_p(params: ElasticaParams, rel_tol: float = DEFAULT_REL_TOL) -> float:
     simplifies to sqrt(2) pi.
     """
     p = params.p
-
-    # k^(1-p) / (a k^(2(1-p)) - p^2), with the denominator as
-    # Q + (1-p)^2 k^2; the Q-aware form avoids the cancellation that wrecks
-    # it in the inner layer at large a.
-    def numerator(k, q, r):
-        return r / (q + (1.0 - p) ** 2 * k**2)
-
-    # The denominator collapses to ~(1-p)^2 beta^2 at the lower root while Q
-    # grows like Q'(beta) (alpha-beta) theta^2 away from it; their crossover
-    # sets the theta scale of the inner layer the quadrature mesh must reach.
-    # With the on-shell Q'(beta) = 2p(1-p)(p - (1-p) beta^2)/beta the scale is
-    # formed in logs: at large momenta beta and the layer fall far below the
-    # float range, and a layer the mesh cannot reach must raise there.
-    beta = params.beta
-    layer = None
-    on_shell = p - (1.0 - p) * beta * beta
-    if on_shell > 0.0:
-        layer = math.exp(
-            math.log1p(-p)
-            + 1.5 * math.log(beta)
-            - 0.5 * math.log(2.0 * p * (1.0 - p) * on_shell * (params.alpha - beta))
-        )
     pref = 2.0 * p * (1.0 - p) ** 2 * math.sqrt(params.a)
-    return pref * integrate_over_arch(params, numerator, rel_tol, grade_floor=layer).value
+    value = integrate_over_arch(
+        params, _progression_numerator(p), rel_tol, grade_floor=_progression_layer(params)
+    ).value
+    return pref * value
 
 
 def period(params: ElasticaParams) -> float:

@@ -1,8 +1,11 @@
 """Curvature profile reconstruction and the embedded spherical curve.
 
-The curvature of a critical curve solves a second order ODE (the expanded
-Euler-Lagrange equation), which we integrate together with the angular
-progression psi.  The curve itself then comes from the explicit
+A critical curve's curvature oscillates between the roots beta < alpha of Q,
+and along it the first integral gives kappa' = +-kappa sqrt(Q)/(p(1-p)).  So
+arc length, the angular progression psi and the swept area A over a
+curvature arch are arch integrals of the same form as Lambda, and
+quad.ArchTrace evaluates all of them at any arc length from one quadrature
+over half a period.  The curve itself then comes from the explicit
 parameterization
 
     gamma(s) = (x, sqrt(1-x^2) sin psi, sqrt(1-x^2) cos psi),
@@ -11,10 +14,10 @@ parameterization
 which stays inside an open half-sphere and winds monotonically around the
 pole (0, 0, +-1).
 
-integrate_profile samples the ODE uniformly in arc length over a given
-number of curvature periods and keeps the samples as one ProfileSamples
-record of column arrays (s, kappa, kappa_prime, psi, area).  The trace, the
-Hopf lift and the second variation all read those same arrays.
+sample_profile samples the trace uniformly in arc length over a given number
+of curvature periods and keeps the samples as one ProfileSamples record of
+column arrays (s, kappa, kappa_prime, psi, area).  The trace, the Hopf lift
+and the second variation all read those same arrays.
 """
 
 from __future__ import annotations
@@ -24,19 +27,22 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .closure import ClosureIndex, period, solve_closure
-from .errors import DomainError, InvariantBreach, StepFailure
+from .closure import ClosureIndex, solve_closure
+from .errors import DomainError
 from .qpotential import ElasticaParams, make_params
+from .quad import DEFAULT_REL_TOL, ArchTrace
 
-DEFAULT_STEP_TOL = 1e-10
 SAMPLES_PER_PERIOD = 512
-_RESIDUAL_BREACH = 1e-6
 # Lines formatted per string operation when writing numeric text files: one
 # format per line is slow, one over the whole file holds every line's text
 # and float objects at once.
 _BLOCK_LINES = 16384
+# One trace sample as json.dump(..., indent=1) writes it inside "samples".
+_JSON_SAMPLE = (
+    '  {\n   "s": %r,\n   "kappa": %r,\n   "kappa_prime": %r,\n   "psi": %r,\n'
+    '   "point": [\n    %r,\n    %r,\n    %r\n   ]\n  }'
+)
 
 
 @dataclass(frozen=True)
@@ -62,22 +68,6 @@ class ProfileSamples:
         return len(self.s)
 
 
-def first_integral_residual(p: float, a: float, kappa, kappa_prime):
-    """Absolute deviation of the conserved momentum along a trajectory.
-
-    The conserved combination is
-    p^2 (1-p)^2 k^(2(p-2)) k'^2 + (1-p)^2 k^(2p) + p^2 k^(2(p-1)) = a.
-    """
-    kappa = np.asarray(kappa, dtype=float)
-    kp = np.asarray(kappa_prime, dtype=float)
-    val = (
-        p**2 * (1.0 - p) ** 2 * kappa ** (2.0 * (p - 2.0)) * kp**2
-        + (1.0 - p) ** 2 * kappa ** (2.0 * p)
-        + p**2 * kappa ** (2.0 * (p - 1.0))
-    )
-    return np.abs(val - a)
-
-
 def psi_rate(p: float, a: float, kappa, kappa_prime):
     """Angular speed psi' evaluated on-shell.
 
@@ -94,60 +84,38 @@ def psi_rate(p: float, a: float, kappa, kappa_prime):
 
 @dataclass
 class ProfileResult:
-    """Integrated curvature profile: uniform samples and dense output."""
+    """Uniform samples of a curvature profile and the trace they came from."""
 
-    params: ElasticaParams
+    arch: ArchTrace  # evaluates (kappa, kappa', psi, A) at any arc length
     states: ProfileSamples
-    sol: object  # scipy OdeSolution of (kappa, kappa', psi, A) over [0, states.s[-1]]
+
+    @property
+    def params(self) -> ElasticaParams:
+        return self.arch.params
 
 
-def integrate_profile(
+def sample_profile(
     params: ElasticaParams,
     periods: float,
-    step_tol: float = DEFAULT_STEP_TOL,
+    rel_tol: float = DEFAULT_REL_TOL,
     samples_per_period: int = SAMPLES_PER_PERIOD,
 ) -> ProfileResult:
-    """Integrate the curvature ODE from the minimum-curvature point over
-    `periods` curvature periods (any positive number, not only whole ones).
+    """Sample the profile from the minimum-curvature point over `periods`
+    curvature periods (any positive number, not only whole ones).
 
-    State is (kappa, kappa', psi, A) with kappa(0) = beta, kappa'(0) = 0,
-    psi(0) = A(0) = 0, where A' = (1 - x) psi' is the spherical area swept
-    between the curve and the pole (1, 0, 0); the Hopf lift takes its fiber
-    phase A/2 from it.  The ODE's solution at samples_per_period uniform
-    points per period is kept as the ProfileSamples columns, not copied.
+    The state at s is (kappa, kappa', psi, A) with kappa(0) = beta,
+    kappa'(0) = 0 and psi(0) = A(0) = 0 (to roundoff, ~1e-19), where A is
+    the spherical area swept between the curve and the pole (1, 0, 0); the
+    Hopf lift takes its fiber phase A/2 from it.  rel_tol is the arch
+    quadrature's tolerance, and the samples_per_period uniform samples per
+    period become the ProfileSamples columns.
     """
     if periods <= 0.0:
         raise DomainError("periods must be positive")
-    p, a = params.p, params.a
-    x_scale = p / math.sqrt(a)
-
-    def rhs(s, y):
-        k, kp, psi, _ = y
-        k2pp = (2.0 - p) * kp * kp / k - k**3 / p + k / (1.0 - p)
-        psip = psi_rate(p, a, k, kp)
-        return (kp, k2pp, psip, (1.0 - x_scale * k ** (p - 1.0)) * psip)
-
-    s_end = periods * period(params)
+    arch = ArchTrace(params, rel_tol)
     n_samples = max(2, int(round(samples_per_period * periods)) + 1)
-    sol = solve_ivp(
-        rhs,
-        (0.0, s_end),
-        [params.beta, 0.0, 0.0, 0.0],
-        method="DOP853",
-        rtol=step_tol,
-        atol=step_tol * min(params.beta, 1.0),
-        dense_output=True,
-        t_eval=np.linspace(0.0, s_end, n_samples),
-    )
-    if not sol.success:
-        raise StepFailure(f"profile integration failed: {sol.message}")
-    states = ProfileSamples(sol.t, *sol.y)
-    worst = float(np.max(first_integral_residual(p, a, states.kappa, states.kappa_prime)))
-    if worst > _RESIDUAL_BREACH * a:
-        raise InvariantBreach(
-            f"first-integral residual {worst:.3e} exceeds {_RESIDUAL_BREACH:g} * a"
-        )
-    return ProfileResult(params=params, states=states, sol=sol.sol)
+    s = np.linspace(0.0, periods * arch.period, n_samples)
+    return ProfileResult(arch=arch, states=ProfileSamples(s, *arch.at(s)))
 
 
 @dataclass
@@ -199,16 +167,16 @@ def embed(profile: ProfileResult, index: ClosureIndex | None = None) -> CurveTra
 def trace_closed_curve(
     p: float,
     index: ClosureIndex,
-    step_tol: float = DEFAULT_STEP_TOL,
+    rel_tol: float = DEFAULT_REL_TOL,
     samples_per_period: int = SAMPLES_PER_PERIOD,
 ) -> CurveTrace:
     """Solve the closure condition (unless already solved) and build the trace."""
     if index.a_solved is None:
         index = solve_closure(p, index)
-    profile = integrate_profile(
+    profile = sample_profile(
         make_params(p, index.a_solved),
         index.m,
-        step_tol=step_tol,
+        rel_tol=rel_tol,
         samples_per_period=samples_per_period,
     )
     return embed(profile, index=index)
@@ -217,7 +185,7 @@ def trace_closed_curve(
 def unit_tangent(params: ElasticaParams, kappa, kappa_prime, psi) -> np.ndarray:
     """Analytic unit tangent gamma'(s) from profile values, shape (..., 3).
 
-    Takes numpy arrays or scalars (the dense profile solution's values).
+    Takes numpy arrays or scalars (ArchTrace.at's values).
     """
     p, a = params.p, params.a
     x = p * kappa ** (p - 1.0) / math.sqrt(a)
@@ -279,9 +247,13 @@ def trace_to_csv(trace: CurveTrace, path: str) -> None:
 
 
 def trace_to_json(trace: CurveTrace, path: str) -> None:
-    """Write trace metadata and samples as JSON."""
+    """Write trace metadata and samples as JSON, the text of
+    json.dump(meta, fh, indent=1) with the samples under "samples".
+
+    The samples go through the blocked line writer: %r of a finite float is
+    its JSON text.
+    """
     st = trace.states
-    columns = [c.tolist() for c in (st.s, st.kappa, st.kappa_prime, st.psi, trace.points)]
     meta = {
         "p": trace.params.p,
         "a": trace.params.a,
@@ -289,13 +261,14 @@ def trace_to_json(trace: CurveTrace, path: str) -> None:
         "m": trace.index.m if trace.index else None,
         "closureGap": trace.closure_gap,
         "windingNumber": trace.winding_number,
-        "samples": [
-            {"s": s, "kappa": k, "kappa_prime": kp, "psi": psi, "point": point}
-            for s, k, kp, psi, point in zip(*columns)
-        ],
     }
+    rows = np.column_stack([st.s, st.kappa, st.kappa_prime, st.psi, trace.points])
     with open(path, "w") as fh:
-        json.dump(meta, fh, indent=1)
+        # the metadata object without its closing "\n}"
+        fh.write(json.dumps(meta, indent=1)[:-2] + ',\n "samples": [\n')
+        _write_lines(fh, _JSON_SAMPLE + ",\n", rows[:-1])
+        _write_lines(fh, _JSON_SAMPLE + "\n", rows[-1:])
+        fh.write(" ]\n}")
 
 
 def trace_to_svg(trace: CurveTrace, path: str) -> None:

@@ -2,7 +2,9 @@
 
 The CLI maps each exception to one of its exit codes, the EXIT_* constants
 in pelastica.cli: domain errors to 2, invariant breaches and resolution
-errors to 4, and every other library error to 3.
+errors to 4, and every other library error to 3.  InvariantBreach is raised
+by the CLI itself, when a report holds a value that is not a finite number
+and so has no JSON text.
 """
 
 
@@ -26,12 +28,9 @@ class NotFound(PElasticaError):
     """A bracketed search found no sign change on its scan grid."""
 
 
-class StepFailure(PElasticaError):
-    """The ODE integrator underflowed its minimum step size."""
-
-
 class InvariantBreach(PElasticaError):
-    """A conserved quantity drifted beyond its tolerance."""
+    """A computed result breaks an invariant it must satisfy, such as being
+    finite."""
 
 
 class ResolutionError(PElasticaError):

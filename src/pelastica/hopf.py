@@ -13,10 +13,11 @@ closed form,
 
     q(s) = e^(i phi(s)) sigma(gamma(s)),  phi' = (1 - x) psi' / 2,
 
-with phi = A/2 for the swept area A that the profile ODE integrates; the
-holonomy A(L)/2 is the area-holonomy relation (Pinkall 1985).  Phase-rotating
-the lift sweeps out a flat torus (or cylinder segment when the holonomy does
-not close) whose mean curvature is kappa/2.
+with phi = A/2 for the swept area A that the arch quadrature traces along
+with psi (curve.sample_profile); the holonomy A(L)/2 is the area-holonomy
+relation (Pinkall 1985).  Phase-rotating the lift sweeps out a flat torus (or
+cylinder segment when the holonomy does not close) whose mean curvature is
+kappa/2.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ class HopfLift:
 
 def _lift_at(trace: CurveTrace, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form lift e^(i A/2) sigma(gamma) at arc lengths s, shape (len(s), 4),
-    and kappa there, from one evaluation of the profile's dense output."""
-    kappa, _, psi, area = trace.profile.sol(s)
+    and kappa there, from one evaluation of the profile's arch trace."""
+    kappa, _, psi, area = trace.profile.arch.at(s)
     sigma = fiber_seed(_embed_points(trace.params, kappa, psi))
     return _phase_rotate(sigma, 0.5 * area), kappa
 
@@ -92,8 +93,7 @@ def horizontal_lift(trace: CurveTrace) -> HopfLift:
     """Evaluate the horizontal lift e^(i phi) sigma(gamma) at the trace samples.
 
     The phase phi = A/2 and the holonomy A(L)/2 mod 2 pi come from the swept
-    area that the profile ODE sampled along with the trace, so no second ODE
-    is solved.
+    area sampled along with the trace, so no ODE is solved.
     """
     st = trace.states
     angle = (0.5 * float(st.area[-1])) % (2.0 * math.pi)
@@ -158,7 +158,7 @@ def build_torus(trace: CurveTrace, t_samples: int = 256, s_samples: int = 128) -
     """Sweep the lift through the fiber phases into a quad mesh.
 
     The first cover's s columns evaluate the closed-form lift
-    e^(i phi) sigma(gamma) from the profile's dense output.  If the lift
+    e^(i phi) sigma(gamma) from the profile's arch trace.  If the lift
     holonomy is a rational angle, the s-range is extended over the smallest
     closing cover within MAX_COVERS (the lift over cover k equals the first
     cover phase-rotated by k times the holonomy).

@@ -40,6 +40,11 @@ relative estimate is bisected, both children in one integrand call.  The
 initial mesh goes through the integrand in blocks of at most 128 panels
 (5760 nodes) per call; the values equal those of one call per rule bit for
 bit, since every node and every weighted sum is formed the same way.
+
+ArchTrace runs the same rule on the rows of arc length, progression and
+swept area, and keeps every half panel's 15 node values as the Legendre
+coefficients of their antiderivative: a dense output of the three integrals
+over theta, from which a curve's profile is read at any arc length.
 """
 
 from __future__ import annotations
@@ -73,6 +78,19 @@ _THETA_FLOOR = 1e-300
 _BLOCK_PANELS = 128
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+# GL15 values -> Legendre coefficients of their interpolant, and of its
+# antiderivative from u = -1 (exact: the rule integrates degree 29).
+_TO_LEGENDRE = (
+    (np.arange(15) + 0.5)[:, None]
+    * np.polynomial.legendre.legvander(_GL_NODES, 14).T
+    * _GL_WEIGHTS
+)
+_ANTIDERIVATIVE = np.polynomial.legendre.legint(_TO_LEGENDRE, lbnd=-1)
+# Newton steps on a panel polynomial: at most this many, and none after a
+# step in the local variable u in [-1, 1] below _NEWTON_U_TOL, since the
+# convergence is quadratic and the next step would be at roundoff.
+_NEWTON_STEPS = 8
+_NEWTON_U_TOL = 1e-8
 
 
 def limit_at_maximum(params: ElasticaParams, numerator: Callable):
@@ -132,8 +150,12 @@ def _polish_root(p: float, a: float, kappa: float):
     return k - q / _q_derivatives(p, a, k)[0]
 
 
-def _make_theta_integrand(params: ElasticaParams, numerator: Callable):
-    """theta nodes -> (rows, nodes) integrand values of the numerator."""
+def _theta_map(params: ElasticaParams):
+    """(alpha - beta, theta -> (kappa, Q, r, sin^2 theta, cos^2 theta)).
+
+    The map works in extended precision with the polished roots, and Q is
+    stabilised by its Taylor expansion about the nearer root.
+    """
     p, a = params.p, params.a
     beta, alpha = _polish_root(p, a, params.beta), _polish_root(p, a, params.alpha)
     width = alpha - beta
@@ -147,7 +169,7 @@ def _make_theta_integrand(params: ElasticaParams, numerator: Callable):
         d1, d2, d3 = coeffs
         return d * (d1 + d * (0.5 * d2 + d * (d3 / 6.0)))
 
-    def integrand(theta):
+    def at(theta):
         s2 = np.sin(theta).astype(np.longdouble) ** 2
         c2 = np.cos(theta).astype(np.longdouble) ** 2
         # Root distances come straight from the substitution, so they stay
@@ -162,7 +184,17 @@ def _make_theta_integrand(params: ElasticaParams, numerator: Callable):
         q_scale = lead + mid_term + p2_l
         q_taylor = np.where(s2 < c2, taylor(db, d_beta), taylor(da, -d_alpha))
         cancelling = np.abs(q_direct) < _Q_SWITCH * q_scale
-        q = np.where(cancelling, q_taylor, q_direct)
+        return kl, np.where(cancelling, q_taylor, q_direct), r, s2, c2
+
+    return width, at
+
+
+def _make_theta_integrand(params: ElasticaParams, numerator: Callable):
+    """theta nodes -> (rows, nodes) integrand values of the numerator."""
+    width, at = _theta_map(params)
+
+    def integrand(theta):
+        kl, q, r, s2, c2 = at(theta)
         if np.any(q <= 0.0):
             raise DomainError("Q <= 0 inside (beta, alpha): inconsistent roots")
         # Everything stays in extended precision: on the deepest graded
@@ -190,11 +222,12 @@ def _arch_breaks(params: ElasticaParams, grade_floor: float | None = None) -> np
 
 
 def _panels(f, lo, hi):
-    """(fine, err) of the panels [lo, hi], each of shape (rows, panels).
+    """(fine, err, halves) of the panels [lo, hi].
 
     fine sums the GL15 rules on a panel's two halves and err is its distance
-    from the rule on the whole panel.  The 45 nodes of every panel go through
-    one integrand call.
+    from the rule on the whole panel, each of shape (rows, panels); halves
+    holds the integrand at the halves' nodes, shape (rows, 2, panels, 15).
+    The 45 nodes of every panel go through one integrand call.
     """
     mid = 0.5 * (lo + hi)
     # axis 0: the whole panel, its left half, its right half
@@ -206,16 +239,70 @@ def _panels(f, lo, hi):
     # narrowing.
     rules = (half * (values @ _GL_WEIGHTS)).astype(float)
     coarse, fine = rules[:, 0], rules[:, 1] + rules[:, 2]
-    return fine, np.abs(coarse - fine)
+    return fine, np.abs(coarse - fine), values[:, 1:]
 
 
-def _heap_entries(lo, hi, fine, err, scale):
-    """Heap entries (-priority, lo, hi, fine, err), one per panel.
+def _heap_entries(lo, hi, fine, err, scale, halves=None):
+    """Heap entries (-priority, lo, hi, fine, err), one per panel, with the
+    panel's (rows, 2, 15) half-panel values appended when halves is given.
 
     A panel's priority is its largest error relative to the scale of its row.
     """
     priority = np.max(err / scale[:, None], axis=0)
-    return list(zip((-priority).tolist(), lo.tolist(), hi.tolist(), fine.T, err.T))
+    columns = [(-priority).tolist(), lo.tolist(), hi.tolist(), fine.T, err.T]
+    if halves is not None:
+        columns.append(np.moveaxis(halves, 2, 0))
+    return list(zip(*columns))
+
+
+def _adapt(params, numerator, rel_tol, grade_floor, keep_values=False):
+    """Row totals, their error sums and the final panels' heap entries.
+
+    Bisects the worst panel of the initial mesh while any row misses
+    rel_tol; keep_values keeps each panel's half-panel values in its entry.
+    """
+    f = _make_theta_integrand(params, numerator)
+    if grade_floor is not None and not grade_floor / 8.0 >= _THETA_FLOOR:
+        raise ResolutionError(
+            f"inner layer's theta scale is below {8.0 * _THETA_FLOOR:g}, "
+            "the arch mesh's reach"
+        )
+    breaks = _arch_breaks(params, grade_floor)
+    los, his = breaks[:-1], breaks[1:]
+    blocks = [
+        _panels(f, los[start : start + _BLOCK_PANELS], his[start : start + _BLOCK_PANELS])
+        for start in range(0, len(los), _BLOCK_PANELS)
+    ]
+    fine = np.concatenate([b[0] for b in blocks], axis=1)
+    err = np.concatenate([b[1] for b in blocks], axis=1)
+    halves = np.concatenate([b[2] for b in blocks], axis=2) if keep_values else None
+    total, total_err = fine.sum(axis=1), err.sum(axis=1)
+    scale = np.maximum(np.abs(total), 1e-300)
+    heap = _heap_entries(los, his, fine, err, scale, halves)
+    heapq.heapify(heap)
+    n_panels = len(heap)
+    while np.any(total_err > rel_tol * np.maximum(np.abs(total), 1e-300)):
+        if n_panels >= _PANEL_CAP:
+            raise ConvergenceFailure("adaptive quadrature exceeded panel cap")
+        _, lo, hi, v, e, *_ = heapq.heappop(heap)
+        total = total - v
+        total_err = total_err - e
+        mid = 0.5 * (lo + hi)
+        c_lo, c_hi = np.array([lo, mid]), np.array([mid, hi])
+        c_fine, c_err, c_halves = _panels(f, c_lo, c_hi)
+        for child in _heap_entries(
+            c_lo, c_hi, c_fine, c_err, scale, c_halves if keep_values else None
+        ):
+            heapq.heappush(heap, child)
+            total = total + child[3]
+            total_err = total_err + child[4]
+        n_panels += 1
+    return total, total_err, heap
+
+
+def _check_rel_tol(rel_tol: float) -> None:
+    if not 1e-14 <= rel_tol <= 1e-3:
+        raise DomainError("rel_tol must lie in [1e-14, 1e-3]")
 
 
 def integrate_over_arch(
@@ -244,47 +331,158 @@ def integrate_over_arch(
     ResolutionError.  Near-circular parameters short-circuit to the
     local-maximum limit.
     """
-    if not 1e-14 <= rel_tol <= 1e-3:
-        raise DomainError("rel_tol must lie in [1e-14, 1e-3]")
+    _check_rel_tol(rel_tol)
     if params.near_circular:
         limit = limit_at_maximum(params, numerator)
         return SingularIntegral(value=limit, error_estimate=0.0 * limit)
 
-    f = _make_theta_integrand(params, numerator)
-    if grade_floor is not None and not grade_floor / 8.0 >= _THETA_FLOOR:
-        raise ResolutionError(
-            f"inner layer's theta scale is below {8.0 * _THETA_FLOOR:g}, "
-            "the arch mesh's reach"
-        )
-    breaks = _arch_breaks(params, grade_floor)
-    los, his = breaks[:-1], breaks[1:]
-    blocks = [
-        _panels(f, los[start : start + _BLOCK_PANELS], his[start : start + _BLOCK_PANELS])
-        for start in range(0, len(los), _BLOCK_PANELS)
-    ]
-    fine = np.concatenate([b[0] for b in blocks], axis=1)
-    err = np.concatenate([b[1] for b in blocks], axis=1)
-    total, total_err = fine.sum(axis=1), err.sum(axis=1)
-    scale = np.maximum(np.abs(total), 1e-300)
-    heap = _heap_entries(los, his, fine, err, scale)
-    heapq.heapify(heap)
-    n_panels = len(heap)
-    while np.any(total_err > rel_tol * np.maximum(np.abs(total), 1e-300)):
-        if n_panels >= _PANEL_CAP:
-            raise ConvergenceFailure("adaptive quadrature exceeded panel cap")
-        _, lo, hi, v, e = heapq.heappop(heap)
-        total = total - v
-        total_err = total_err - e
-        mid = 0.5 * (lo + hi)
-        c_lo, c_hi = np.array([lo, mid]), np.array([mid, hi])
-        for child in _heap_entries(c_lo, c_hi, *_panels(f, c_lo, c_hi), scale):
-            heapq.heappush(heap, child)
-            total = total + child[3]
-            total_err = total_err + child[4]
-        n_panels += 1
+    total, total_err, _ = _adapt(params, numerator, rel_tol, grade_floor)
     if total.size == 1:
         total, total_err = float(total[0]), float(total_err[0])
     return SingularIntegral(value=total, error_estimate=total_err)
+
+
+def _progression_numerator(p: float) -> Callable:
+    """Lambda's numerator kappa^(1-p) / (a kappa^(2(1-p)) - p^2).
+
+    The denominator is formed as Q + (1-p)^2 kappa^2; the Q-aware form avoids
+    the cancellation that wrecks it in the inner layer at large a.
+    """
+
+    def numerator(k, q, r):
+        return r / (q + (1.0 - p) ** 2 * k**2)
+
+    return numerator
+
+
+def _progression_layer(params: ElasticaParams) -> float | None:
+    """theta scale of the inner layer of Lambda's numerator, or None.
+
+    The denominator collapses to ~(1-p)^2 beta^2 at the lower root while Q
+    grows like Q'(beta) (alpha-beta) theta^2 away from it; their crossover
+    sets the theta scale of the inner layer the quadrature mesh must reach.
+    With the on-shell Q'(beta) = 2p(1-p)(p - (1-p) beta^2)/beta the scale is
+    formed in logs: at large momenta beta and the layer fall far below the
+    float range, and a layer the mesh cannot reach must raise there.
+    """
+    p, beta = params.p, params.beta
+    on_shell = p - (1.0 - p) * beta * beta
+    if on_shell <= 0.0:
+        return None
+    return math.exp(
+        math.log1p(-p)
+        + 1.5 * math.log(beta)
+        - 0.5 * math.log(2.0 * p * (1.0 - p) * on_shell * (params.alpha - beta))
+    )
+
+
+class ArchTrace:
+    """Curvature, progression and swept area of a curve as functions of arc
+    length, from one arch quadrature over half a curvature period.
+
+    Three rows are integrated on one mesh from the curvature minimum beta to
+    the maximum alpha:
+
+        ds   = p(1-p)/kappa                               dkappa/sqrt(Q)
+        dpsi = p(1-p)^2 sqrt(a) kappa^(1-p)/(a kappa^(2(1-p)) - p^2) dkappa/sqrt(Q)
+        dA   = (1 - p/(sqrt(a) kappa^(1-p))) dpsi
+
+    (psi's numerator is Lambda's, A is the area swept between the curve and
+    the pole (1, 0, 0)).  Every half panel keeps its 15 Gauss-Legendre values
+    as the Legendre coefficients of their antiderivative in the panel's local
+    variable u in [-1, 1], so each row is a piecewise polynomial in theta and
+    costs no further integrand calls.
+
+    at(s) reduces s to the rising half period by the profile's symmetries:
+    reflection, kappa(T - s) = kappa(s), kappa'(T - s) = -kappa'(s),
+    psi(T - s) = Lambda - psi(s), A(T - s) = A(T) - A(s); and shift, s + T
+    adding Lambda to psi and A(T) to A.  It then solves s(theta) = s by
+    Newton's method on the panel polynomial, reads kappa = beta + (alpha -
+    beta) sin^2(theta) and kappa' = +-kappa sqrt(Q)/(p(1-p)) from the first
+    integral, and psi and A from their antiderivatives.
+    """
+
+    def __init__(self, params: ElasticaParams, rel_tol: float = DEFAULT_REL_TOL):
+        _check_rel_tol(rel_tol)
+        p, sqrt_a = params.p, math.sqrt(params.a)
+        progression = _progression_numerator(p)
+
+        def numerator(k, q, r):
+            dpsi = p * (1.0 - p) ** 2 * sqrt_a * progression(k, q, r)
+            return p * (1.0 - p) / k, dpsi, (1.0 - p / (sqrt_a * r)) * dpsi
+
+        _, _, heap = _adapt(
+            params, numerator, rel_tol, _progression_layer(params), keep_values=True
+        )
+        heap.sort(key=lambda entry: entry[1])
+        lo = np.array([entry[1] for entry in heap])
+        hi = np.array([entry[2] for entry in heap])
+        # (rows, half panels, 15), the half panels in theta order
+        values = np.stack([entry[5] for entry in heap], axis=1).reshape(3, -1, _GL_NODES.size)
+        edges = np.append(np.column_stack([lo, 0.5 * (lo + hi)]).ravel(), hi[-1])
+        self._centre = 0.5 * (edges[:-1] + edges[1:])
+        self._half = 0.5 * (edges[1:] - edges[:-1])
+        # Scaled by the half width in extended precision before narrowing:
+        # the integrand's values can overflow float64 on the deepest panels.
+        half = self._half[:, None]
+        antiderivative = values @ _ANTIDERIVATIVE.T * half
+        self._antiderivative = antiderivative.astype(float)
+        self._slope = (values[0] @ _TO_LEGENDRE.T * half).astype(float)
+        # P_k(1) = 1, so a half panel's integral is its coefficients' sum.
+        steps = antiderivative.sum(axis=-1)
+        self._cumulative = np.concatenate(
+            [np.zeros((3, 1)), np.cumsum(steps, axis=1).astype(float)], axis=1
+        )
+        self.params = params
+        self._theta_map = _theta_map(params)[1]
+        half_period, half_progression, half_area = self._cumulative[:, -1]
+        self.period = 2.0 * half_period
+        self.progression = 2.0 * half_progression
+        self.area = 2.0 * half_area
+
+    def _locate(self, s_half: np.ndarray):
+        """Half panel index, local variable u and Legendre basis at u of the
+        points where the arc-length row reaches s_half in [0, T/2]."""
+        cumulative = self._cumulative[0]
+        last = len(self._half) - 1
+        panel = np.clip(np.searchsorted(cumulative, s_half, side="right") - 1, 0, last)
+        target = s_half - cumulative[panel]
+        coeffs, slope = self._antiderivative[0, panel], self._slope[panel]
+        u = np.clip(2.0 * target / (cumulative[panel + 1] - cumulative[panel]) - 1.0, -1.0, 1.0)
+        for _ in range(_NEWTON_STEPS):
+            basis = np.polynomial.legendre.legvander(u, _GL_NODES.size)
+            step = (np.einsum("ij,ij->i", basis, coeffs) - target) / np.einsum(
+                "ij,ij->i", basis[:, :-1], slope
+            )
+            u = np.clip(u - step, -1.0, 1.0)
+            if np.max(np.abs(step), initial=0.0) < _NEWTON_U_TOL:
+                break
+        else:
+            raise ConvergenceFailure("Newton's method on the arc-length polynomial failed")
+        return panel, u, np.polynomial.legendre.legvander(u, _GL_NODES.size)
+
+    def at(self, s):
+        """(kappa, kappa', psi, A) at arc lengths s, an array of any shape,
+        with s = 0 at the curvature minimum."""
+        s = np.asarray(s, dtype=float)
+        flat = s.ravel()
+        turns = np.floor(flat / self.period)
+        rest = flat - turns * self.period
+        falling = rest > 0.5 * self.period
+        panel, u, basis = self._locate(np.where(falling, self.period - rest, rest))
+        kappa, q, *_ = self._theta_map(self._centre[panel] + self._half[panel] * u)
+        p = self.params.p
+        speed = kappa * np.sqrt(np.maximum(q, 0.0)) / (p * (1.0 - p))
+        psi_half, area_half = self._cumulative[1:, panel] + np.einsum(
+            "rij,ij->ri", self._antiderivative[1:, panel], basis
+        )
+        columns = (
+            kappa.astype(float),
+            np.where(falling, -speed, speed).astype(float),
+            turns * self.progression + np.where(falling, self.progression - psi_half, psi_half),
+            turns * self.area + np.where(falling, self.area - area_half, area_half),
+        )
+        return tuple(column.reshape(s.shape) for column in columns)
 
 
 def kappa_moment(params: ElasticaParams, t: float) -> float:

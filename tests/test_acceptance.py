@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from ode_reference import first_integral_residual, ode_profile, ode_trace
 from scipy.optimize import brentq
 
 from pelastica.cli import (
@@ -22,7 +23,6 @@ from pelastica.cli import (
     _solve_row,
 )
 from pelastica.closure import lambda_p, period
-from pelastica.curve import first_integral_residual, integrate_profile
 from pelastica.energy import circle_energy, circle_radius, energy_closed
 from pelastica.hopf import (
     SPHERE_RADIUS,
@@ -97,12 +97,13 @@ def test_criterion_01_reference_table():
 def test_disputed_cells_agree_across_pipelines(solved_rows, all_traces):
     # The cells criterion 1 disputes (gamma_{4,7} second variation, gamma_{5,8}
     # energy and second variation) by three pipelines: direct arch quadrature,
-    # its three algebraic rewrites, and the ODE trace plus trapezoid.
+    # its three algebraic rewrites, and the DOP853 profile ODE's trace plus
+    # trapezoid.
     p = 0.3
     values = {}
     for n, m in ((4, 7), (5, 8)):
         params = make_params(p, solved_rows[(p, n, m)].a_solved)
-        trace = all_traces(p, n, m)
+        trace = ode_trace(all_traces(p, n, m))
         report = upsilon(params, m=m)
         delta2_trace = second_variation(trace)
         theta = energy_closed(params, m)
@@ -289,9 +290,10 @@ def test_criterion_08_lift_and_torus(g23_trace):
 
 
 def test_criterion_09_pipeline_cross_checks(g23_params, g23_solved, g23_trace):
+    # the DOP853 profile ODE against the arch quadratures
     rho = period(g23_params)
-    prof = integrate_profile(g23_params, 1.3)
-    lam_gap = abs(prof.sol(rho)[2] - lambda_p(g23_params)) / lambda_p(g23_params)
+    sol = ode_profile(g23_params, 1.3).sol
+    lam_gap = abs(sol(rho)[2] - lambda_p(g23_params)) / lambda_p(g23_params)
 
     st = g23_trace.states
     theta_trace = float(np.trapezoid(st.kappa**g23_params.p, st.s))
@@ -299,7 +301,7 @@ def test_criterion_09_pipeline_cross_checks(g23_params, g23_solved, g23_trace):
     theta_gap = abs(theta_trace - theta_quad) / theta_quad
 
     # return time of the curvature minimum: kappa' crosses zero upward near rho
-    rho_ode = brentq(lambda t: prof.sol(t)[1], 0.8 * rho, 1.2 * rho, xtol=1e-14)
+    rho_ode = brentq(lambda t: sol(t)[1], 0.8 * rho, 1.2 * rho, xtol=1e-14)
     rho_gap = abs(rho_ode - rho) / rho
     ok = lam_gap < 1e-7 and theta_gap < 1e-6 and rho_gap < 1e-8
     _report(

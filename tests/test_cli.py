@@ -80,6 +80,27 @@ def test_stability_command_closed_curve_report(capsys):
     assert payload["delta2"] == 2 * payload["m"] * payload["upsilon"]
 
 
+def test_stability_non_finite_report_exits_4_and_writes_nothing(tmp_path, capsys):
+    # At p = 0.99, a = 953921.8 the kappa^(p-3) moment is ~3e303 and its
+    # term in the third rewrite overflows, so that residual is NaN, which
+    # has no JSON text.
+    out = tmp_path / "report.json"
+    code = main(["stability", "--p", "0.99", "--a", "953921.8", "--out", str(out)])
+    assert code == EXIT_INVARIANT
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_tol_is_checked_like_the_option(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("tol = 1e-20\n")
+    argv = ["--config", str(cfg), "curve", "--p", "0.3", "--n", "2", "--m", "3",
+            "--out", str(tmp_path / "c"), "--format", "json"]
+    assert main(argv) == EXIT_ADMISSIBILITY
+    assert "--tol must lie in [1e-14, 1e-3]" in capsys.readouterr().err
+    assert main(argv + ["--tol", "1e-12"]) == EXIT_OK
+
+
 def test_stability_command_rejects_conflicting_args(capsys):
     code = main(["stability", "--p", "0.3", "--a", "1.0", "--n", "2", "--m", "3"])
     assert code == EXIT_ADMISSIBILITY
@@ -164,6 +185,8 @@ def test_table_command_flags_known_discrepancies(tmp_path, capsys):
         ["curve", "--p", "0.3", "--n", "2", "--m", "3", "--format", "csv,xml"],
         ["curve", "--p", "0.3", "--n", "2", "--m", "3", "--samples", "-1"],
         ["curve", "--p", "0.3", "--n", "2", "--m", "3", "--tol", "0"],
+        ["curve", "--p", "0.3", "--n", "2", "--m", "3", "--tol", "1e-20"],
+        ["curve", "--p", "0.3", "--n", "2", "--m", "3", "--tol", "0.01"],
         ["sweep", "--p", "0.3", "--count", "0"],
         ["sweep", "--p", "0.3", "--offset-min", "0"],
         ["sweep", "--p", "0.3", "--offset-min", "10", "--offset-max", "1"],
@@ -174,7 +197,7 @@ def test_bad_arguments_exit_2_before_any_computation(argv, tmp_path, monkeypatch
     def forbidden(*args, **kwargs):
         raise AssertionError("computation started before argument validation")
 
-    for name in ("trace_closed_curve", "integrate_profile"):
+    for name in ("trace_closed_curve", "sample_profile"):
         monkeypatch.setattr(cli.curve, name, forbidden)
     for name in ("solve_closure", "lambda_p"):
         monkeypatch.setattr(cli.closure, name, forbidden)

@@ -1,19 +1,24 @@
-"""Profile integration, embedding and closed-curve diagnostics."""
+"""Profile sampling, embedding and closed-curve diagnostics."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from ode_reference import first_integral_residual, ode_profile
 
-from pelastica.closure import lambda_p, period
+import pelastica
+from pelastica import curve
+from pelastica.closure import ClosureIndex, lambda_p, period, solve_closure
 from pelastica.curve import (
     embed,
-    first_integral_residual,
     geodesic_curvature_check,
-    integrate_profile,
     monotone_progression_check,
     psi_rate,
+    sample_profile,
     trace_to_csv,
     trace_to_json,
     trace_to_svg,
@@ -25,7 +30,7 @@ from pelastica.qpotential import a_star, make_params
 
 
 def test_profile_conserves_first_integral(g23_params):
-    prof = integrate_profile(g23_params, 3.0)
+    prof = sample_profile(g23_params, 3.0)
     st = prof.states
     worst = float(np.max(first_integral_residual(0.3, g23_params.a, st.kappa, st.kappa_prime)))
     assert worst < 1e-8 * g23_params.a
@@ -43,8 +48,8 @@ def test_samples_are_one_shared_read_only_record(g23_trace):
 
 def test_profile_returns_to_minimum_after_one_period(g23_params):
     rho = period(g23_params)
-    prof = integrate_profile(g23_params, 1.0)
-    kappa_end, kappa_prime_end, _, _ = prof.sol(rho)
+    prof = sample_profile(g23_params, 1.0)
+    kappa_end, kappa_prime_end, _, _ = prof.arch.at(rho)
     assert kappa_end == pytest.approx(g23_params.beta, rel=1e-8)
     assert abs(kappa_prime_end) < 1e-8 * g23_params.beta
     # curvature stays within the arch
@@ -55,8 +60,8 @@ def test_profile_returns_to_minimum_after_one_period(g23_params):
 
 def test_psi_over_one_period_equals_lambda(g23_params):
     rho = period(g23_params)
-    prof = integrate_profile(g23_params, 1.0)
-    assert prof.sol(rho)[2] == pytest.approx(lambda_p(g23_params), rel=1e-9)
+    prof = sample_profile(g23_params, 1.0)
+    assert prof.arch.at(rho)[2] == pytest.approx(lambda_p(g23_params), rel=1e-9)
 
 
 def test_psi_rate_on_shell_matches_raw_form():
@@ -71,7 +76,7 @@ def test_psi_rate_on_shell_matches_raw_form():
 
 def test_profile_rejects_nonpositive_span(g23_params):
     with pytest.raises(DomainError):
-        integrate_profile(g23_params, 0.0)
+        sample_profile(g23_params, 0.0)
 
 
 def test_trace_closes_and_winds(g23_trace):
@@ -155,7 +160,7 @@ def _per_sample_text(trace):
 @pytest.mark.parametrize("closed", [True, False])
 def test_exports_match_per_sample_writer(tmp_path, g23_trace, g23_params, closed):
     # the closed gamma_{2,3} trace, and half a period embedded without an index
-    trace = g23_trace if closed else embed(integrate_profile(g23_params, 0.5))
+    trace = g23_trace if closed else embed(sample_profile(g23_params, 0.5))
     assert (trace.index is None) is not closed
     trace_to_csv(trace, str(tmp_path / "trace.csv"))
     trace_to_json(trace, str(tmp_path / "trace.json"))
@@ -178,3 +183,85 @@ def test_first_integral_residual_zero_on_shell(p):
     kp = k * np.sqrt(q) / (p * (1 - p))
     res = first_integral_residual(p, params.a, k, kp)
     assert float(np.max(res)) < 1e-10 * params.a
+
+
+def test_json_export_matches_json_dump_in_partial_blocks(tmp_path, monkeypatch, g23_params):
+    # 7-line blocks leave a partial block, and the last sample its own block
+    monkeypatch.setattr(curve, "_BLOCK_LINES", 7)
+    trace = embed(sample_profile(g23_params, 0.05))
+    assert len(trace.states) == 27 and trace.index is None
+    trace_to_json(trace, str(tmp_path / "trace.json"))
+    assert (tmp_path / "trace.json").read_bytes() == _per_sample_text(trace)[1].encode()
+
+
+# The closed curves the quadrature trace is checked on: the benchmark's
+# p = 1/2 anchor and its two longer pairs, and the extreme exponents.
+_REFERENCE_CURVES = [(0.5, 2, 3), (0.3, 5, 8), (0.7, 11, 19), (0.01, 2, 3), (0.99, 2, 3)]
+
+
+@pytest.fixture(scope="module")
+def solved_curves():
+    cache = {}
+
+    def get(p, n, m):
+        if (p, n, m) not in cache:
+            cache[(p, n, m)] = solve_closure(p, ClosureIndex(n, m))
+        return cache[(p, n, m)]
+
+    return get
+
+
+@pytest.mark.parametrize("p,n,m", _REFERENCE_CURVES)
+def test_samples_match_ode_reference(solved_curves, p, n, m):
+    # the DOP853 profile at rtol 1e-12 over all m periods, sample by sample
+    params = make_params(p, solved_curves(p, n, m).a_solved)
+    st = sample_profile(params, m).states
+    ref = ode_profile(params, m, rtol=1e-12)
+    assert np.allclose(st.s, ref.t, rtol=1e-13, atol=0.0)
+    for got, want in zip((st.kappa, st.kappa_prime, st.psi, st.area), ref.y):
+        assert float(np.max(np.abs(got - want))) < 1e-8 * float(np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("p,n,m", _REFERENCE_CURVES)
+def test_progression_over_one_period_is_lambda(solved_curves, p, n, m):
+    params = make_params(p, solved_curves(p, n, m).a_solved)
+    arch = sample_profile(params, 1.0).arch
+    lam = lambda_p(params)
+    assert arch.progression == pytest.approx(lam, rel=1e-12, abs=0.0)
+    assert arch.at(arch.period)[2] == pytest.approx(lam, rel=1e-12, abs=0.0)
+    # a closed curve closes to the quadrature's accuracy
+    assert abs(arch.at(m * arch.period)[2] - 2.0 * math.pi * n) < 1e-11
+
+
+@pytest.mark.parametrize("p,n,m", [(0.3, 2, 3), (0.01, 2, 3), (0.99, 2, 3)])
+def test_profile_reflection_and_shift_symmetry(solved_curves, p, n, m):
+    params = make_params(p, solved_curves(p, n, m).a_solved)
+    arch = sample_profile(params, 1.0).arch
+    T, lam, area = arch.period, arch.progression, arch.area
+    s = np.linspace(0.0, T, 97)
+    k, kp, psi, a_swept = arch.at(s)
+    rk, rkp, rpsi, ra = arch.at(T - s)
+    assert np.allclose(rk, k, rtol=1e-12, atol=0.0)
+    assert np.allclose(rkp, -kp, rtol=0.0, atol=1e-12 * np.max(np.abs(kp)))
+    assert np.allclose(rpsi, lam - psi, rtol=0.0, atol=1e-12 * lam)
+    assert np.allclose(ra, area - a_swept, rtol=0.0, atol=1e-12 * abs(area))
+    # kappa' is the first integral's root with the sign of the half period
+    assert np.all(kp[1:48] > 0.0) and np.all(kp[49:-1] < 0.0)
+    sk, skp, spsi, sa = arch.at(s + 2.0 * T)
+    assert np.allclose(sk, k, rtol=1e-12, atol=0.0)
+    assert np.allclose(spsi, psi + 2.0 * lam, rtol=0.0, atol=1e-12 * lam)
+    assert np.allclose(sa, a_swept + 2.0 * area, rtol=0.0, atol=1e-12 * abs(area))
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # a fresh interpreter, importing the package these tests run against
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pelastica.__file__)))
+    code = "import sys, pelastica.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    ).stdout
+    assert out.strip() == "False"

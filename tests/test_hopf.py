@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from ode_reference import ode_profile
 from scipy.integrate import solve_ivp
 
 from pelastica import curve, hopf
@@ -114,8 +115,9 @@ def _horizontal_velocity(q, tangent):
 
 
 def _ode_lift(trace):
-    """Lift points at the trace samples and holonomy, from the J^T T ODE."""
-    params, profile_at = trace.params, trace.profile.sol
+    """Lift points at the trace samples and holonomy, from the J^T T ODE
+    along the DOP853 reference profile."""
+    params, profile_at = trace.params, ode_profile(trace.params, trace.index.m, rtol=1e-12).sol
     s_grid = trace.states.s
     seed = fiber_seed(trace.points[0])
 
@@ -197,14 +199,14 @@ def test_lift_matches_ode_reference(all_traces, p, n, m):
 
 @pytest.mark.parametrize("p,n,m", [(0.3, 2, 3), (0.01, 2, 3), (0.5, 2, 3), (0.3, 5, 8)])
 def test_lift_samples_match_dense_output(all_traces, p, n, m):
-    # The lift reads A from the samples the profile ODE returned; its dense
-    # output evaluated at the same arc lengths gives the same points, and at
-    # the last sample the same holonomy to the bit.
+    # The lift reads A from the profile samples; the arch trace evaluated at
+    # the same arc lengths gives the same points, and at the last sample the
+    # same holonomy to the bit.
     trace = all_traces(p, n, m)
     lift = horizontal_lift(trace)
     dense, _ = hopf._lift_at(trace, lift.s)
     assert float(np.max(np.abs(lift.points - dense))) < 1e-13
-    area_end = trace.profile.sol(lift.s[-1])[3]
+    area_end = trace.profile.arch.at(lift.s[-1])[3]
     assert lift.holonomy_angle == (0.5 * area_end) % (2.0 * math.pi)
 
 
