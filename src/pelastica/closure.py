@@ -14,10 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from scipy.optimize import brentq
-
 from .errors import DomainError, NotFound, ResolutionError
-from .qpotential import ElasticaParams, a_star, make_params, momentum_cap
+from .qpotential import ElasticaParams, _zeroin, a_star, make_params, momentum_cap
 from .quad import (
     DEFAULT_REL_TOL,
     _progression_layer,
@@ -119,7 +117,7 @@ def solve_closure(p: float, index: ClosureIndex) -> ClosureIndex:
         if g_prev == 0.0:
             roots.append(a_prev)
         elif g_prev * g_next < 0.0:
-            roots.append(brentq(gap, a_prev, a_next, xtol=1e-15, rtol=1e-14))
+            roots.append(_zeroin(gap, a_prev, a_next, xtol=1e-15, rtol=1e-14))
         a_prev, g_prev = a_next, g_next
         k += 1
     if not roots:

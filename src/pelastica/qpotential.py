@@ -15,7 +15,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceFailure, DomainError, NoPeriodicOrbit
 
@@ -26,6 +25,8 @@ NEAR_CIRCULAR_WIDTH = 1e-6
 _ROOT_REL_TOL = 1e-12
 _BRACKET_EPS = 1e-8
 _MAX_BISECT = 200
+# Brent's method's default relative tolerance, as in scipy's brentq.
+_ZEROIN_RTOL = 4.0 * sys.float_info.epsilon
 # Largest log(kappa) the quadrature layer can square without overflowing
 # float64; kappa_star beyond exp of this is rejected up front.
 _LOG_KAPPA_CAP = 150.0 * math.log(10.0)
@@ -111,6 +112,69 @@ def _q_sign_log(p: float, a: float, u):
     return math.log(a) + 2.0 * (1.0 - p) * u - np.logaddexp(
         2.0 * u + 2.0 * math.log1p(-p), 2.0 * math.log(abs(p))
     )
+
+
+def _zeroin(
+    f, xa: float, xb: float, xtol: float, rtol: float = _ZEROIN_RTOL, maxiter: int = 100
+) -> float:
+    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    A step-for-step port of scipy's brentq.c, so it returns the same bits:
+    inverse quadratic or secant steps, accepted when
+    2|stry| < min(|spre|, 3|sbis| - delta), bisection otherwise, and a step
+    of at least delta = (xtol + rtol |xcur|) / 2.  An endpoint where f is
+    exactly 0 is returned as is; no sign change, a NaN value of f or more
+    than maxiter iterations raise ConvergenceFailure.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ConvergenceFailure(f"root bracket function is NaN at {x!r}")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ConvergenceFailure("root bracket does not straddle a sign change")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = value(xcur)
+    raise ConvergenceFailure(f"Brent root search exceeded {maxiter} iterations")
 
 
 def _refine_root(p: float, a: float, lo: float, hi: float) -> float:
@@ -244,6 +308,6 @@ def classify_positive_roots(p: float, a: float) -> tuple[float, ...]:
     vals = fn(grid)
     roots = []
     for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)):
-        u = grid[i] if vals[i] == 0.0 else brentq(fn, grid[i], grid[i + 1], xtol=1e-14)
+        u = grid[i] if vals[i] == 0.0 else _zeroin(fn, grid[i], grid[i + 1], xtol=1e-14)
         roots.append(math.exp(u))
     return tuple(roots)

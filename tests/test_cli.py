@@ -2,10 +2,11 @@
 
 import csv
 import json
+import math
 
 import pytest
 
-from pelastica import cli
+from pelastica import cli, qpotential
 from pelastica.cli import (
     EXIT_ADMISSIBILITY,
     EXIT_CONVERGENCE,
@@ -56,6 +57,22 @@ def test_closure_target_at_the_limit_exits_3(command, capsys):
     # (2378, 3363) is admissible, but 2 pi 2378/3363 lies within 1e-6 of
     # sqrt(2) pi, which Lambda approaches only as the momentum tends to a_*
     code = main([command, "--p", "0.3", "--n", "2378", "--m", "3363"])
+    assert code == EXIT_CONVERGENCE
+    assert capsys.readouterr().err.startswith("convergence failure:")
+
+
+@pytest.mark.parametrize("failure", ["no sign change", "NaN", "iteration cap"])
+def test_closure_root_solver_failures_exit_3(failure, monkeypatch, capsys):
+    # the closure scan's root solver, fed a bracket function that breaks it
+    def failing(gap, a_lo, a_hi, xtol, rtol):
+        if failure == "no sign change":
+            return qpotential._zeroin(lambda a: abs(gap(a)) + 1.0, a_lo, a_hi, xtol, rtol)
+        if failure == "NaN":
+            return qpotential._zeroin(lambda a: math.nan, a_lo, a_hi, xtol, rtol)
+        return qpotential._zeroin(gap, a_lo, a_hi, xtol, rtol, maxiter=1)
+
+    monkeypatch.setattr(cli.closure, "_zeroin", failing)
+    code = main(["curve", "--p", "0.3", "--n", "2", "--m", "3"])
     assert code == EXIT_CONVERGENCE
     assert capsys.readouterr().err.startswith("convergence failure:")
 

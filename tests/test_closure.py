@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from pelastica import closure
 from pelastica.closure import (
@@ -16,7 +17,7 @@ from pelastica.closure import (
     solve_closure,
 )
 from pelastica.errors import DomainError, ResolutionError
-from pelastica.qpotential import a_star, make_params
+from pelastica.qpotential import _zeroin, a_star, make_params
 
 SQRT2_PI = math.sqrt(2.0) * math.pi
 
@@ -71,6 +72,28 @@ def test_solve_closure_reproduces_reference_momentum(g23_solved):
     # solution actually meets the target
     params = make_params(0.3, g23_solved.a_solved)
     assert lambda_p(params) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-9)
+
+
+def test_zeroin_matches_brentq_on_every_reference_closure_bracket(solved_rows):
+    # the scan cell holding each reference row's root, refined by the port
+    # and by brentq with solve_closure's tolerances: the same bits, and the
+    # bits solve_closure returned
+    for (p, n, m), solved in solved_rows.items():
+        thr = a_star(p)
+        target = ClosureIndex(n, m).target
+
+        def gap(a, p=p, target=target):
+            return lambda_p(make_params(p, a), closure._SCAN_REL_TOL) - target
+
+        k = 1
+        while thr * (1.0 + 2.0**k * closure._SCAN_BASE) < solved.a_solved:
+            k += 1
+        lo = thr * (1.0 + 2.0 ** (k - 1) * closure._SCAN_BASE)
+        hi = thr * (1.0 + 2.0**k * closure._SCAN_BASE)
+        root = _zeroin(gap, lo, hi, xtol=1e-15, rtol=1e-14)
+        assert root == brentq(gap, lo, hi, xtol=1e-15, rtol=1e-14), (p, n, m)
+        assert root == solved.a_solved, (p, n, m)
+        assert solved.a_candidates == (root,), (p, n, m)
 
 
 def test_solve_closure_rejects_inadmissible():

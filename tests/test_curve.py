@@ -253,10 +253,15 @@ def test_profile_reflection_and_shift_symmetry(solved_curves, p, n, m):
     assert np.allclose(sa, a_swept + 2.0 * area, rtol=0.0, atol=1e-12 * abs(area))
 
 
-def test_cli_import_leaves_scipy_integrate_out():
-    # a fresh interpreter, importing the package these tests run against
+@pytest.mark.parametrize("module", ["pelastica", "pelastica.cli"])
+def test_import_leaves_scipy_out(module):
+    # a fresh interpreter, importing the package these tests run against:
+    # the runtime needs numpy only
     src = os.path.dirname(os.path.dirname(os.path.abspath(pelastica.__file__)))
-    code = "import sys, pelastica.cli; print('scipy.integrate' in sys.modules)"
+    code = (
+        f"import sys, {module}; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -264,4 +269,4 @@ def test_cli_import_leaves_scipy_integrate_out():
         check=True,
         env=dict(os.environ, PYTHONPATH=src),
     ).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from pelastica import qpotential
-from pelastica.errors import DomainError, NoPeriodicOrbit
+from pelastica.errors import ConvergenceFailure, DomainError, NoPeriodicOrbit
 from pelastica.qpotential import (
     a_star,
     classify_positive_roots,
@@ -176,6 +176,69 @@ def test_classification_matches_per_point_scan():
         cases.append((1.0 + rng.uniform(0.01, 5.0), 10.0 ** rng.uniform(-3, 3)))
     for p, a in cases:
         assert classify_positive_roots(p, a) == _per_point_roots(p, a), (p, a)
+
+
+def _classification_cells(p, a):
+    """The sign surrogate and the sign-change cells of the classification grid."""
+    fn = qpotential._log_sign_fn(p, a)
+    if 0.0 < p < 1.0 and a > a_star(p):
+        u_lo = (2.0 * math.log(p) - math.log(a)) / (2.0 * (1.0 - p)) - 2.0
+        u_hi = (math.log(a) - 2.0 * math.log1p(-p)) / (2.0 * p) + 2.0
+    else:
+        u_lo, u_hi = -200.0, 200.0
+    grid = np.linspace(u_lo, u_hi, 1024)
+    vals = fn(grid)
+    return fn, [(grid[i], grid[i + 1]) for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0)]
+
+
+def test_zeroin_matches_brentq_on_classification_cells():
+    # the port must return brentq's bits, not merely a root to tolerance
+    rng = np.random.default_rng(5)
+    counts = {"p < 0": 0, "0 < p < 1": 0, "p > 1": 0}
+    for _ in range(25):
+        p = float(rng.uniform(0.01, 0.99))
+        cases = [
+            ("0 < p < 1", p, a_star(p) * (1.0 + 10.0 ** rng.uniform(-6, 4))),
+            ("p < 0", -float(rng.uniform(0.01, 5.0)), 10.0 ** rng.uniform(-3, 3)),
+            ("p > 1", 1.0 + float(rng.uniform(0.01, 5.0)), 10.0 ** rng.uniform(-3, 3)),
+        ]
+        for label, p, a in cases:
+            fn, cells = _classification_cells(p, a)
+            for lo, hi in cells:
+                assert qpotential._zeroin(fn, lo, hi, xtol=1e-14) == brentq(
+                    fn, lo, hi, xtol=1e-14
+                ), (p, a, lo, hi)
+                counts[label] += 1
+    assert min(counts.values()) >= 20, counts
+
+
+def test_zeroin_returns_an_endpoint_where_f_is_zero():
+    assert qpotential._zeroin(lambda x: x - 1.0, 1.0, 3.0, xtol=1e-14) == 1.0
+    assert qpotential._zeroin(lambda x: x - 3.0, 1.0, 3.0, xtol=1e-14) == 3.0
+
+
+def test_zeroin_without_sign_change_is_a_convergence_failure():
+    with pytest.raises(ConvergenceFailure, match="sign change"):
+        qpotential._zeroin(lambda x: x * x + 1.0, -1.0, 2.0, xtol=1e-14)
+
+
+def test_zeroin_nan_value_is_a_convergence_failure():
+    with pytest.raises(ConvergenceFailure, match="NaN"):
+        qpotential._zeroin(lambda x: math.nan, 0.0, 1.0, xtol=1e-14)
+    # a NaN met inside the bracket, after both endpoints were finite
+    with pytest.raises(ConvergenceFailure, match="NaN"):
+        qpotential._zeroin(lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5, 0.0, 1.0, 1e-14)
+
+
+def test_zeroin_iteration_cap_is_a_convergence_failure():
+    def f(x):
+        return math.copysign(1.0, x - 0.3)
+
+    # a step function forces bisection: 2 iterations narrow [0, 1] to no less
+    # than a quarter, while 100 reach the tolerance
+    assert qpotential._zeroin(f, 0.0, 1.0, xtol=1e-12) == pytest.approx(0.3, abs=1e-12)
+    with pytest.raises(ConvergenceFailure, match="2 iterations"):
+        qpotential._zeroin(f, 0.0, 1.0, xtol=1e-12, maxiter=2)
 
 
 def test_classification_rejects_p_equal_one():
