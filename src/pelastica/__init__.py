@@ -6,7 +6,7 @@ to flat tori in the 3-sphere.
 """
 
 from .closure import ClosureIndex, is_admissible, lambda_p, period, solve_closure
-from .curve import CurveTrace, embed, sample_profile, trace_closed_curve
+from .curve import CurveTrace, sample_profile, trace_closed_curve
 from .energy import circle_energy, circle_radius, energy_closed
 from .errors import PElasticaError
 from .qpotential import (
@@ -38,7 +38,6 @@ __all__ = [
     "circle_second_variation",
     "classify_positive_roots",
     "curvature_bounds",
-    "embed",
     "energy_closed",
     "integrate_over_arch",
     "is_admissible",

@@ -233,7 +233,7 @@ def cmd_hopf(args) -> int:
     hopf.patch_to_obj(patch, base + ".obj", pole=pole)
     hopf.patch_to_json(patch, base + ".json")
     print(
-        f"holonomy={patch.lift.holonomy_angle:.12g} covers={patch.covers} "
+        f"holonomy={patch.holonomy_angle:.12g} covers={patch.covers} "
         f"closed={patch.closed}"
     )
     return EXIT_OK

@@ -14,10 +14,11 @@ parameterization
 which stays inside an open half-sphere and winds monotonically around the
 pole (0, 0, +-1).
 
-sample_profile samples the trace uniformly in arc length over a given number
-of curvature periods and keeps the samples as one ProfileSamples record of
-column arrays (s, kappa, kappa_prime, psi, area).  The trace, the Hopf lift
-and the second variation all read those same arrays.
+sample_profile samples the arch trace uniformly in arc length over a given
+number of curvature periods into one CurveTrace: the arch trace, one
+ProfileSamples record of column arrays (s, kappa, kappa_prime, psi, area)
+and the embedded points.  The exporters, the Hopf lift and the second
+variation all read those same arrays.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ class ProfileSamples:
     """Profile samples as columns: arc length s and the state
     (kappa, kappa', psi, A) at s, one entry per sample.
 
-    The columns are read-only: the profile, its trace, the Hopf lift and the
-    second variation all hold these same arrays.
+    The columns are read-only: the trace, its exporters, the Hopf lift and
+    the second variation all hold these same arrays.
     """
 
     s: np.ndarray
@@ -83,58 +84,33 @@ def psi_rate(p: float, a: float, kappa, kappa_prime):
 
 
 @dataclass
-class ProfileResult:
-    """Uniform samples of a curvature profile and the trace they came from."""
+class CurveTrace:
+    """A traced curve: the arch trace, its samples and, for a closed curve,
+    the closure index.
 
-    arch: ArchTrace  # evaluates (kappa, kappa', psi, A) at any arc length
-    states: ProfileSamples
+    The embedded points (read-only, one per sample), closure_gap (distance
+    between the first and last points) and winding_number (full turns of
+    psi) are computed from the samples, so dataclasses.replace(trace,
+    states=...) embeds the new samples.
+    """
+
+    arch: ArchTrace = field(repr=False)  # (kappa, kappa', psi, A) at any s
+    states: ProfileSamples = field(repr=False)
+    index: ClosureIndex | None
+    points: np.ndarray = field(init=False, repr=False)  # (N, 3) unit vectors
+    closure_gap: float = field(init=False)
+    winding_number: int = field(init=False)
+
+    def __post_init__(self):
+        psi = self.states.psi
+        self.points = _embed_points(self.params, self.states.kappa, psi)
+        self.points.flags.writeable = False
+        self.closure_gap = float(np.linalg.norm(self.points[-1] - self.points[0]))
+        self.winding_number = int(round(psi[-1] / (2.0 * math.pi)))
 
     @property
     def params(self) -> ElasticaParams:
         return self.arch.params
-
-
-def sample_profile(
-    params: ElasticaParams,
-    periods: float,
-    rel_tol: float = DEFAULT_REL_TOL,
-    samples_per_period: int = SAMPLES_PER_PERIOD,
-) -> ProfileResult:
-    """Sample the profile from the minimum-curvature point over `periods`
-    curvature periods (any positive number, not only whole ones).
-
-    The state at s is (kappa, kappa', psi, A) with kappa(0) = beta,
-    kappa'(0) = 0 and psi(0) = A(0) = 0 (to roundoff, ~1e-19), where A is
-    the spherical area swept between the curve and the pole (1, 0, 0); the
-    Hopf lift takes its fiber phase A/2 from it.  rel_tol is the arch
-    quadrature's tolerance, and the samples_per_period uniform samples per
-    period become the ProfileSamples columns.
-    """
-    if periods <= 0.0:
-        raise DomainError("periods must be positive")
-    arch = ArchTrace(params, rel_tol)
-    n_samples = max(2, int(round(samples_per_period * periods)) + 1)
-    s = np.linspace(0.0, periods * arch.period, n_samples)
-    return ProfileResult(arch=arch, states=ProfileSamples(s, *arch.at(s)))
-
-
-@dataclass
-class CurveTrace:
-    """Embedded curve samples with closure diagnostics."""
-
-    profile: ProfileResult = field(repr=False)
-    index: ClosureIndex | None
-    points: np.ndarray  # (N, 3) unit vectors, one per profile sample
-    closure_gap: float
-    winding_number: int
-
-    @property
-    def params(self) -> ElasticaParams:
-        return self.profile.params
-
-    @property
-    def states(self) -> ProfileSamples:
-        return self.profile.states
 
 
 def _embed_points(params: ElasticaParams, kappa, psi) -> np.ndarray:
@@ -147,21 +123,39 @@ def _embed_points(params: ElasticaParams, kappa, psi) -> np.ndarray:
     return np.column_stack([x, r * np.sin(psi), r * np.cos(psi)])
 
 
-def embed(profile: ProfileResult, index: ClosureIndex | None = None) -> CurveTrace:
-    """Map the profile samples to points on the unit sphere.
+def _trace(
+    params: ElasticaParams,
+    periods: float,
+    rel_tol: float,
+    samples_per_period: int,
+    index: ClosureIndex | None,
+) -> CurveTrace:
+    if periods <= 0.0:
+        raise DomainError("periods must be positive")
+    arch = ArchTrace(params, rel_tol)
+    n_samples = max(2, int(round(samples_per_period * periods)) + 1)
+    s = np.linspace(0.0, periods * arch.period, n_samples)
+    return CurveTrace(arch, ProfileSamples(s, *arch.at(s)), index)
 
-    closure_gap is the distance between the first and last points and
-    winding_number the number of full turns of psi.
+
+def sample_profile(
+    params: ElasticaParams,
+    periods: float,
+    rel_tol: float = DEFAULT_REL_TOL,
+    samples_per_period: int = SAMPLES_PER_PERIOD,
+) -> CurveTrace:
+    """Trace the curve from the minimum-curvature point over `periods`
+    curvature periods (any positive number, not only whole ones), with no
+    closure index.
+
+    The state at s is (kappa, kappa', psi, A) with kappa(0) = beta,
+    kappa'(0) = 0 and psi(0) = A(0) = 0 (to roundoff, ~1e-19), where A is
+    the spherical area swept between the curve and the pole (1, 0, 0); the
+    Hopf lift takes its fiber phase A/2 from it.  rel_tol is the arch
+    quadrature's tolerance, and the samples_per_period uniform samples per
+    period become the ProfileSamples columns.
     """
-    psi = profile.states.psi
-    points = _embed_points(profile.params, profile.states.kappa, psi)
-    return CurveTrace(
-        profile=profile,
-        index=index,
-        points=points,
-        closure_gap=float(np.linalg.norm(points[-1] - points[0])),
-        winding_number=int(round(psi[-1] / (2.0 * math.pi))),
-    )
+    return _trace(params, periods, rel_tol, samples_per_period, None)
 
 
 def trace_closed_curve(
@@ -170,16 +164,12 @@ def trace_closed_curve(
     rel_tol: float = DEFAULT_REL_TOL,
     samples_per_period: int = SAMPLES_PER_PERIOD,
 ) -> CurveTrace:
-    """Solve the closure condition (unless already solved) and build the trace."""
+    """Solve the closure condition (unless already solved) and trace the
+    curve over its m periods."""
     if index.a_solved is None:
         index = solve_closure(p, index)
-    profile = sample_profile(
-        make_params(p, index.a_solved),
-        index.m,
-        rel_tol=rel_tol,
-        samples_per_period=samples_per_period,
-    )
-    return embed(profile, index=index)
+    params = make_params(p, index.a_solved)
+    return _trace(params, index.m, rel_tol, samples_per_period, index)
 
 
 def unit_tangent(params: ElasticaParams, kappa, kappa_prime, psi) -> np.ndarray:
@@ -236,10 +226,15 @@ def _write_lines(fh, line_format: str, rows: np.ndarray) -> None:
         fh.write((line_format * len(block)) % tuple(block.ravel().tolist()))
 
 
+def _sample_rows(trace: CurveTrace) -> np.ndarray:
+    """One row (s, kappa, kappa', psi, x, y, z) per sample."""
+    st = trace.states
+    return np.column_stack([st.s, st.kappa, st.kappa_prime, st.psi, trace.points])
+
+
 def trace_to_csv(trace: CurveTrace, path: str) -> None:
     """Write `s,kappa,kappa_prime,psi,x,y,z` rows with 12 significant digits."""
-    st = trace.states
-    rows = np.column_stack([st.s, st.kappa, st.kappa_prime, st.psi, trace.points])
+    rows = _sample_rows(trace)
     # "\r\n" line ends, as the csv module writes them; newline="" keeps them
     with open(path, "w", newline="") as fh:
         fh.write("s,kappa,kappa_prime,psi,x,y,z\r\n")
@@ -253,7 +248,6 @@ def trace_to_json(trace: CurveTrace, path: str) -> None:
     The samples go through the blocked line writer: %r of a finite float is
     its JSON text.
     """
-    st = trace.states
     meta = {
         "p": trace.params.p,
         "a": trace.params.a,
@@ -262,7 +256,7 @@ def trace_to_json(trace: CurveTrace, path: str) -> None:
         "closureGap": trace.closure_gap,
         "windingNumber": trace.winding_number,
     }
-    rows = np.column_stack([st.s, st.kappa, st.kappa_prime, st.psi, trace.points])
+    rows = _sample_rows(trace)
     with open(path, "w") as fh:
         # the metadata object without its closing "\n}"
         fh.write(json.dumps(meta, indent=1)[:-2] + ',\n "samples": [\n')

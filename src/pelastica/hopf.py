@@ -71,38 +71,30 @@ def fiber_seed(base_point) -> np.ndarray:
     return np.stack([zmod, np.zeros_like(zmod), 2.0 * y / zmod, 2.0 * z3 / zmod], axis=-1)
 
 
-@dataclass
-class HopfLift:
-    """Horizontal lift samples over one traversal of the base curve."""
-
-    trace: CurveTrace
-    s: np.ndarray
-    points: np.ndarray  # (N, 4), norm 2
-    holonomy_angle: float  # fiber phase mismatch in [0, 2 pi)
-
-
 def _lift_at(trace: CurveTrace, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form lift e^(i A/2) sigma(gamma) at arc lengths s, shape (len(s), 4),
-    and kappa there, from one evaluation of the profile's arch trace."""
-    kappa, _, psi, area = trace.profile.arch.at(s)
+    and kappa there, from one evaluation of the arch trace."""
+    kappa, _, psi, area = trace.arch.at(s)
     sigma = fiber_seed(_embed_points(trace.params, kappa, psi))
     return _phase_rotate(sigma, 0.5 * area), kappa
 
 
-def horizontal_lift(trace: CurveTrace) -> HopfLift:
-    """Evaluate the horizontal lift e^(i phi) sigma(gamma) at the trace samples.
+def _holonomy_angle(trace: CurveTrace) -> float:
+    """Fiber phase mismatch A(L)/2 mod 2 pi of the lift over the traced span."""
+    return (0.5 * float(trace.states.area[-1])) % (2.0 * math.pi)
 
-    The phase phi = A/2 and the holonomy A(L)/2 mod 2 pi come from the swept
-    area sampled along with the trace, so no ODE is solved.
+
+def horizontal_lift(trace: CurveTrace) -> np.ndarray:
+    """The horizontal lift e^(i phi) sigma(gamma) at the trace samples, (N, 4).
+
+    The phase phi = A/2 comes from the swept area sampled along with the
+    trace, so no ODE is solved.
     """
-    st = trace.states
-    angle = (0.5 * float(st.area[-1])) % (2.0 * math.pi)
-    points = _phase_rotate(fiber_seed(trace.points), 0.5 * st.area)
-    return HopfLift(trace=trace, s=st.s, points=points, holonomy_angle=angle)
+    return _phase_rotate(fiber_seed(trace.points), 0.5 * trace.states.area)
 
 
-def horizontality_residual(lift: HopfLift) -> float:
-    """Max |<q', iq>| over all samples, q' the closed form's own derivative.
+def horizontality_residual(trace: CurveTrace) -> float:
+    """Max |<q', iq>| over the lift's samples, q' the closed form's own derivative.
 
     q' = e^(i phi) (D sigma . gamma' + i phi' sigma) with gamma' the analytic
     unit tangent and phi' = (1 - x) psi' / 2; it vanishes exactly when phi'
@@ -111,7 +103,6 @@ def horizontality_residual(lift: HopfLift) -> float:
     any extra phase still reads 0 here.  The sampled phase is covered by the
     holonomy and by comparison with an independently integrated lift.
     """
-    trace = lift.trace
     params = trace.params
     st = trace.states
     gamma = trace.points
@@ -130,8 +121,9 @@ def horizontality_residual(lift: HopfLift) -> float:
     )
     psip = psi_rate(params.p, params.a, st.kappa, st.kappa_prime)
     phase_rate = 0.5 * (1.0 - gamma[:, 0]) * psip
-    q_prime = _phase_rotate(dsigma + phase_rate[:, None] * fiber_direction(sigma), 0.5 * st.area)
-    fib = fiber_direction(lift.points)
+    phase = 0.5 * st.area
+    q_prime = _phase_rotate(dsigma + phase_rate[:, None] * fiber_direction(sigma), phase)
+    fib = fiber_direction(_phase_rotate(sigma, phase))
     return float(np.max(np.abs(np.einsum("ij,ij->i", q_prime, fib))))
 
 
@@ -147,7 +139,8 @@ def _closing_covers(angle: float) -> int | None:
 class HopfPatch:
     """Phase-swept torus (or cylinder segment) mesh over a lifted curve."""
 
-    lift: HopfLift
+    trace: CurveTrace
+    holonomy_angle: float  # fiber phase mismatch in [0, 2 pi)
     covers: int
     closed: bool
     vertices: np.ndarray  # (t_samples, s_total, 4)
@@ -158,7 +151,7 @@ def build_torus(trace: CurveTrace, t_samples: int = 256, s_samples: int = 128) -
     """Sweep the lift through the fiber phases into a quad mesh.
 
     The first cover's s columns evaluate the closed-form lift
-    e^(i phi) sigma(gamma) from the profile's arch trace.  If the lift
+    e^(i phi) sigma(gamma) from the trace's arch quadrature.  If the lift
     holonomy is a rational angle, the s-range is extended over the smallest
     closing cover within MAX_COVERS (the lift over cover k equals the first
     cover phase-rotated by k times the holonomy).
@@ -167,17 +160,16 @@ def build_torus(trace: CurveTrace, t_samples: int = 256, s_samples: int = 128) -
     that a structured grid cannot close, so the seam stays open and the
     discrete estimators mask the boundary columns.
     """
-    lift = horizontal_lift(trace)
-    length = float(lift.s[-1])
-    covers = _closing_covers(lift.holonomy_angle)
+    angle = _holonomy_angle(trace)
+    covers = _closing_covers(angle)
     closed = covers is not None
     if not closed:
         covers = 1
 
-    s_one = np.linspace(0.0, length, s_samples, endpoint=False)
+    s_one = np.linspace(0.0, float(trace.states.s[-1]), s_samples, endpoint=False)
     lift_one, kappa_one = _lift_at(trace, s_one)
     lift_points = np.concatenate(
-        [_phase_rotate(lift_one, c * lift.holonomy_angle) for c in range(covers)], axis=0
+        [_phase_rotate(lift_one, c * angle) for c in range(covers)], axis=0
     )
 
     t = np.linspace(0.0, 2.0 * math.pi, t_samples, endpoint=False)
@@ -189,7 +181,8 @@ def build_torus(trace: CurveTrace, t_samples: int = 256, s_samples: int = 128) -
     vertices[..., 2] = np.outer(cos_t, x2) - np.outer(sin_t, x3)
     vertices[..., 3] = np.outer(sin_t, x2) + np.outer(cos_t, x3)
     return HopfPatch(
-        lift=lift,
+        trace=trace,
+        holonomy_angle=angle,
         covers=covers,
         closed=closed,
         vertices=vertices,
@@ -342,9 +335,9 @@ def patch_to_obj(patch: HopfPatch, path: str, pole=(0.0, 0.0, 0.0, -1.0)) -> Non
 def patch_to_json(patch: HopfPatch, path: str) -> None:
     """Write mesh metadata (holonomy, covers, sizes) as JSON."""
     meta = {
-        "p": patch.lift.trace.params.p,
-        "a": patch.lift.trace.params.a,
-        "holonomyAngle": patch.lift.holonomy_angle,
+        "p": patch.trace.params.p,
+        "a": patch.trace.params.a,
+        "holonomyAngle": patch.holonomy_angle,
         "covers": patch.covers,
         "closed": patch.closed,
         "tSamples": int(patch.vertices.shape[0]),

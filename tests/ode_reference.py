@@ -14,7 +14,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from pelastica.closure import period
-from pelastica.curve import ProfileSamples, embed, psi_rate
+from pelastica.curve import ProfileSamples, psi_rate
 
 
 def first_integral_residual(p, a, kappa, kappa_prime):
@@ -67,5 +67,4 @@ def ode_profile(params, periods, rtol=1e-10, samples_per_period=512):
 def ode_trace(trace, rtol=1e-10):
     """The trace of the same closed curve with its samples from the ODE."""
     sol = ode_profile(trace.params, trace.index.m, rtol=rtol)
-    samples = ProfileSamples(sol.t, *sol.y)
-    return embed(replace(trace.profile, states=samples), trace.index)
+    return replace(trace, states=ProfileSamples(sol.t, *sol.y))

@@ -255,11 +255,9 @@ def test_criterion_07_root_count_dichotomy():
 
 def test_criterion_08_lift_and_torus(g23_trace):
     lift = horizontal_lift(g23_trace)
-    norm_err = float(np.max(np.abs(np.linalg.norm(lift.points, axis=1) - SPHERE_RADIUS)))
-    proj_err = float(
-        np.max(np.linalg.norm(hopf_project(lift.points) - g23_trace.points, axis=1))
-    )
-    horiz = horizontality_residual(lift)
+    norm_err = float(np.max(np.abs(np.linalg.norm(lift, axis=1) - SPHERE_RADIUS)))
+    proj_err = float(np.max(np.linalg.norm(hopf_project(lift) - g23_trace.points, axis=1)))
+    horiz = horizontality_residual(g23_trace)
 
     coarse = build_torus(g23_trace, t_samples=64, s_samples=256)
     fine = build_torus(g23_trace, t_samples=128, s_samples=512)

@@ -5,16 +5,16 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from ode_reference import first_integral_residual, ode_profile
+from ode_reference import first_integral_residual, ode_profile, ode_trace
 
 import pelastica
 from pelastica import curve
 from pelastica.closure import ClosureIndex, lambda_p, period, solve_closure
 from pelastica.curve import (
-    embed,
     geodesic_curvature_check,
     monotone_progression_check,
     psi_rate,
@@ -38,12 +38,26 @@ def test_profile_conserves_first_integral(g23_params):
 
 def test_samples_are_one_shared_read_only_record(g23_trace):
     st = g23_trace.states
-    assert st is g23_trace.profile.states
-    assert len(st) == len(g23_trace.points) == 512 * 3 + 1
-    assert horizontal_lift(g23_trace).s is st.s
-    for column in (st.s, st.kappa, st.kappa_prime, st.psi, st.area):
+    assert len(st) == len(g23_trace.points) == len(horizontal_lift(g23_trace)) == 512 * 3 + 1
+    for column in (st.s, st.kappa, st.kappa_prime, st.psi, st.area, g23_trace.points):
         with pytest.raises(ValueError):
             column[0] = 0.0
+
+
+def test_replaced_samples_are_embedded_anew(g23_trace):
+    # ode_reference.ode_trace swaps the DOP853 samples into the trace this way
+    ode = ode_trace(g23_trace)
+    assert ode.arch is g23_trace.arch and ode.index is g23_trace.index
+    assert not np.array_equal(ode.points, g23_trace.points)
+    assert float(np.max(np.abs(ode.points - g23_trace.points))) < 1e-8
+    assert ode.closure_gap != g23_trace.closure_gap and ode.closure_gap < 1e-6
+    assert not ode.points.flags.writeable
+    # 1.5 of the 3 periods: psi turns once and the curve stays open
+    part = sample_profile(g23_trace.params, 1.5)
+    swapped = replace(g23_trace, states=part.states)
+    assert np.array_equal(swapped.points, part.points)
+    assert swapped.closure_gap == part.closure_gap > 0.5
+    assert swapped.winding_number == part.winding_number == 1
 
 
 def test_profile_returns_to_minimum_after_one_period(g23_params):
@@ -160,7 +174,7 @@ def _per_sample_text(trace):
 @pytest.mark.parametrize("closed", [True, False])
 def test_exports_match_per_sample_writer(tmp_path, g23_trace, g23_params, closed):
     # the closed gamma_{2,3} trace, and half a period embedded without an index
-    trace = g23_trace if closed else embed(sample_profile(g23_params, 0.5))
+    trace = g23_trace if closed else sample_profile(g23_params, 0.5)
     assert (trace.index is None) is not closed
     trace_to_csv(trace, str(tmp_path / "trace.csv"))
     trace_to_json(trace, str(tmp_path / "trace.json"))
@@ -188,7 +202,7 @@ def test_first_integral_residual_zero_on_shell(p):
 def test_json_export_matches_json_dump_in_partial_blocks(tmp_path, monkeypatch, g23_params):
     # 7-line blocks leave a partial block, and the last sample its own block
     monkeypatch.setattr(curve, "_BLOCK_LINES", 7)
-    trace = embed(sample_profile(g23_params, 0.05))
+    trace = sample_profile(g23_params, 0.05)
     assert len(trace.states) == 27 and trace.index is None
     trace_to_json(trace, str(tmp_path / "trace.json"))
     assert (tmp_path / "trace.json").read_bytes() == _per_sample_text(trace)[1].encode()

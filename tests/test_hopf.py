@@ -183,7 +183,7 @@ def g23_lift(g23_trace):
 
 
 def test_lift_stays_on_radius_two_sphere(g23_lift):
-    norms = np.linalg.norm(g23_lift.points, axis=1)
+    norms = np.linalg.norm(g23_lift, axis=1)
     assert float(np.max(np.abs(norms - SPHERE_RADIUS))) < 1e-13
 
 
@@ -192,8 +192,8 @@ def test_lift_matches_ode_reference(all_traces, p, n, m):
     trace = all_traces(p, n, m)
     lift = horizontal_lift(trace)
     ref_points, ref_holonomy = _ode_lift(trace)
-    assert float(np.max(np.abs(lift.points - ref_points))) < 1e-8
-    gap = (lift.holonomy_angle - ref_holonomy) % (2.0 * math.pi)
+    assert float(np.max(np.abs(lift - ref_points))) < 1e-8
+    gap = (hopf._holonomy_angle(trace) - ref_holonomy) % (2.0 * math.pi)
     assert min(gap, 2.0 * math.pi - gap) < 1e-9
 
 
@@ -203,29 +203,29 @@ def test_lift_samples_match_dense_output(all_traces, p, n, m):
     # the same arc lengths gives the same points, and at the last sample the
     # same holonomy to the bit.
     trace = all_traces(p, n, m)
-    lift = horizontal_lift(trace)
-    dense, _ = hopf._lift_at(trace, lift.s)
-    assert float(np.max(np.abs(lift.points - dense))) < 1e-13
-    area_end = trace.profile.arch.at(lift.s[-1])[3]
-    assert lift.holonomy_angle == (0.5 * area_end) % (2.0 * math.pi)
+    s = trace.states.s
+    dense, _ = hopf._lift_at(trace, s)
+    assert float(np.max(np.abs(horizontal_lift(trace) - dense))) < 1e-13
+    area_end = trace.arch.at(s[-1])[3]
+    assert hopf._holonomy_angle(trace) == (0.5 * area_end) % (2.0 * math.pi)
 
 
 def test_lift_projects_onto_base(g23_lift, g23_trace):
-    proj = hopf_project(g23_lift.points)
+    proj = hopf_project(g23_lift)
     assert float(np.max(np.linalg.norm(proj - g23_trace.points, axis=1))) < 1e-8
 
 
-def test_lift_is_horizontal(g23_lift):
-    assert horizontality_residual(g23_lift) < 1e-8
+def test_lift_is_horizontal(g23_trace):
+    assert horizontality_residual(g23_trace) < 1e-8
 
 
-def test_holonomy_equals_half_enclosed_area(g23_lift, g23_trace):
+def test_holonomy_equals_half_enclosed_area(g23_patch, g23_trace):
     # enclosed spherical area via the Gauss-Bonnet identity
     # A = 2 pi w - int kappa_g ds with kappa_g = kappa for this family
     st = g23_trace.states
     area = 2.0 * math.pi * g23_trace.winding_number - float(np.trapezoid(st.kappa, st.s))
     expected = (0.5 * area) % (2.0 * math.pi)
-    assert g23_lift.holonomy_angle == pytest.approx(expected, abs=1e-8)
+    assert g23_patch.holonomy_angle == pytest.approx(expected, abs=1e-8)
 
 
 def test_great_circle_lift_holonomy_is_pi():
@@ -270,14 +270,16 @@ def test_torus_falls_back_to_open_segment(g23_patch):
 def test_half_exponent_torus_closes_after_four_covers(all_traces):
     # p = 1/2 gamma_{2,3} has holonomy pi/2 (area-holonomy relation)
     patch = build_torus(all_traces(0.5, 2, 3), t_samples=16, s_samples=32)
-    assert patch.lift.holonomy_angle == pytest.approx(0.5 * math.pi, abs=1e-9)
+    assert patch.holonomy_angle == pytest.approx(0.5 * math.pi, abs=1e-9)
     assert patch.closed and patch.covers == 4
     assert patch.vertices.shape == (16, 4 * 32, 4)
     # the first cover's columns (phase t = 0) are the lift itself: every 48th
     # of the 512 * 3 trace samples sits at one of the 32 torus arc lengths
-    s_one = np.linspace(0.0, patch.lift.s[-1], 32, endpoint=False)
-    assert np.allclose(patch.lift.s[:-1:48], s_one, rtol=1e-15, atol=0.0)
-    assert np.max(np.abs(patch.vertices[0, :32] - patch.lift.points[:-1:48])) < 1e-12
+    s = patch.trace.states.s
+    s_one = np.linspace(0.0, s[-1], 32, endpoint=False)
+    assert np.allclose(s[:-1:48], s_one, rtol=1e-15, atol=0.0)
+    lift = horizontal_lift(patch.trace)
+    assert np.max(np.abs(patch.vertices[0, :32] - lift[:-1:48])) < 1e-12
 
 
 def test_torus_vertices_on_sphere(g23_patch):
@@ -343,7 +345,7 @@ def test_mesh_exports(tmp_path, g23_patch):
 
     meta = json.loads(json_path.read_text())
     assert meta["closed"] is False
-    assert meta["holonomyAngle"] == pytest.approx(g23_patch.lift.holonomy_angle)
+    assert meta["holonomyAngle"] == pytest.approx(g23_patch.holonomy_angle)
 
 
 def _loop_obj_text(patch, pole=(0.0, 0.0, 0.0, -1.0)):
