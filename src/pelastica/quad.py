@@ -28,10 +28,18 @@ so the rest of the arch takes uniform panels no wider than pi/8 and three
 halving levels.  The reference table's integrals take a median of 14 panels.
 
 Each node forms r = kappa^(1-p) once, the only non-integer power of the rule,
-then Q = a r^2 - (1-p)^2 kappa^2 - p^2 and the Jacobian.  Numerators are
-called as numerator(kappa, q, r) with the nodes' curvature, stabilised Q and
-r, and return one row of values or a stack of rows; every row is integrated
-on the same nodes.
+then Q = a r^2 - (1-p)^2 kappa^2 - p^2 and the Jacobian.  r is formed without
+a long double pow: kappa = m 2^E exactly (frexp), 1-p is split into a 42-bit
+head and its tail so that each product with E is exact even where long
+double is float64, and with I the integer nearest (1-p) E,
+
+    r = exp2(((1-p) E - I) + (1-p) log2 m) 2^I,
+
+whose exp2 argument stays in (-2, 1); r is within 2 ulp of the pow.  Q's
+Taylor form is evaluated only at the nodes where it replaces the direct one.
+Numerators are called as numerator(kappa, q, r) with the nodes' curvature,
+stabilised Q and r, and return one row of values or a stack of rows; every
+row is integrated on the same nodes.
 
 What stays adaptive: every panel's 15-point Gauss-Legendre rule in theta is
 compared with the sum of the rules on its two halves (45 nodes a panel), and
@@ -119,6 +127,27 @@ class SingularIntegral:
     error_estimate: float | np.ndarray
 
 
+def _power(k: np.ndarray, e: float) -> np.ndarray:
+    """k ** e, in k's dtype, for an array k of positive normal float64 values.
+
+    With k = m 2^E (m in [1/2, 1)) and I the integer nearest e E,
+    k^e = exp2((e E - I) + e log2 m) 2^I.  e E is formed from a head of e
+    of at most 42 bits and its tail of at most 11, so both products with
+    E (|E| < 2^11) are exact in float64; an unsplit e E would be off by up
+    to ~180 ulp where long double is float64.  Within 2 ulp of k ** e;
+    long double's pow was the costliest step of a node.
+    """
+    head_m, head_e = math.frexp(e)
+    head = math.ldexp(math.floor(math.ldexp(head_m, 42)), head_e - 42)
+    m, exponent = np.frexp(k)
+    product = exponent * head
+    whole = np.rint(product)
+    dtype = k.dtype.type
+    t = (product - whole).astype(k.dtype) + exponent * dtype(e - head)
+    t += dtype(e) * np.log2(m)
+    return np.ldexp(np.exp2(t), whole.astype(np.int32))
+
+
 def _q_derivatives(p: float, a: float, kappa):
     """First three kappa-derivatives of Q at a point, in extended precision.
 
@@ -154,14 +183,15 @@ def _theta_map(params: ElasticaParams):
     """(alpha - beta, theta -> (kappa, Q, r, sin^2 theta, cos^2 theta)).
 
     The map works in extended precision with the polished roots, and Q is
-    stabilised by its Taylor expansion about the nearer root.
+    stabilised by its Taylor expansion about the nearer root at the nodes
+    where the direct form cancels below _Q_SWITCH of its terms' scale.
     """
     p, a = params.p, params.a
     beta, alpha = _polish_root(p, a, params.beta), _polish_root(p, a, params.alpha)
     width = alpha - beta
     db = _q_derivatives(p, a, beta)
     da = _q_derivatives(p, a, alpha)
-    a_l, e_l = np.longdouble(a), np.longdouble(1.0 - p)
+    a_l, e = np.longdouble(a), 1.0 - p
     mid_c = np.longdouble((1.0 - p) ** 2)
     p2_l = np.longdouble(p) ** 2
 
@@ -177,14 +207,17 @@ def _theta_map(params: ElasticaParams):
         d_beta = width * s2
         d_alpha = width * c2
         kl = beta + d_beta
-        r = kl**e_l
+        r = _power(kl, e)
         lead = a_l * r * r
         mid_term = mid_c * kl**2
-        q_direct = lead - mid_term - p2_l
-        q_scale = lead + mid_term + p2_l
-        q_taylor = np.where(s2 < c2, taylor(db, d_beta), taylor(da, -d_alpha))
-        cancelling = np.abs(q_direct) < _Q_SWITCH * q_scale
-        return kl, np.where(cancelling, q_taylor, q_direct), r, s2, c2
+        q = lead - mid_term - p2_l
+        cancelling = np.abs(q) < _Q_SWITCH * (lead + mid_term + p2_l)
+        if cancelling.any():
+            nearer_beta = s2 < c2
+            near_beta, near_alpha = cancelling & nearer_beta, cancelling & ~nearer_beta
+            q[near_beta] = taylor(db, d_beta[near_beta])
+            q[near_alpha] = taylor(da, -d_alpha[near_alpha])
+        return kl, q, r, s2, c2
 
     return width, at
 

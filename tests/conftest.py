@@ -1,12 +1,30 @@
 """Shared fixtures: solved closure momenta and traces are expensive, so they
 are computed once per session and reused across test modules."""
 
+import numpy as np
 import pytest
 
 from pelastica.cli import REFERENCE_TABLE
 from pelastica.closure import ClosureIndex, solve_closure
 from pelastica.curve import trace_closed_curve
 from pelastica.qpotential import make_params
+
+
+def _precision_line():
+    nmant = np.finfo(np.longdouble).nmant
+    return f"numpy {np.__version__}, np.finfo(np.longdouble).nmant = {nmant}"
+
+
+def pytest_report_header(config):
+    # The 1e-13 pins were set where long double has a 63-bit stored mantissa;
+    # every run says at which precision it ran.
+    return _precision_line()
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    # -q hides the report header, so quiet runs end with the line instead.
+    if config.get_verbosity() < 0:
+        terminalreporter.write_line(_precision_line())
 
 
 @pytest.fixture(scope="session")

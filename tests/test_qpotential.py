@@ -191,6 +191,28 @@ def _classification_cells(p, a):
     return fn, [(grid[i], grid[i + 1]) for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0)]
 
 
+def test_scalar_sign_surrogate_returns_the_array_surrogates_bits():
+    # root refinement relies on these bits: the 1e-13 Lambda pins sit on
+    # roots refined with numpy's logaddexp
+    rng = np.random.default_rng(11)
+    counts = {"x > y": 0, "x < y": 0, "x == y": 0}
+    for _ in range(400):
+        p = float(rng.uniform(0.002, 0.998))
+        a = a_star(p) * (1.0 + 10.0 ** rng.uniform(-9, 7))
+        sign = qpotential._q_sign_log_scalar(p, a)
+        # the tie 2u + 2 log1p(-p) == 2 log p sits near u = log(p / (1-p))
+        tie = math.log(p) - math.log1p(-p)
+        us = np.concatenate(
+            [rng.uniform(-700.0, 350.0, 40), tie + rng.integers(-4, 5, 10) * 2.0**-52 * abs(tie)]
+        )
+        for u in us.tolist():
+            x, y = 2.0 * u + 2.0 * math.log1p(-p), 2.0 * math.log(p)
+            counts["x > y" if x > y else "x < y" if x < y else "x == y"] += 1
+            expected = np.float64(qpotential._q_sign_log(p, a, u))
+            assert np.float64(sign(u)).view(np.int64) == expected.view(np.int64), (p, a, u)
+    assert min(counts.values()) >= 100, counts
+
+
 def test_zeroin_matches_brentq_on_classification_cells():
     # the port must return brentq's bits, not merely a root to tolerance
     rng = np.random.default_rng(5)

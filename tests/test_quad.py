@@ -110,6 +110,67 @@ def test_numerator_receives_q_and_r():
     assert seen["r_error"] < 1e-17
 
 
+@pytest.mark.parametrize("dtype", [np.longdouble, np.float64])
+def test_power_is_within_two_ulp_of_pow(dtype):
+    # the float64 run stands in for a platform whose long double is double,
+    # where an unsplit (1-p) E would be off by up to ~180 ulp
+    rng = np.random.default_rng(2)
+    u = rng.uniform(math.log(np.finfo(np.float64).tiny), math.log(1e150), 20000)
+    k = np.exp(u.astype(dtype))
+    for e in (0.01, 0.3, 0.5, 0.7, 0.99):
+        got, ref = quad._power(k, e), k ** dtype(e)
+        assert got.dtype == k.dtype
+        assert np.max(np.abs(got - ref) / np.spacing(ref)) <= 2.0, e
+    # exact where the power is: (4^j)^(1/2) = 2^j
+    j = np.arange(-511, 250)
+    fours = np.ldexp(np.ones(j.size, dtype=dtype), 2 * j)
+    assert np.array_equal(quad._power(fours, 0.5), np.ldexp(np.ones(j.size, dtype=dtype), j))
+
+
+def _full_size_q(params, theta):
+    """The arch map's stabilised Q with both Taylor branches formed at every
+    node and selected by np.where; the nodes' cancelling mask and side."""
+    p, a = params.p, params.a
+    beta, alpha = quad._polish_root(p, a, params.beta), quad._polish_root(p, a, params.alpha)
+    width = alpha - beta
+    db, da = quad._q_derivatives(p, a, beta), quad._q_derivatives(p, a, alpha)
+
+    def taylor(coeffs, d):
+        d1, d2, d3 = coeffs
+        return d * (d1 + d * (0.5 * d2 + d * (d3 / 6.0)))
+
+    s2 = np.sin(theta).astype(np.longdouble) ** 2
+    c2 = np.cos(theta).astype(np.longdouble) ** 2
+    d_beta, d_alpha = width * s2, width * c2
+    kl = beta + d_beta
+    r = quad._power(kl, 1.0 - p)
+    lead = np.longdouble(a) * r * r
+    mid_term = np.longdouble((1.0 - p) ** 2) * kl**2
+    p2 = np.longdouble(p) ** 2
+    q_direct = lead - mid_term - p2
+    cancelling = np.abs(q_direct) < quad._Q_SWITCH * (lead + mid_term + p2)
+    q = np.where(
+        cancelling, np.where(s2 < c2, taylor(db, d_beta), taylor(da, -d_alpha)), q_direct
+    )
+    return q, cancelling, s2 < c2
+
+
+# Q cancels near beta only on the deep graded mesh, and near both roots just
+# above threshold.
+@pytest.mark.parametrize("p,mult,near_alpha", [(0.99, 7.4e3, False), (0.3, 1.0 + 1e-6, True)])
+def test_stabilised_q_equals_full_size_taylor_selection(p, mult, near_alpha):
+    params = make_params(p, mult * a_star(p))
+    breaks = quad._arch_breaks(params, quad._progression_layer(params))
+    centre, half = 0.5 * (breaks[1:] + breaks[:-1]), 0.5 * (breaks[1:] - breaks[:-1])
+    theta = (centre[:, None] + half[:, None] * quad._GL_NODES).ravel()
+    _, q, *_ = quad._theta_map(params)[1](theta)
+    ref, cancelling, nearer_beta = _full_size_q(params, theta)
+    assert np.any(cancelling & nearer_beta)
+    assert np.any(cancelling & ~nearer_beta) == near_alpha
+    # equal values, not bytes: long double arrays carry padding bytes
+    assert q.dtype == ref.dtype and np.array_equal(q, ref)
+
+
 def test_rel_tol_domain():
     params = make_params(0.3, 1.5)
     with pytest.raises(DomainError):
