@@ -266,21 +266,24 @@ def trace_to_json(trace: CurveTrace, path: str) -> None:
 
 
 def trace_to_svg(trace: CurveTrace, path: str) -> None:
-    """Orthographic projection onto the plane x = 0 as a closed polyline."""
+    """Orthographic projection onto the plane x = 0 as a closed polyline.
+
+    The pixel coordinates (half + scale y, half - scale z) are computed as
+    arrays and go through the blocked line writer as "%.2f,%.2f" pairs, one
+    space between pairs.
+    """
     yz = trace.points[:, 1:]
     size = 640  # square canvas, pixels
     half = size / 2.0
     scale = 0.45 * size
-    coords = " ".join(
-        f"{half + scale * y:.2f},{half - scale * z:.2f}" for y, z in yz
-    )
-    body = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">\n'
-        f'<circle cx="{half}" cy="{half}" r="{scale}" fill="none" '
-        f'stroke="#cccccc" stroke-width="1"/>\n'
-        f'<polyline points="{coords}" fill="none" stroke="#1f4e8c" '
-        f'stroke-width="1.5"/>\n</svg>\n'
-    )
+    pixels = np.column_stack([half + scale * yz[:, 0], half - scale * yz[:, 1]])
     with open(path, "w") as fh:
-        fh.write(body)
+        fh.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+            f'viewBox="0 0 {size} {size}">\n'
+            f'<circle cx="{half}" cy="{half}" r="{scale}" fill="none" '
+            f'stroke="#cccccc" stroke-width="1"/>\n<polyline points="'
+        )
+        _write_lines(fh, "%.2f,%.2f ", pixels[:-1])
+        _write_lines(fh, "%.2f,%.2f", pixels[-1:])
+        fh.write('" fill="none" stroke="#1f4e8c" stroke-width="1.5"/>\n</svg>\n')

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import curve
 from .curve import CurveTrace, _embed_points, _write_lines, psi_rate, unit_tangent
 from .errors import PoleCollision, SeedError
 
@@ -204,7 +205,12 @@ def _triangle_fans(nt: int, ns: int, wrap_s: bool):
 
     Each quad (i, j) gives (a, b, c) then (a, c, d), quads in row-major order.
     """
-    i = np.arange(nt)[:, None]
+    return _fan_rows(nt, ns, wrap_s, 0, nt)
+
+
+def _fan_rows(nt: int, ns: int, wrap_s: bool, start: int, stop: int):
+    """The triangles of _triangle_fans whose quads lie in grid rows start..stop-1."""
+    i = np.arange(start, stop)[:, None]
     j = np.arange(ns if wrap_s else ns - 1)[None, :]
     i2, j2 = (i + 1) % nt, (j + 1) % ns
     a, b, c, d = np.broadcast_arrays(i * ns + j, i2 * ns + j, i2 * ns + j2, i * ns + j2)
@@ -320,16 +326,69 @@ def _plane_basis(n: np.ndarray) -> np.ndarray:
 
 
 def patch_to_obj(patch: HopfPatch, path: str, pole=(0.0, 0.0, 0.0, -1.0)) -> None:
-    """Write the projected mesh as OBJ with a sidecar curvature attribute."""
+    """Write the projected mesh as OBJ with a sidecar curvature attribute.
+
+    The text is that of one "v %.12g %.12g %.12g" line per vertex, one
+    "f %d %d %d" line per triangle (1-based) and one "%.12g" line of kappa/2
+    per vertex in the sidecar, assembled from the mesh's structure:
+    - vertices go through the blocked line writer;
+    - faces are generated a block of lines at a time from their grid rows,
+      and each block's text is gathered in numpy from the decimal text of
+      every vertex index, formatted once (_decimal_table);
+    - the sidecar's values depend only on the s column, so one column's text
+      is formatted once and written once per fiber phase.
+    """
     projected = stereographic_project(patch.vertices, pole)
     nt, ns, _ = patch.vertices.shape
-    tris = _triangle_fans(nt, ns, patch.closed)
-    tris += 1  # OBJ indices are 1-based
     with open(path, "w") as fh:
         _write_lines(fh, "v %.12g %.12g %.12g\n", projected.reshape(-1, 3))
-        _write_lines(fh, "f %d %d %d\n", tris)
+        _write_faces(fh, nt, ns, patch.closed)
+    column = ("%.12g\n" * ns) % tuple(patch.h_field.tolist())
     with open(path + ".meancurv", "w") as fh:
-        _write_lines(fh, "%.12g\n", np.tile(patch.h_field, nt)[:, None])
+        for _ in range(nt):
+            fh.write(column)
+
+
+def _decimal_table(n: int) -> np.ndarray:
+    """ASCII decimal text of 0..n as uint8 rows, right-aligned to the width
+    of n with NUL in place of leading zeros."""
+    width = len(str(n))
+    values = np.arange(n + 1)
+    table = np.empty((n + 1, width), dtype=np.uint8)
+    for k in range(width):
+        place = 10 ** (width - 1 - k)
+        table[:, k] = values // place % 10 + ord("0")
+        if place > 1:
+            table[:place, k] = 0  # the values below place have no digit here
+    return table
+
+
+def _write_faces(fh, nt: int, ns: int, wrap_s: bool) -> None:
+    """Write "f a b c" lines for _triangle_fans(nt, ns, wrap_s), 1-based,
+    in blocks of curve._BLOCK_LINES lines.
+
+    Each block is a (faces, 3 width + 5) uint8 matrix: "f", then a space and
+    the index's padded digits three times, then a newline; dropping its NUL
+    bytes leaves the block's text.
+    """
+    digits = _decimal_table(nt * ns)
+    width = digits.shape[1]
+    per_row = 2 * (ns if wrap_s else ns - 1)
+    total = nt * per_row
+    for start in range(0, total, curve._BLOCK_LINES):
+        stop = min(start + curve._BLOCK_LINES, total)
+        first_row = start // per_row
+        offset = first_row * per_row
+        rows = _fan_rows(nt, ns, wrap_s, first_row, -(-stop // per_row))
+        tris = rows[start - offset : stop - offset] + 1  # OBJ indices are 1-based
+        text = np.empty((len(tris), 3 * width + 5), dtype=np.uint8)
+        text[:, 0] = ord("f")
+        text[:, 1 :: width + 1] = ord(" ")
+        text[:, -1] = ord("\n")
+        for k in range(3):
+            col = 2 + k * (width + 1)
+            text[:, col : col + width] = digits[tris[:, k]]
+        fh.write(text[text != 0].tobytes().decode("ascii"))
 
 
 def patch_to_json(patch: HopfPatch, path: str) -> None:

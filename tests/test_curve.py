@@ -183,6 +183,37 @@ def test_exports_match_per_sample_writer(tmp_path, g23_trace, g23_params, closed
     assert (tmp_path / "trace.json").read_bytes() == json_ref.encode()
 
 
+def _per_point_svg(trace):
+    # per-point reference writer: one f-string per point on numpy scalars
+    size = 640
+    half = size / 2.0
+    scale = 0.45 * size
+    coords = " ".join(
+        f"{half + scale * y:.2f},{half - scale * z:.2f}" for y, z in trace.points[:, 1:]
+    )
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="0 0 {size} {size}">\n'
+        f'<circle cx="{half}" cy="{half}" r="{scale}" fill="none" '
+        f'stroke="#cccccc" stroke-width="1"/>\n'
+        f'<polyline points="{coords}" fill="none" stroke="#1f4e8c" '
+        f'stroke-width="1.5"/>\n</svg>\n'
+    )
+
+
+@pytest.mark.parametrize("block_lines", [None, 7])
+@pytest.mark.parametrize("closed", [True, False])
+def test_svg_export_matches_per_point_writer(
+    tmp_path, monkeypatch, g23_trace, g23_params, closed, block_lines
+):
+    # the closed gamma_{2,3} trace, and half a period embedded without an index
+    trace = g23_trace if closed else sample_profile(g23_params, 0.5)
+    if block_lines is not None:
+        monkeypatch.setattr(curve, "_BLOCK_LINES", block_lines)
+    trace_to_svg(trace, str(tmp_path / "trace.svg"))
+    assert (tmp_path / "trace.svg").read_bytes() == _per_point_svg(trace).encode()
+
+
 def test_trace_other_family_member(all_traces):
     trace = all_traces(0.3, 3, 5)
     assert trace.closure_gap < 1e-6

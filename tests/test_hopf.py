@@ -359,15 +359,30 @@ def _loop_obj_text(patch, pole=(0.0, 0.0, 0.0, -1.0)):
 
 
 @pytest.mark.parametrize("block_lines", [None, 7])
-@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize(
+    ("closed", "t_samples", "s_samples"),
+    [
+        # 5 x 6 open and 3 x 4 x 4 closed meshes: every block size leaves a
+        # partial block
+        pytest.param(False, 5, 6, id="False"),
+        pytest.param(True, 3, 4, id="True"),
+        # 1000 vertices: the indices cross every digit width up to 4, and
+        # the widest is the table's last row
+        pytest.param(False, 8, 125, id="open-1000-vertices"),
+        pytest.param(True, 10, 25, id="closed-1000-vertices"),
+        # one fiber phase: the t neighbour of every row is the row itself
+        pytest.param(True, 1, 4, id="closed-t1"),
+        # one s column of an open segment: vertices and no faces
+        pytest.param(False, 3, 1, id="open-s1"),
+        # the CLI's 4-cover torus, 256 x 512 with 6-digit indices
+        pytest.param(True, 256, 128, id="closed-default"),
+    ],
+)
 def test_obj_export_matches_per_line_writer(
-    tmp_path, monkeypatch, all_traces, closed, block_lines
+    tmp_path, monkeypatch, all_traces, closed, t_samples, s_samples, block_lines
 ):
-    # 5 x 6 open and 3 x 4 x 4 closed meshes: every block size leaves a partial block
-    if closed:
-        patch = build_torus(all_traces(0.5, 2, 3), t_samples=3, s_samples=4)
-    else:
-        patch = build_torus(all_traces(0.3, 2, 3), t_samples=5, s_samples=6)
+    trace = all_traces(0.5, 2, 3) if closed else all_traces(0.3, 2, 3)
+    patch = build_torus(trace, t_samples=t_samples, s_samples=s_samples)
     assert patch.closed is closed
     if block_lines is not None:
         monkeypatch.setattr(curve, "_BLOCK_LINES", block_lines)
