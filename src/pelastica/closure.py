@@ -86,8 +86,8 @@ def solve_closure(p: float, index: ClosureIndex) -> ClosureIndex:
     Scans the geometric grid a_k = a_* (1 + 2^k * 1e-4) for sign changes and
     refines every bracket found; monotonicity of Lambda is conjectural, so no
     uniqueness is assumed.  a_solved is the smallest refined root.  The scan
-    ends at momentum_cap or at the first momentum whose Lambda the arch mesh
-    cannot resolve, whichever comes first.
+    ends at 1e6 a_*, at momentum_cap or at the first momentum whose Lambda
+    the arch mesh cannot resolve, and NotFound says which and where.
     """
     if not is_admissible(index.n, index.m):
         raise DomainError(f"({index.n}, {index.m}) is not an admissible closure pair")
@@ -109,10 +109,13 @@ def solve_closure(p: float, index: ClosureIndex) -> ClosureIndex:
     while True:
         a_next = thr * (1.0 + 2.0**k * _SCAN_BASE)
         if a_next > a_cap:
+            limit = "momentum_cap" if a_cap < thr * (1.0 + _SCAN_CAP) else f"{_SCAN_CAP:g} a_*"
+            offset, why = 2.0 ** (k - 1) * _SCAN_BASE, f"the last grid momentum before {limit}"
             break
         try:
             g_next = gap(a_next)
         except ResolutionError:
+            offset, why = 2.0**k * _SCAN_BASE, "where the arch mesh cannot resolve Lambda"
             break
         if g_prev == 0.0:
             roots.append(a_prev)
@@ -121,6 +124,9 @@ def solve_closure(p: float, index: ClosureIndex) -> ClosureIndex:
         a_prev, g_prev = a_next, g_next
         k += 1
     if not roots:
-        raise NotFound(f"no momentum solves Lambda = 2 pi {index.n}/{index.m} below {_SCAN_CAP} a_*")
+        raise NotFound(
+            f"no momentum solves Lambda = 2 pi {index.n}/{index.m}: the scan stopped at "
+            f"a = a_* (1 + {offset:g}), {why}"
+        )
     roots.sort()
     return replace(index, a_solved=roots[0], a_candidates=tuple(roots))

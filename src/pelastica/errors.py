@@ -1,10 +1,10 @@
 """Exception hierarchy shared across the library.
 
 The CLI maps each exception to one of its exit codes, the EXIT_* constants
-in pelastica.cli: domain errors to 2, invariant breaches and resolution
-errors to 4, and every other library error to 3.  InvariantBreach is raised
-by the CLI itself, when a report holds a value that is not a finite number
-and so has no JSON text.
+in pelastica.cli: domain errors to 2 (PoleCollision is one), invariant
+breaches and resolution errors to 4, and every other library error to 3.
+InvariantBreach is raised by the CLI itself, when a report holds a value
+that is not a finite number and so has no JSON text.
 """
 
 
@@ -41,5 +41,5 @@ class SeedError(PElasticaError):
     """A fiber seed point does not project onto the base point."""
 
 
-class PoleCollision(PElasticaError):
-    """A mesh vertex lies too close to the projection pole."""
+class PoleCollision(DomainError):
+    """A mesh vertex lies too close to the projection pole the caller chose."""

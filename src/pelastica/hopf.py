@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curve
-from .curve import CurveTrace, _embed_points, _write_lines, psi_rate, unit_tangent
+from .curve import CurveTrace, _embed_points, _write_lines
 from .errors import PoleCollision, SeedError
 
 SPHERE_RADIUS = 2.0
@@ -72,60 +72,15 @@ def fiber_seed(base_point) -> np.ndarray:
     return np.stack([zmod, np.zeros_like(zmod), 2.0 * y / zmod, 2.0 * z3 / zmod], axis=-1)
 
 
-def _lift_at(trace: CurveTrace, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form lift e^(i A/2) sigma(gamma) at arc lengths s, shape (len(s), 4),
-    and kappa there, from one evaluation of the arch trace."""
-    kappa, _, psi, area = trace.arch.at(s)
-    sigma = fiber_seed(_embed_points(trace.params, kappa, psi))
-    return _phase_rotate(sigma, 0.5 * area), kappa
-
-
 def _holonomy_angle(trace: CurveTrace) -> float:
     """Fiber phase mismatch A(L)/2 mod 2 pi of the lift over the traced span."""
     return (0.5 * float(trace.states.area[-1])) % (2.0 * math.pi)
 
 
-def horizontal_lift(trace: CurveTrace) -> np.ndarray:
-    """The horizontal lift e^(i phi) sigma(gamma) at the trace samples, (N, 4).
-
-    The phase phi = A/2 comes from the swept area sampled along with the
-    trace, so no ODE is solved.
-    """
-    return _phase_rotate(fiber_seed(trace.points), 0.5 * trace.states.area)
-
-
-def horizontality_residual(trace: CurveTrace) -> float:
-    """Max |<q', iq>| over the lift's samples, q' the closed form's own derivative.
-
-    q' = e^(i phi) (D sigma . gamma' + i phi' sigma) with gamma' the analytic
-    unit tangent and phi' = (1 - x) psi' / 2; it vanishes exactly when phi'
-    has the right sign and factor.  It checks phi' only: D sigma . gamma' + i
-    phi' sigma is orthogonal to both sigma and i sigma, so a lift rotated by
-    any extra phase still reads 0 here.  The sampled phase is covered by the
-    holonomy and by comparison with an independently integrated lift.
-    """
-    params = trace.params
-    st = trace.states
-    gamma = trace.points
-    dgamma = unit_tangent(params, st.kappa, st.kappa_prime, st.psi)
-    sigma = fiber_seed(gamma)
-    zmod = sigma[:, 0]
-    # derivative of (zmod, 0, 2y/zmod, 2z/zmod) with zmod' = x'/zmod
-    dzmod = dgamma[:, 0] / zmod
-    dsigma = np.column_stack(
-        [
-            dzmod,
-            np.zeros_like(zmod),
-            (2.0 * dgamma[:, 1] - sigma[:, 2] * dzmod) / zmod,
-            (2.0 * dgamma[:, 2] - sigma[:, 3] * dzmod) / zmod,
-        ]
-    )
-    psip = psi_rate(params.p, params.a, st.kappa, st.kappa_prime)
-    phase_rate = 0.5 * (1.0 - gamma[:, 0]) * psip
-    phase = 0.5 * st.area
-    q_prime = _phase_rotate(dsigma + phase_rate[:, None] * fiber_direction(sigma), phase)
-    fib = fiber_direction(_phase_rotate(sigma, phase))
-    return float(np.max(np.abs(np.einsum("ij,ij->i", q_prime, fib))))
+def horizontal_lift(points, area) -> np.ndarray:
+    """The horizontal lift e^(i A/2) sigma(gamma) of curve points gamma (N, 3)
+    with swept areas A (N,), shape (N, 4)."""
+    return _phase_rotate(fiber_seed(points), 0.5 * np.asarray(area))
 
 
 def _closing_covers(angle: float) -> int | None:
@@ -151,8 +106,8 @@ class HopfPatch:
 def build_torus(trace: CurveTrace, t_samples: int = 256, s_samples: int = 128) -> HopfPatch:
     """Sweep the lift through the fiber phases into a quad mesh.
 
-    The first cover's s columns evaluate the closed-form lift
-    e^(i phi) sigma(gamma) from the trace's arch quadrature.  If the lift
+    The first cover's s columns lift (horizontal_lift) the points and swept
+    areas that one read of the trace's arch quadrature gives.  If the lift
     holonomy is a rational angle, the s-range is extended over the smallest
     closing cover within MAX_COVERS (the lift over cover k equals the first
     cover phase-rotated by k times the holonomy).
@@ -168,36 +123,34 @@ def build_torus(trace: CurveTrace, t_samples: int = 256, s_samples: int = 128) -
         covers = 1
 
     s_one = np.linspace(0.0, float(trace.states.s[-1]), s_samples, endpoint=False)
-    lift_one, kappa_one = _lift_at(trace, s_one)
-    lift_points = np.concatenate(
-        [_phase_rotate(lift_one, c * angle) for c in range(covers)], axis=0
-    )
-
+    kappa_one, _, psi_one, area_one = trace.arch.at(s_one)
+    lift_one = horizontal_lift(_embed_points(trace.params, kappa_one, psi_one), area_one)
+    # vertex (t, c, j): the lift at s_one[j] rotated by c covers' holonomy,
+    # then by the fiber phase t, written once into _phase_rotate's result
     t = np.linspace(0.0, 2.0 * math.pi, t_samples, endpoint=False)
-    cos_t, sin_t = np.cos(t), np.sin(t)
-    x0, x1, x2, x3 = lift_points.T
-    vertices = np.empty((t_samples, lift_points.shape[0], 4))
-    vertices[..., 0] = np.outer(cos_t, x0) - np.outer(sin_t, x1)
-    vertices[..., 1] = np.outer(sin_t, x0) + np.outer(cos_t, x1)
-    vertices[..., 2] = np.outer(cos_t, x2) - np.outer(sin_t, x3)
-    vertices[..., 3] = np.outer(sin_t, x2) + np.outer(cos_t, x3)
+    covered = _phase_rotate(lift_one, np.arange(covers)[:, None] * angle)
+    vertices = _phase_rotate(covered, t[:, None, None])
     return HopfPatch(
         trace=trace,
         holonomy_angle=angle,
         covers=covers,
         closed=closed,
-        vertices=vertices,
+        vertices=vertices.reshape(t_samples, covers * s_samples, 4),
         h_field=0.5 * np.tile(kappa_one, covers),
     )
 
 
 def _phase_rotate(points: np.ndarray, angle) -> np.ndarray:
-    """Multiply points (N, 4) by e^(i angle), angle a scalar or one per point."""
+    """Multiply points (..., 4) by e^(i angle), angle broadcasting against
+    points[..., 0], into one preallocated result."""
     c, s = np.cos(angle), np.sin(angle)
-    x0, x1, x2, x3 = points.T
-    return np.column_stack(
-        [c * x0 - s * x1, s * x0 + c * x1, c * x2 - s * x3, s * x2 + c * x3]
-    )
+    x0, x1, x2, x3 = np.moveaxis(points, -1, 0)
+    out = np.empty(np.broadcast_shapes(np.shape(c), x0.shape) + (4,))
+    out[..., 0] = c * x0 - s * x1
+    out[..., 1] = s * x0 + c * x1
+    out[..., 2] = c * x2 - s * x3
+    out[..., 3] = s * x2 + c * x3
+    return out
 
 
 def _triangle_fans(nt: int, ns: int, wrap_s: bool):

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from lift_reference import lift_horizontality
 from ode_reference import first_integral_residual, ode_profile, ode_trace
 from scipy.optimize import brentq
 
@@ -31,7 +32,6 @@ from pelastica.hopf import (
     discrete_mean_curvature,
     hopf_project,
     horizontal_lift,
-    horizontality_residual,
 )
 from pelastica.qpotential import a_star, classify_positive_roots, make_params
 from pelastica.quad import parts_identity_residual
@@ -254,10 +254,11 @@ def test_criterion_07_root_count_dichotomy():
 
 
 def test_criterion_08_lift_and_torus(g23_trace):
-    lift = horizontal_lift(g23_trace)
+    lift = horizontal_lift(g23_trace.points, g23_trace.states.area)
     norm_err = float(np.max(np.abs(np.linalg.norm(lift, axis=1) - SPHERE_RADIUS)))
     proj_err = float(np.max(np.linalg.norm(hopf_project(lift) - g23_trace.points, axis=1)))
-    horiz = horizontality_residual(g23_trace)
+    # <q', iq> on the lift's own points, q' by finite differences
+    horiz = lift_horizontality(g23_trace)
 
     coarse = build_torus(g23_trace, t_samples=64, s_samples=256)
     fine = build_torus(g23_trace, t_samples=128, s_samples=512)

@@ -46,6 +46,17 @@ def test_curve_command_rejects_inadmissible(capsys):
     assert "not admissible" in capsys.readouterr().err
 
 
+def test_hopf_pole_on_the_mesh_exits_2_and_writes_nothing(tmp_path, capsys):
+    # the pole direction of a vertex of the p = 1/2 gamma_{2,3} torus: the
+    # projection is undefined there, so the --pole given is invalid input
+    stem = tmp_path / "torus"
+    argv = ["hopf", "--p", "0.5", "--n", "2", "--m", "3", "--out", str(stem)]
+    code = main(argv + ["--pole", "1.97153,0,0,0.336266"])
+    assert code == EXIT_ADMISSIBILITY
+    assert "too close to the projection pole" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_curve_command_domain_error_exit(capsys):
     # negative winding index fails index validation inside the library
     code = main(["curve", "--p", "1.5", "--n", "2", "--m", "3"])

@@ -16,7 +16,7 @@ from pelastica.closure import (
     period,
     solve_closure,
 )
-from pelastica.errors import DomainError, ResolutionError
+from pelastica.errors import DomainError, NotFound, ResolutionError
 from pelastica.qpotential import _zeroin, a_star, make_params
 
 SQRT2_PI = math.sqrt(2.0) * math.pi
@@ -144,6 +144,24 @@ def test_closure_scan_stops_at_unresolvable_lambda(monkeypatch):
     assert solved.a_candidates == (solved.a_solved,)
     # every Lambda the scan used is a true progression angle
     assert all(math.pi < v <= SQRT2_PI for v in seen)
+
+
+@pytest.mark.parametrize(
+    "p,stop",
+    [
+        # 2 pi 12/17 lies within 2.5e-3 of sqrt(2) pi: at p = 0.999 Lambda is
+        # unresolvable past 1.8 a_* offsets, at p = 0.001 the curvature cap
+        # ends the scan first
+        (0.999, "a = a_* (1 + 1.6384), where the arch mesh cannot resolve Lambda"),
+        (0.001, "a = a_* (1 + 0.8192), the last grid momentum before momentum_cap"),
+    ],
+)
+def test_closure_scan_names_where_it_stopped(p, stop):
+    with pytest.raises(NotFound) as info:
+        solve_closure(p, ClosureIndex(12, 17))
+    assert str(info.value) == (
+        f"no momentum solves Lambda = 2 pi 12/17: the scan stopped at {stop}"
+    )
 
 
 @pytest.mark.parametrize(

@@ -38,7 +38,8 @@ def test_profile_conserves_first_integral(g23_params):
 
 def test_samples_are_one_shared_read_only_record(g23_trace):
     st = g23_trace.states
-    assert len(st) == len(g23_trace.points) == len(horizontal_lift(g23_trace)) == 512 * 3 + 1
+    lift = horizontal_lift(g23_trace.points, st.area)
+    assert len(st) == len(g23_trace.points) == len(lift) == 512 * 3 + 1
     for column in (st.s, st.kappa, st.kappa_prime, st.psi, st.area, g23_trace.points):
         with pytest.raises(ValueError):
             column[0] = 0.0

@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from lift_reference import lift_horizontality, with_scaled_area
 from ode_reference import ode_profile
 from scipy.integrate import solve_ivp
 
 from pelastica import curve, hopf
+from pelastica.closure import ClosureIndex
 from pelastica.curve import unit_tangent
 from pelastica.errors import PoleCollision, SeedError
 from pelastica.hopf import (
@@ -21,7 +23,6 @@ from pelastica.hopf import (
     fiber_seed,
     hopf_project,
     horizontal_lift,
-    horizontality_residual,
     inverse_stereographic,
     patch_to_json,
     patch_to_obj,
@@ -179,7 +180,7 @@ def test_triangle_fans_match_loop_reference(nt, ns, wrap_s):
 
 @pytest.fixture(scope="module")
 def g23_lift(g23_trace):
-    return horizontal_lift(g23_trace)
+    return horizontal_lift(g23_trace.points, g23_trace.states.area)
 
 
 def test_lift_stays_on_radius_two_sphere(g23_lift):
@@ -190,7 +191,7 @@ def test_lift_stays_on_radius_two_sphere(g23_lift):
 @pytest.mark.parametrize("p,n,m", [(0.3, 2, 3), (0.5, 2, 3)])
 def test_lift_matches_ode_reference(all_traces, p, n, m):
     trace = all_traces(p, n, m)
-    lift = horizontal_lift(trace)
+    lift = horizontal_lift(trace.points, trace.states.area)
     ref_points, ref_holonomy = _ode_lift(trace)
     assert float(np.max(np.abs(lift - ref_points))) < 1e-8
     gap = (hopf._holonomy_angle(trace) - ref_holonomy) % (2.0 * math.pi)
@@ -199,13 +200,15 @@ def test_lift_matches_ode_reference(all_traces, p, n, m):
 
 @pytest.mark.parametrize("p,n,m", [(0.3, 2, 3), (0.01, 2, 3), (0.5, 2, 3), (0.3, 5, 8)])
 def test_lift_samples_match_dense_output(all_traces, p, n, m):
-    # The lift reads A from the profile samples; the arch trace evaluated at
-    # the same arc lengths gives the same points, and at the last sample the
-    # same holonomy to the bit.
+    # The torus evaluates the arch trace at its own arc lengths; with one
+    # column per sample its first fiber phase is the lift of the samples to
+    # the bit, and the dense output at the last sample gives the same
+    # holonomy to the bit.
     trace = all_traces(p, n, m)
     s = trace.states.s
-    dense, _ = hopf._lift_at(trace, s)
-    assert float(np.max(np.abs(horizontal_lift(trace) - dense))) < 1e-13
+    patch = build_torus(trace, t_samples=1, s_samples=len(s) - 1)
+    lift = horizontal_lift(trace.points, trace.states.area)
+    assert np.array_equal(patch.vertices[0, : len(s) - 1], lift[:-1])
     area_end = trace.arch.at(s[-1])[3]
     assert hopf._holonomy_angle(trace) == (0.5 * area_end) % (2.0 * math.pi)
 
@@ -215,8 +218,27 @@ def test_lift_projects_onto_base(g23_lift, g23_trace):
     assert float(np.max(np.linalg.norm(proj - g23_trace.points, axis=1))) < 1e-8
 
 
-def test_lift_is_horizontal(g23_trace):
-    assert horizontality_residual(g23_trace) < 1e-8
+@pytest.fixture(scope="module")
+def horizontality_traces(all_traces):
+    # reference-table rows out to both p edges, and p = 0.7 gamma_{11,19}
+    rows = [(0.3, 2, 3), (0.5, 2, 3), (0.01, 2, 3), (0.99, 2, 3), (0.3, 5, 8)]
+    traces = [all_traces(p, n, m) for p, n, m in rows]
+    return traces + [curve.trace_closed_curve(0.7, ClosureIndex(11, 19))]
+
+
+def test_lift_is_horizontal(horizontality_traces):
+    # <q', iq> on the lift that build_torus sweeps, q' by finite differences
+    # of the arch trace's dense output (2.8e-12 on p = 0.3 gamma_{2,3} and
+    # at most 4.7e-11 on these six curves, measured with numpy 2.4)
+    for trace in horizontality_traces:
+        assert lift_horizontality(trace) < 1e-10
+
+
+def test_lift_horizontality_detects_a_wrong_area(horizontality_traces):
+    # negative control: a swept area off by 0.1% turns the lift by a phase
+    # rate of 5e-4 A', which the measure reads as 1.9e-4 or more
+    for trace in horizontality_traces:
+        assert lift_horizontality(with_scaled_area(trace, 1.001)) >= 1e-4
 
 
 def test_holonomy_equals_half_enclosed_area(g23_patch, g23_trace):
@@ -278,7 +300,7 @@ def test_half_exponent_torus_closes_after_four_covers(all_traces):
     s = patch.trace.states.s
     s_one = np.linspace(0.0, s[-1], 32, endpoint=False)
     assert np.allclose(s[:-1:48], s_one, rtol=1e-15, atol=0.0)
-    lift = horizontal_lift(patch.trace)
+    lift = horizontal_lift(patch.trace.points, patch.trace.states.area)
     assert np.max(np.abs(patch.vertices[0, :32] - lift[:-1:48])) < 1e-12
 
 
