@@ -5,7 +5,14 @@ curves, evaluates their bending energy and second variation, and lifts them
 to flat tori in the 3-sphere.
 """
 
-from .closure import ClosureIndex, is_admissible, lambda_p, period, solve_closure
+from .closure import (
+    ClosureIndex,
+    is_admissible,
+    lambda_p,
+    period,
+    solve_closure,
+    solve_closures,
+)
 from .curve import CurveTrace, sample_profile, trace_closed_curve
 from .energy import circle_energy, circle_radius, energy_closed
 from .errors import PElasticaError
@@ -50,6 +57,7 @@ __all__ = [
     "sample_profile",
     "second_variation",
     "solve_closure",
+    "solve_closures",
     "trace_closed_curve",
     "upsilon",
     "upsilon_elliptic_half",

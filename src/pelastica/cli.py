@@ -135,17 +135,33 @@ def _check_arguments(args) -> None:
         )
 
 
-def _solve_row(row):
-    tag, p, n, m, *_ = row
-    solved = closure.solve_closure(p, closure.ClosureIndex(n, m))
-    params = make_params(p, solved.a_solved)
-    theta = energy.energy_closed(params, m)
-    delta2 = stability.upsilon(params, m=m).delta_squared
-    return tag, p, n, m, solved.a_solved, theta, delta2
+def _solve_indices(rows) -> dict:
+    """{(p, n, m): solved ClosureIndex} for the rows; one closure scan per p."""
+    by_p = {}
+    for _, p, n, m, *_ in rows:
+        by_p.setdefault(p, []).append(closure.ClosureIndex(n, m))
+    return {
+        (p, index.n, index.m): index
+        for p, indices in by_p.items()
+        for index in closure.solve_closures(p, indices)
+    }
+
+
+def _solve_rows(rows) -> list:
+    """(tag, p, n, m, a, energy, delta2) for each row, in the rows' order."""
+    solved = _solve_indices(rows)
+    computed = []
+    for tag, p, n, m, *_ in rows:
+        a = solved[(p, n, m)].a_solved
+        params = make_params(p, a)
+        theta = energy.energy_closed(params, m)
+        delta2 = stability.upsilon(params, m=m).delta_squared
+        computed.append((tag, p, n, m, a, theta, delta2))
+    return computed
 
 
 def cmd_table1(args) -> int:
-    computed = [_solve_row(row) for row in REFERENCE_TABLE]
+    computed = _solve_rows(REFERENCE_TABLE)
     rows = []
     all_ok = True
     for ref, got in zip(REFERENCE_TABLE, computed):

@@ -81,30 +81,44 @@ def period(params: ElasticaParams) -> float:
 
 
 def solve_closure(p: float, index: ClosureIndex) -> ClosureIndex:
-    """Solve Lambda(a) = 2 pi n / m for the momentum a.
+    """Solve Lambda(a) = 2 pi n / m for the momentum a; see solve_closures."""
+    return solve_closures(p, (index,))[0]
 
-    Scans the geometric grid a_k = a_* (1 + 2^k * 1e-4) for sign changes and
-    refines every bracket found; monotonicity of Lambda is conjectural, so no
-    uniqueness is assumed.  a_solved is the smallest refined root.  The scan
-    ends at 1e6 a_*, at momentum_cap or at the first momentum whose Lambda
-    the arch mesh cannot resolve, and NotFound says which and where.
+
+def solve_closures(p: float, indices) -> tuple[ClosureIndex, ...]:
+    """Solve Lambda(a) = 2 pi n / m for the momentum a of every index at p.
+
+    Scans the geometric grid a_k = a_* (1 + 2^k * 1e-4) once for all targets
+    and refines every sign change of each target's gap by Brent's method;
+    monotonicity of Lambda is conjectural, so no uniqueness is assumed.
+    a_solved is the smallest refined root.  The scan ends at 1e6 a_*, at
+    momentum_cap or at the first momentum whose Lambda the arch mesh cannot
+    resolve, and NotFound says which and where.  Every index is checked
+    before any Lambda is computed; the results keep the order of indices.
+    Lambda is computed once per momentum and kept only for this call.
     """
-    if not is_admissible(index.n, index.m):
-        raise DomainError(f"({index.n}, {index.m}) is not an admissible closure pair")
-    target = index.target
-    if abs(target - math.sqrt(2.0) * math.pi) < _LIMIT_GUARD:
-        raise NotFound(
-            "closure target is within 1e-6 of sqrt(2) pi, which is approached but not attained"
-        )
+    indices = tuple(indices)
+    for index in indices:
+        if not is_admissible(index.n, index.m):
+            raise DomainError(f"({index.n}, {index.m}) is not an admissible closure pair")
+        if abs(index.target - math.sqrt(2.0) * math.pi) < _LIMIT_GUARD:
+            raise NotFound(
+                "closure target is within 1e-6 of sqrt(2) pi, which is approached but not "
+                "attained"
+            )
+    if not indices:
+        return ()
     thr = a_star(p)
+    lam = {}  # {momentum: Lambda}, shared by the scan and every refinement
 
-    def gap(a: float) -> float:
-        return lambda_p(make_params(p, a), _SCAN_REL_TOL) - target
+    def progression(a: float) -> float:
+        if a not in lam:
+            lam[a] = lambda_p(make_params(p, a), _SCAN_REL_TOL)
+        return lam[a]
 
     a_cap = min(thr * (1.0 + _SCAN_CAP), momentum_cap(p))
-    roots = []
-    a_prev = thr * (1.0 + _SCAN_BASE)
-    g_prev = gap(a_prev)
+    grid = [thr * (1.0 + _SCAN_BASE)]
+    progression(grid[0])
     k = 1
     while True:
         a_next = thr * (1.0 + 2.0**k * _SCAN_BASE)
@@ -113,20 +127,32 @@ def solve_closure(p: float, index: ClosureIndex) -> ClosureIndex:
             offset, why = 2.0 ** (k - 1) * _SCAN_BASE, f"the last grid momentum before {limit}"
             break
         try:
-            g_next = gap(a_next)
+            progression(a_next)
         except ResolutionError:
             offset, why = 2.0**k * _SCAN_BASE, "where the arch mesh cannot resolve Lambda"
             break
-        if g_prev == 0.0:
-            roots.append(a_prev)
-        elif g_prev * g_next < 0.0:
-            roots.append(_zeroin(gap, a_prev, a_next, xtol=1e-15, rtol=1e-14))
-        a_prev, g_prev = a_next, g_next
+        grid.append(a_next)
         k += 1
-    if not roots:
-        raise NotFound(
-            f"no momentum solves Lambda = 2 pi {index.n}/{index.m}: the scan stopped at "
-            f"a = a_* (1 + {offset:g}), {why}"
-        )
-    roots.sort()
-    return replace(index, a_solved=roots[0], a_candidates=tuple(roots))
+
+    solved = []
+    for index in indices:
+        target = index.target
+
+        def gap(a: float) -> float:
+            return progression(a) - target
+
+        roots = []
+        for a_lo, a_hi in zip(grid, grid[1:]):
+            g_lo = gap(a_lo)
+            if g_lo == 0.0:
+                roots.append(a_lo)
+            elif g_lo * gap(a_hi) < 0.0:
+                roots.append(_zeroin(gap, a_lo, a_hi, xtol=1e-15, rtol=1e-14))
+        if not roots:
+            raise NotFound(
+                f"no momentum solves Lambda = 2 pi {index.n}/{index.m}: the scan stopped at "
+                f"a = a_* (1 + {offset:g}), {why}"
+            )
+        roots.sort()
+        solved.append(replace(index, a_solved=roots[0], a_candidates=tuple(roots)))
+    return tuple(solved)

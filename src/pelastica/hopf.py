@@ -252,7 +252,10 @@ def stereographic_project(
     denom = SPHERE_RADIUS - height
     if np.any(denom < 1e-6 * SPHERE_RADIUS):
         raise PoleCollision("a mesh vertex lies too close to the projection pole")
-    planar = (v - np.outer(height, n)) * (SPHERE_RADIUS / denom)[:, None]
+    # one (N, 4) array, reused in place: v minus its pole component, scaled
+    planar = np.outer(height, n)
+    np.subtract(v, planar, out=planar)
+    planar *= (SPHERE_RADIUS / denom)[:, None]
     basis = _plane_basis(n)
     return (planar @ basis.T).reshape(*shape, 3)
 

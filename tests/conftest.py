@@ -4,8 +4,7 @@ are computed once per session and reused across test modules."""
 import numpy as np
 import pytest
 
-from pelastica.cli import REFERENCE_TABLE
-from pelastica.closure import ClosureIndex, solve_closure
+from pelastica.cli import REFERENCE_TABLE, _solve_indices
 from pelastica.curve import trace_closed_curve
 from pelastica.qpotential import make_params
 
@@ -29,11 +28,9 @@ def pytest_terminal_summary(terminalreporter, config):
 
 @pytest.fixture(scope="session")
 def solved_rows():
-    """Map (p, n, m) -> solved ClosureIndex for every reference-table row."""
-    out = {}
-    for _, p, n, m, *_ in REFERENCE_TABLE:
-        out[(p, n, m)] = solve_closure(p, ClosureIndex(n, m))
-    return out
+    """Map (p, n, m) -> solved ClosureIndex for every reference-table row,
+    by table1's own path: one closure scan per exponent."""
+    return _solve_indices(REFERENCE_TABLE)
 
 
 @pytest.fixture(scope="session")

@@ -182,9 +182,20 @@ def test_reference_table_shape():
         assert a_ref > 0.0 and th_ref > 0.0 and d2_ref < 0.0
 
 
-def test_table_command_flags_known_discrepancies(tmp_path, capsys):
+def test_table_command_flags_known_discrepancies(tmp_path, monkeypatch, capsys):
+    seen = []
+    original = cli.closure.lambda_p
+
+    def recording(params, *args):
+        seen.append((params.p, params.a))
+        return original(params, *args)
+
+    monkeypatch.setattr(cli.closure, "lambda_p", recording)
     out = tmp_path / "table.csv"
     code = main(["table1", "--out", str(out)])
+    # one closure scan per exponent: no (p, momentum) has its Lambda computed
+    # twice, neither by a second scan nor at a bracket end Brent starts from
+    assert seen and len(set(seen)) == len(seen)
     captured = capsys.readouterr().out
     # three reference cells disagree with the recomputed invariants beyond
     # tolerance (see the project decision log), so the command exits with the

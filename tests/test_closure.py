@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from pelastica import closure
+from pelastica.cli import REFERENCE_TABLE
 from pelastica.closure import (
     ClosureIndex,
     is_admissible,
     lambda_p,
     period,
     solve_closure,
+    solve_closures,
 )
 from pelastica.errors import DomainError, NotFound, ResolutionError
 from pelastica.qpotential import _zeroin, a_star, make_params
@@ -101,6 +103,70 @@ def test_solve_closure_rejects_inadmissible():
         solve_closure(0.3, ClosureIndex(5, 7))
     with pytest.raises(DomainError):
         solve_closure(0.3, ClosureIndex(1, 2))
+
+
+def test_grouped_solve_matches_per_pair_bit_for_bit():
+    # one scan for table1's six p = 0.3 pairs, each pair refined from it
+    indices = tuple(ClosureIndex(n, m) for _, p, n, m, *_ in REFERENCE_TABLE if p == 0.3)
+    assert len(indices) == 6
+    grouped = solve_closures(0.3, indices)
+    for index, got in zip(indices, grouped):
+        alone = solve_closure(0.3, index)
+        assert (got.n, got.m) == (index.n, index.m)
+        assert got.a_solved == alone.a_solved
+        assert got.a_candidates == alone.a_candidates
+
+
+def test_grouped_solve_of_no_indices_is_empty():
+    assert solve_closures(0.3, ()) == ()
+
+
+@pytest.mark.parametrize(
+    "bad,error",
+    [
+        (ClosureIndex(5, 7), DomainError),
+        # admissible, but 2 pi 2378/3363 lies within 1e-6 of sqrt(2) pi
+        (ClosureIndex(2378, 3363), NotFound),
+    ],
+)
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_grouped_solve_checks_every_index_before_any_lambda(bad, error, position, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Lambda computed before every index was checked")
+
+    monkeypatch.setattr(closure, "lambda_p", forbidden)
+    indices = [ClosureIndex(2, 3), ClosureIndex(3, 5)]
+    indices.insert(position, bad)
+    with pytest.raises(error):
+        solve_closures(0.3, tuple(indices))
+
+
+_ADMISSIBLE_UP_TO_40 = tuple(
+    (n, m) for m in range(1, 41) for n in range(1, m) if is_admissible(n, m)
+)
+
+
+@pytest.mark.parametrize("p", [0.001, 0.01, 0.5, 0.99, 0.999])
+def test_every_admissible_pair_closes(p):
+    # The existence theorem: each coprime (n, m) with m < 2n < sqrt(2) m has
+    # a closed gamma_{n,m}.  (12, 17), with 2 * 12/17 only 2.5e-3 below
+    # sqrt(2), does not close yet at the extreme exponents (see
+    # test_closure_scan_names_where_it_stopped).
+    assert len(_ADMISSIBLE_UP_TO_40) == 100
+    stuck = (12, 17) if p in (0.001, 0.999) else None
+    pairs = [pair for pair in _ADMISSIBLE_UP_TO_40 if pair != stuck]
+    solved = solve_closures(p, tuple(ClosureIndex(n, m) for n, m in pairs))
+    for (n, m), index in zip(pairs, solved):
+        assert (index.n, index.m) == (n, m)
+        assert index.a_candidates == (index.a_solved,), (n, m)
+        gap = lambda_p(make_params(p, index.a_solved)) - index.target
+        assert abs(gap) <= 1e-10, (n, m, gap)
+    if stuck is not None:
+        with pytest.raises(NotFound) as info:
+            solve_closures(p, (ClosureIndex(*stuck),))
+        assert str(info.value).startswith(
+            "no momentum solves Lambda = 2 pi 12/17: the scan stopped at a = a_* (1 + "
+        )
 
 
 def test_closure_index_validation():

@@ -346,6 +346,19 @@ def test_stereographic_roundtrip():
     assert float(np.max(np.abs(back - q))) < 1e-10
 
 
+@pytest.mark.parametrize("pole", [(0.0, 0.0, 0.0, -1.0), (0.1, 0.2, 0.3, -1.0)])
+def test_stereographic_projection_in_place_matches_three_temporaries(pole, all_traces):
+    # the 4-cover torus of p = 1/2 gamma_{2,3} at the CLI's mesh size, against
+    # the formula that formed v - height n and its scaled copy as new arrays
+    vertices = build_torus(all_traces(0.5, 2, 3)).vertices
+    n = np.asarray(pole) / np.linalg.norm(pole)
+    v = vertices.reshape(-1, 4)
+    height = v @ n
+    planar = (v - np.outer(height, n)) * (SPHERE_RADIUS / (SPHERE_RADIUS - height))[:, None]
+    expected = (planar @ hopf._plane_basis(n).T).reshape(*vertices.shape[:-1], 3)
+    assert np.array_equal(stereographic_project(vertices, pole), expected)
+
+
 def test_stereographic_pole_collision():
     q = np.array([[0.0, 0.0, 0.0, -2.0]])
     with pytest.raises(PoleCollision):

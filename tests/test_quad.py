@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from pelastica import closure, quad
-from pelastica.cli import REFERENCE_TABLE
-from pelastica.energy import energy_closed
+from pelastica.cli import REFERENCE_TABLE, _solve_rows
 from pelastica.errors import DomainError, ResolutionError
 from pelastica.qpotential import a_star, make_params
 from pelastica.quad import (
@@ -373,8 +372,9 @@ def test_moment_below_fixed_mesh_reach_is_resolved():
 
 
 def test_table_work_stays_within_node_budget(monkeypatch):
-    # Integrand nodes of the 11 reference rows' closure solve, energy and
-    # Upsilon; the fixed 48/48 mesh took 2,956,590.
+    # Integrand nodes of table1's work on the 11 reference rows (closure
+    # solves, one scan per exponent, then energy and Upsilon): 626,220 here;
+    # solved pair by pair it took 819,045, and the fixed 48/48 mesh 2,956,590.
     nodes = []
     make = quad._make_theta_integrand
 
@@ -388,9 +388,5 @@ def test_table_work_stays_within_node_budget(monkeypatch):
         return counted
 
     monkeypatch.setattr(quad, "_make_theta_integrand", counting)
-    for _, p, n, m, *_ in REFERENCE_TABLE:
-        solved = closure.solve_closure(p, closure.ClosureIndex(n, m))
-        params = make_params(p, solved.a_solved)
-        energy_closed(params, m)
-        upsilon(params, m=m)
-    assert sum(nodes) <= 1_200_000
+    _solve_rows(REFERENCE_TABLE)
+    assert sum(nodes) <= 700_000
