@@ -153,16 +153,12 @@ def _phase_rotate(points: np.ndarray, angle) -> np.ndarray:
     return out
 
 
-def _triangle_fans(nt: int, ns: int, wrap_s: bool):
-    """Triangle index triples for the (possibly s-open) structured grid.
+def _fan_rows(nt: int, ns: int, wrap_s: bool, start: int, stop: int):
+    """Triangle index triples of the (possibly s-open) structured grid whose
+    quads lie in grid rows start..stop-1.
 
     Each quad (i, j) gives (a, b, c) then (a, c, d), quads in row-major order.
     """
-    return _fan_rows(nt, ns, wrap_s, 0, nt)
-
-
-def _fan_rows(nt: int, ns: int, wrap_s: bool, start: int, stop: int):
-    """The triangles of _triangle_fans whose quads lie in grid rows start..stop-1."""
     i = np.arange(start, stop)[:, None]
     j = np.arange(ns if wrap_s else ns - 1)[None, :]
     i2, j2 = (i + 1) % nt, (j + 1) % ns
@@ -195,7 +191,7 @@ def discrete_mean_curvature(patch: HopfPatch) -> np.ndarray:
     """
     nt, ns, _ = patch.vertices.shape
     verts = patch.vertices.reshape(nt * ns, 4)
-    tris = _triangle_fans(nt, ns, patch.closed)
+    tris = _fan_rows(nt, ns, patch.closed, 0, nt)
     cots, _, vertex_area = _cotan_and_areas(verts, tris)
     lap = np.zeros_like(verts)
     # cotangent at corner k weights the opposite edge (k+1, k+2)
@@ -215,7 +211,7 @@ def discrete_gaussian_curvature(patch: HopfPatch) -> np.ndarray:
     """Angle-defect Gaussian curvature per vertex (flat tori give ~0)."""
     nt, ns, _ = patch.vertices.shape
     verts = patch.vertices.reshape(nt * ns, 4)
-    tris = _triangle_fans(nt, ns, patch.closed)
+    tris = _fan_rows(nt, ns, patch.closed, 0, nt)
     defect = np.full(len(verts), 2.0 * math.pi)
     p = [verts[tris[:, k]] for k in range(3)]
     for k in range(3):
@@ -320,7 +316,7 @@ def _decimal_table(n: int) -> np.ndarray:
 
 
 def _write_faces(fh, nt: int, ns: int, wrap_s: bool) -> None:
-    """Write "f a b c" lines for _triangle_fans(nt, ns, wrap_s), 1-based,
+    """Write "f a b c" lines for _fan_rows(nt, ns, wrap_s, 0, nt), 1-based,
     in blocks of curve._BLOCK_LINES lines.
 
     Each block is a (faces, 3 width + 5) uint8 matrix: "f", then a space and

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -22,9 +23,11 @@ from .errors import ConvergenceFailure, DomainError, NoPeriodicOrbit
 # perturbed circle and quadratures switch to their local-maximum limits.
 NEAR_CIRCULAR_WIDTH = 1e-6
 
-_ROOT_REL_TOL = 1e-12
 _BRACKET_EPS = 1e-8
-_MAX_BISECT = 200
+# Absolute tolerance of the root searches in u = log(kappa): the smallest
+# normal float, so that Brent's least step stays positive where a root sits
+# at u = 0 and the relative tolerance alone would vanish.
+_ROOT_XTOL = sys.float_info.min
 # Brent's method's default relative tolerance, as in scipy's brentq.
 _ZEROIN_RTOL = 4.0 * sys.float_info.epsilon
 # Largest log(kappa) the quadrature layer can square without overflowing
@@ -114,30 +117,6 @@ def _q_sign_log(p: float, a: float, u):
     )
 
 
-def _q_sign_log_scalar(p: float, a: float):
-    """_q_sign_log(p, a, u) for a float u, bit for bit, as a function of u.
-
-    The constants are formed once, and numpy's logaddexp is written out in
-    the libm calls it makes (exp, log1p), which costs a fraction of a numpy
-    call on a scalar; root refinement evaluates the surrogate ~40 times.
-    numpy's separate tie branch, x + log 2, equals y + log1p(1) bit for bit,
-    and a NaN passes through either branch.
-    """
-    log_a, slope = math.log(a), 2.0 * (1.0 - p)
-    shift, y = 2.0 * math.log1p(-p), 2.0 * math.log(abs(p))
-
-    def sign(u: float) -> float:
-        x = 2.0 * u + shift
-        gap = x - y
-        if gap > 0.0:
-            both = x + math.log1p(math.exp(-gap))
-        else:
-            both = y + math.log1p(math.exp(gap))
-        return log_a + slope * u - both
-
-    return sign
-
-
 def _zeroin(
     f, xa: float, xb: float, xtol: float, rtol: float = _ZEROIN_RTOL, maxiter: int = 100
 ) -> float:
@@ -201,59 +180,16 @@ def _zeroin(
     raise ConvergenceFailure(f"Brent root search exceeded {maxiter} iterations")
 
 
-def _refine_root(p: float, a: float, lo: float, hi: float) -> float:
-    """Geometric bisection in log kappa, then two Newton polish steps.
-
-    Bisecting in the log keeps the iteration count bounded by the log of the
-    bracket's dynamic range (which can exceed 1e50 for extreme exponents)
-    rather than the range itself.
-    """
-    sign = _q_sign_log_scalar(p, a)
-    ulo, uhi = math.log(lo), math.log(hi)
-    flo = sign(ulo)
-    fhi = sign(uhi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise ConvergenceFailure("root bracket does not straddle a sign change")
-    for _ in range(_MAX_BISECT):
-        umid = 0.5 * (ulo + uhi)
-        if uhi - ulo <= _ROOT_REL_TOL:
-            break
-        fmid = sign(umid)
-        if fmid == 0.0:
-            return math.exp(umid)
-        if flo * fmid < 0.0:
-            uhi = umid
-        else:
-            ulo, flo = umid, fmid
-    else:
-        raise ConvergenceFailure("bisection exceeded iteration cap")
-    u = 0.5 * (ulo + uhi)
-    # The root can sit at the very edge of the final bracket, so the Newton
-    # acceptance window is padded by one bracket width on each side.
-    pad = uhi - ulo
-    for _ in range(2):
-        # d/du of the sign surrogate; sigma is the weight of the kappa^2 term.
-        arg = 2.0 * (math.log(p) - math.log1p(-p) - u)
-        sigma = 0.0 if arg > 700.0 else 1.0 / (1.0 + math.exp(arg))
-        deriv = 2.0 * (1.0 - p) - 2.0 * sigma
-        if deriv == 0.0:
-            break
-        cand = u - sign(u) / deriv
-        if ulo - pad < cand < uhi + pad:
-            u = cand
-    return math.exp(u)
-
-
 def curvature_bounds(p: float, a: float) -> tuple[float, float]:
     """Return (beta, alpha), the two positive roots of Q, beta < alpha.
 
     Brackets are analytically guaranteed: Q(0+) = -p^2 < 0, Q(kappa_*) > 0
-    for a > a_*, and Q(U) < 0 at U = (a/(1-p)^2)^(1/(2p)).  Momenta whose
-    curvature maximum or minimum leaves the float64 range raise DomainError.
+    for a > a_*, and Q(U) < 0 at U = (a/(1-p)^2)^(1/(2p)).  Each root is
+    found by Brent's method (_zeroin) on the sign surrogate _q_sign_log in
+    u = log(kappa), where a bracket spanning hundreds of decades is a few
+    hundred wide; the search ends within 8 ulps of u of a sign change, after
+    ~15 evaluations.  Momenta whose curvature maximum or minimum leaves the
+    float64 range raise DomainError before any search.
     """
     if not 0.0 < p < 1.0:
         raise DomainError("curvature_bounds requires p in (0, 1)")
@@ -271,17 +207,17 @@ def curvature_bounds(p: float, a: float) -> tuple[float, float]:
         raise DomainError(
             "curvature minimum falls below the representable range; reduce the momentum"
         )
-    ks = math.exp(log_ks)
-    # At upper the two leading terms of Q cancel exactly, leaving only -p^2;
-    # the margin keeps the computed sign out of pow() roundoff noise.
-    upper = math.exp((math.log(a) - 2.0 * math.log1p(-p)) / (2.0 * p)) * (1.0 + 1e-6)
+    # At u_hi the two leading terms of Q cancel exactly, leaving only -p^2;
+    # the margin keeps the computed sign out of roundoff noise.
+    u_hi = (math.log(a) - 2.0 * math.log1p(-p)) / (2.0 * p) + math.log1p(1e-6)
     # Just below the point where the leading term alone balances p^2 the
     # computed Q is negative beyond cancellation noise (the 0.9 factor leaves
     # a deficit of a few percent of p^2).
-    lo = min(_BRACKET_EPS * ks, 0.9 * math.exp(log_beta))
-    beta = _refine_root(p, a, lo, ks)
-    alpha = _refine_root(p, a, ks, upper)
-    return beta, alpha
+    u_lo = min(log_ks + math.log(_BRACKET_EPS), log_beta + math.log(0.9))
+    sign = partial(_q_sign_log, p, a)
+    beta = _zeroin(sign, u_lo, log_ks, xtol=_ROOT_XTOL)
+    alpha = _zeroin(sign, log_ks, u_hi, xtol=_ROOT_XTOL)
+    return math.exp(beta), math.exp(alpha)
 
 
 def make_params(p: float, a: float) -> ElasticaParams:

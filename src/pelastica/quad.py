@@ -12,8 +12,11 @@ are evaluated in the theta variable throughout: for momenta far above the
 threshold the integrand develops interior layers narrower than the floating
 point resolution of kappa itself, but they stay resolvable in theta.  The
 float64 roots are first refined by one extended-precision Newton step, so
-that Q vanishes at the substitution's ends as closely as the Taylor switch
-near them assumes.
+that Q vanishes at the substitution's ends as closely as its Taylor forms
+about them assume.  Each node within 1e-5 of the nearer root, relative to
+that root, takes Q's cubic Taylor form about it, with the root distance
+taken exactly from theta; every other node takes the direct form.  The
+choice rests on the nodes' positions, never on the computed Q.
 
 One rule serves every arch quantity of a (p, a).  Its initial mesh is graded
 geometrically toward theta = 0, halving the panel ends down to an eighth of
@@ -68,12 +71,12 @@ from .errors import ConvergenceFailure, DomainError, ResolutionError
 from .qpotential import ElasticaParams, q_second
 
 DEFAULT_REL_TOL = 1e-10
-# Below this relative magnitude Q is dominated by roundoff cancellation and is
-# replaced by its cubic Taylor expansion about the nearest root (with the root
-# distance taken exactly from the theta substitution, so no cancellation).
-# Direct evaluation runs in extended precision, keeping it accurate to ~5e-12
-# down to the switch.
-_Q_SWITCH = 1e-8
+# Q is its cubic Taylor expansion about a root at the nodes whose distance d
+# from it is below this fraction of the root.  Relative to Q, the expansion's
+# remainder grows like (d/kappa)^3 and the direct form's rounding like
+# eps_ld kappa/d, both times kappa/(alpha - beta) near threshold; they meet
+# where (d/kappa)^4 ~ eps_ld, d/kappa ~ 2e-5, at any width.
+_TAYLOR_REACH = 1e-5
 _PANEL_CAP = 20000
 # Fewest halving levels toward theta = 0, and the levels toward pi/2.
 _LOW_LEVELS = 8
@@ -182,9 +185,10 @@ def _polish_root(p: float, a: float, kappa: float):
 def _theta_map(params: ElasticaParams):
     """(alpha - beta, theta -> (kappa, Q, r, sin^2 theta, cos^2 theta)).
 
-    The map works in extended precision with the polished roots, and Q is
-    stabilised by its Taylor expansion about the nearer root at the nodes
-    where the direct form cancels below _Q_SWITCH of its terms' scale.
+    The map works in extended precision with the polished roots.  At the
+    nodes within _TAYLOR_REACH of the nearer root, relative to that root, Q
+    is its cubic Taylor expansion about the root; the choice depends on the
+    nodes' exact root distances alone, never on the computed Q.
     """
     p, a = params.p, params.a
     beta, alpha = _polish_root(p, a, params.beta), _polish_root(p, a, params.alpha)
@@ -208,15 +212,12 @@ def _theta_map(params: ElasticaParams):
         d_alpha = width * c2
         kl = beta + d_beta
         r = _power(kl, e)
-        lead = a_l * r * r
-        mid_term = mid_c * kl**2
-        q = lead - mid_term - p2_l
-        cancelling = np.abs(q) < _Q_SWITCH * (lead + mid_term + p2_l)
-        if cancelling.any():
-            nearer_beta = s2 < c2
-            near_beta, near_alpha = cancelling & nearer_beta, cancelling & ~nearer_beta
-            q[near_beta] = taylor(db, d_beta[near_beta])
-            q[near_alpha] = taylor(da, -d_alpha[near_alpha])
+        q = a_l * r * r - mid_c * kl**2 - p2_l
+        nearer_beta = s2 < c2
+        near_beta = nearer_beta & (d_beta < _TAYLOR_REACH * beta)
+        near_alpha = ~nearer_beta & (d_alpha < _TAYLOR_REACH * alpha)
+        q[near_beta] = taylor(db, d_beta[near_beta])
+        q[near_alpha] = taylor(da, -d_alpha[near_alpha])
         return kl, q, r, s2, c2
 
     return width, at

@@ -1,6 +1,7 @@
 """Angular progression, admissibility window and the closure solver."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -237,6 +238,20 @@ def test_closure_scan_names_where_it_stopped(p, stop):
 def test_lambda_matches_high_precision_quadrature(p, off, reference):
     # reference: 40-digit mpmath quadrature of the same integral at the same
     # float64 momentum, with both roots found to 40 digits; float64 roots
-    # alone leave errors of 1.4e-8 and 6e-10 here
+    # alone leave errors of 1.4e-8 and 6e-10 here.  approx's default abs of
+    # 1e-12 stays on the near-threshold pin (2.25e-13 of Lambda there); the
+    # far pin is relative only.
     value = lambda_p(make_params(p, a_star(p) * (1.0 + off)))
-    assert value == pytest.approx(reference, rel=1e-13)
+    assert value == pytest.approx(reference, rel=1e-13, abs=0.0 if off > 1.0 else None)
+
+
+@pytest.mark.parametrize("ulps", [-2, -1, 1, 2])
+def test_lambda_pin_holds_with_beta_moved_by_ulps(ulps):
+    # the arch rule polishes the roots and takes Q's Taylor form by root
+    # distance, so Lambda does not hang on beta's last float64 bits
+    params = make_params(0.25, a_star(0.25) * 1e5)
+    beta = params.beta
+    for _ in range(abs(ulps)):
+        beta = math.nextafter(beta, math.copysign(math.inf, ulps))
+    value = lambda_p(replace(params, beta=beta))
+    assert value == pytest.approx(3.1420400156464322, rel=1e-13, abs=0.0)

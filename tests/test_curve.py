@@ -268,6 +268,14 @@ def test_samples_match_ode_reference(solved_curves, p, n, m):
         assert float(np.max(np.abs(got - want))) < 1e-8 * float(np.max(np.abs(want)))
 
 
+@pytest.mark.parametrize("p,n,m", [(0.7, 11, 19), (0.8, 2, 3)])
+def test_trace_meets_the_tightest_tolerance(solved_curves, p, n, m):
+    # the swept-area row's error estimates shrink to 1e-14 only where Q is
+    # that accurate at the nodes next to theta = pi/2
+    trace = sample_profile(make_params(p, solved_curves(p, n, m).a_solved), m, rel_tol=1e-14)
+    assert trace.closure_gap < 1e-13
+
+
 @pytest.mark.parametrize("p,n,m", _REFERENCE_CURVES)
 def test_progression_over_one_period_is_lambda(solved_curves, p, n, m):
     params = make_params(p, solved_curves(p, n, m).a_solved)

@@ -15,7 +15,7 @@ from pelastica.curve import unit_tangent
 from pelastica.errors import PoleCollision, SeedError
 from pelastica.hopf import (
     SPHERE_RADIUS,
-    _triangle_fans,
+    _fan_rows,
     build_torus,
     discrete_gaussian_curvature,
     discrete_mean_curvature,
@@ -172,7 +172,7 @@ def _loop_triangle_fans(nt, ns, wrap_s):
 @pytest.mark.parametrize("nt,ns", [(7, 5), (256, 128), (1, 2)])
 @pytest.mark.parametrize("wrap_s", [False, True])
 def test_triangle_fans_match_loop_reference(nt, ns, wrap_s):
-    tris = _triangle_fans(nt, ns, wrap_s)
+    tris = _fan_rows(nt, ns, wrap_s, 0, nt)
     ref = _loop_triangle_fans(nt, ns, wrap_s)
     assert tris.shape == ref.shape and tris.dtype == ref.dtype
     assert np.array_equal(tris, ref)
@@ -388,29 +388,40 @@ def _loop_obj_text(patch, pole=(0.0, 0.0, 0.0, -1.0)):
     projected = stereographic_project(patch.vertices, pole)
     nt, ns, _ = patch.vertices.shape
     obj = [f"v {v[0]:.12g} {v[1]:.12g} {v[2]:.12g}\n" for v in projected.reshape(-1, 3)]
-    obj += [f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in _triangle_fans(nt, ns, patch.closed)]
+    tris = _fan_rows(nt, ns, patch.closed, 0, nt)
+    obj += [f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in tris]
     curv = [f"{hval:.12g}\n" for _ in range(nt) for hval in patch.h_field]
     return "".join(obj), "".join(curv)
 
 
-@pytest.mark.parametrize("block_lines", [None, 7])
+# (id, closed, t_samples, s_samples)
+_SMALL_MESHES = [
+    # 5 x 6 open and 3 x 4 x 4 closed meshes: every block size leaves a
+    # partial block
+    ("False", False, 5, 6),
+    ("True", True, 3, 4),
+    # 1000 vertices: the indices cross every digit width up to 4, and the
+    # widest is the table's last row
+    ("open-1000-vertices", False, 8, 125),
+    ("closed-1000-vertices", True, 10, 25),
+    # one fiber phase: the t neighbour of every row is the row itself
+    ("closed-t1", True, 1, 4),
+    # one s column of an open segment: vertices and no faces
+    ("open-s1", False, 3, 1),
+]
+
+
 @pytest.mark.parametrize(
-    ("closed", "t_samples", "s_samples"),
+    ("closed", "t_samples", "s_samples", "block_lines"),
     [
-        # 5 x 6 open and 3 x 4 x 4 closed meshes: every block size leaves a
-        # partial block
-        pytest.param(False, 5, 6, id="False"),
-        pytest.param(True, 3, 4, id="True"),
-        # 1000 vertices: the indices cross every digit width up to 4, and
-        # the widest is the table's last row
-        pytest.param(False, 8, 125, id="open-1000-vertices"),
-        pytest.param(True, 10, 25, id="closed-1000-vertices"),
-        # one fiber phase: the t neighbour of every row is the row itself
-        pytest.param(True, 1, 4, id="closed-t1"),
-        # one s column of an open segment: vertices and no faces
-        pytest.param(False, 3, 1, id="open-s1"),
-        # the CLI's 4-cover torus, 256 x 512 with 6-digit indices
-        pytest.param(True, 256, 128, id="closed-default"),
+        pytest.param(closed, t, s, block, id=f"{name}-{block}")
+        for name, closed, t, s in _SMALL_MESHES
+        for block in (None, 7)
+    ]
+    + [
+        # the CLI's 4-cover torus, 256 x 512 with 6-digit indices, at the
+        # default block size: the small meshes cover the partial blocks
+        pytest.param(True, 256, 128, None, id="closed-default-None"),
     ],
 )
 def test_obj_export_matches_per_line_writer(

@@ -118,6 +118,44 @@ def test_curvature_minimum_below_float_range_is_a_domain_error():
     assert 0.0 < beta < 1e-150
 
 
+def test_curvature_bounds_roots_sit_at_a_sign_change(monkeypatch):
+    searches = []
+    zeroin = qpotential._zeroin
+
+    def recording(f, *args, **kwargs):
+        u = zeroin(f, *args, **kwargs)
+        searches.append((f, u))
+        return u
+
+    monkeypatch.setattr(qpotential, "_zeroin", recording)
+    rng = np.random.default_rng(19)
+    cases = []
+    for _ in range(5000):
+        p = float(rng.uniform(0.002, 0.998))
+        cases.append((p, a_star(p) * (1.0 + 10.0 ** rng.uniform(-9, 7))))
+    # Q(1) = 0: a root at u = 0, where the relative tolerance alone vanishes
+    for p in np.linspace(0.02, 0.96, 24).tolist():
+        a = (1.0 - p) ** 2 + p**2
+        cases += [(p, a * (1.0 + k * 2.0**-52)) for k in (-1, 0, 1)]
+    domain_errors = 0
+    for p, a in cases:
+        before = len(searches)
+        try:
+            beta, alpha = curvature_bounds(p, a)
+        except DomainError:
+            # only from the range checks, before any search
+            assert len(searches) == before, (p, a)
+            domain_errors += 1
+            continue
+        assert beta < kappa_star(p, a) < alpha, (p, a)
+        # Brent stops once its bracket is narrower than xtol + 4 eps |u|,
+        # at most 8 ulps of u
+        for sign, u in searches[-2:]:
+            values = [sign(u + j * math.ulp(u)) for j in range(-8, 9)]
+            assert min(values) <= 0.0 <= max(values), (p, a, u)
+    assert 0 < domain_errors < len(cases) // 4
+
+
 def test_near_circular_flag():
     p = 0.3
     almost = make_params(p, a_star(p) * (1 + 1e-14))
@@ -189,28 +227,6 @@ def _classification_cells(p, a):
     grid = np.linspace(u_lo, u_hi, 1024)
     vals = fn(grid)
     return fn, [(grid[i], grid[i + 1]) for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0)]
-
-
-def test_scalar_sign_surrogate_returns_the_array_surrogates_bits():
-    # root refinement relies on these bits: the 1e-13 Lambda pins sit on
-    # roots refined with numpy's logaddexp
-    rng = np.random.default_rng(11)
-    counts = {"x > y": 0, "x < y": 0, "x == y": 0}
-    for _ in range(400):
-        p = float(rng.uniform(0.002, 0.998))
-        a = a_star(p) * (1.0 + 10.0 ** rng.uniform(-9, 7))
-        sign = qpotential._q_sign_log_scalar(p, a)
-        # the tie 2u + 2 log1p(-p) == 2 log p sits near u = log(p / (1-p))
-        tie = math.log(p) - math.log1p(-p)
-        us = np.concatenate(
-            [rng.uniform(-700.0, 350.0, 40), tie + rng.integers(-4, 5, 10) * 2.0**-52 * abs(tie)]
-        )
-        for u in us.tolist():
-            x, y = 2.0 * u + 2.0 * math.log1p(-p), 2.0 * math.log(p)
-            counts["x > y" if x > y else "x < y" if x < y else "x == y"] += 1
-            expected = np.float64(qpotential._q_sign_log(p, a, u))
-            assert np.float64(sign(u)).view(np.int64) == expected.view(np.int64), (p, a, u)
-    assert min(counts.values()) >= 100, counts
 
 
 def test_zeroin_matches_brentq_on_classification_cells():

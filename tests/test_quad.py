@@ -128,7 +128,9 @@ def test_power_is_within_two_ulp_of_pow(dtype):
 
 def _full_size_q(params, theta):
     """The arch map's stabilised Q with both Taylor branches formed at every
-    node and selected by np.where; the nodes' cancelling mask and side."""
+    node and selected by np.where on the nodes' root distances; the Taylor
+    mask, the nodes' side and where the direct Q cancels below 1e-8 of the
+    scale of its terms."""
     p, a = params.p, params.a
     beta, alpha = quad._polish_root(p, a, params.beta), quad._polish_root(p, a, params.alpha)
     width = alpha - beta
@@ -147,25 +149,30 @@ def _full_size_q(params, theta):
     mid_term = np.longdouble((1.0 - p) ** 2) * kl**2
     p2 = np.longdouble(p) ** 2
     q_direct = lead - mid_term - p2
-    cancelling = np.abs(q_direct) < quad._Q_SWITCH * (lead + mid_term + p2)
+    nearer_beta = s2 < c2
+    reach = quad._TAYLOR_REACH
+    near = np.where(nearer_beta, d_beta < reach * beta, d_alpha < reach * alpha)
     q = np.where(
-        cancelling, np.where(s2 < c2, taylor(db, d_beta), taylor(da, -d_alpha)), q_direct
+        near, np.where(nearer_beta, taylor(db, d_beta), taylor(da, -d_alpha)), q_direct
     )
-    return q, cancelling, s2 < c2
+    cancelling = np.abs(q_direct) < 1e-8 * (lead + mid_term + p2)
+    return q, near, nearer_beta, cancelling
 
 
 # Q cancels near beta only on the deep graded mesh, and near both roots just
-# above threshold.
-@pytest.mark.parametrize("p,mult,near_alpha", [(0.99, 7.4e3, False), (0.3, 1.0 + 1e-6, True)])
-def test_stabilised_q_equals_full_size_taylor_selection(p, mult, near_alpha):
+# above threshold; the Taylor form is taken near both roots in either case,
+# whether or not Q cancels there.
+@pytest.mark.parametrize("p,mult,alpha_cancels", [(0.99, 7.4e3, False), (0.3, 1.0 + 1e-6, True)])
+def test_stabilised_q_equals_full_size_taylor_selection(p, mult, alpha_cancels):
     params = make_params(p, mult * a_star(p))
     breaks = quad._arch_breaks(params, quad._progression_layer(params))
     centre, half = 0.5 * (breaks[1:] + breaks[:-1]), 0.5 * (breaks[1:] - breaks[:-1])
     theta = (centre[:, None] + half[:, None] * quad._GL_NODES).ravel()
     _, q, *_ = quad._theta_map(params)[1](theta)
-    ref, cancelling, nearer_beta = _full_size_q(params, theta)
+    ref, near, nearer_beta, cancelling = _full_size_q(params, theta)
+    assert np.any(near & nearer_beta) and np.any(near & ~nearer_beta) and not np.all(near)
     assert np.any(cancelling & nearer_beta)
-    assert np.any(cancelling & ~nearer_beta) == near_alpha
+    assert np.any(cancelling & ~nearer_beta) == alpha_cancels
     # equal values, not bytes: long double arrays carry padding bytes
     assert q.dtype == ref.dtype and np.array_equal(q, ref)
 
