@@ -45,22 +45,23 @@ stabilised Q and r, and return one row of values or a stack of rows; every
 row is integrated on the same nodes.
 
 What stays adaptive: every panel's 15-point Gauss-Legendre rule in theta is
-compared with the sum of the rules on its two halves (45 nodes a panel), and
-while the summed estimate of any row misses rel_tol, the panel with the worst
-relative estimate is bisected, both children in one integrand call.  The
-initial mesh goes through the integrand in blocks of at most 128 panels
+compared with the sum of the rules on its two halves (45 nodes a panel).
+While the summed estimate of any row misses rel_tol, a round bisects every
+panel whose estimate exceeds an even share, rel_tol |total| / panels, of
+such a row's tolerance, and re-sums the rows.  The initial mesh and each
+round's children go through the integrand in blocks of at most 128 panels
 (5760 nodes) per call; the values equal those of one call per rule bit for
 bit, since every node and every weighted sum is formed the same way.
 
 ArchTrace runs the same rule on the rows of arc length, progression and
-swept area, and keeps every half panel's 15 node values as the Legendre
-coefficients of their antiderivative: a dense output of the three integrals
-over theta, from which a curve's profile is read at any arc length.
+swept area, evaluates its final mesh's half panels once more in such blocks
+and keeps their 15 node values as the Legendre coefficients of their
+antiderivative: a dense output of the three integrals over theta, from
+which a curve's profile is read at any arc length.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -84,8 +85,8 @@ _HIGH_LEVELS = 3
 # Smallest theta the graded mesh may reach (it grades to an eighth of
 # grade_floor); finer panel ends would run out of float64 range.
 _THETA_FLOOR = 1e-300
-# Panels per integrand call on the initial mesh: bounds the node arrays
-# (45 nodes a panel) when grade_floor asks for ~1000 grade levels.
+# Panels per integrand call: bounds the node arrays (45 nodes a panel) when
+# grade_floor asks for ~1000 grade levels or a round bisects thousands.
 _BLOCK_PANELS = 128
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
@@ -256,44 +257,31 @@ def _arch_breaks(params: ElasticaParams, grade_floor: float | None = None) -> np
 
 
 def _panels(f, lo, hi):
-    """(fine, err, halves) of the panels [lo, hi].
+    """(fine, err) of the panels [lo, hi], each of shape (rows, panels).
 
     fine sums the GL15 rules on a panel's two halves and err is its distance
-    from the rule on the whole panel, each of shape (rows, panels); halves
-    holds the integrand at the halves' nodes, shape (rows, 2, panels, 15).
-    The 45 nodes of every panel go through one integrand call.
+    from the rule on the whole panel.  The panels go through the integrand
+    in blocks of at most _BLOCK_PANELS, 45 nodes a panel, in one call each.
     """
-    mid = 0.5 * (lo + hi)
-    # axis 0: the whole panel, its left half, its right half
-    start, end = np.stack([lo, lo, mid]), np.stack([hi, mid, hi])
-    centre, half = 0.5 * (start + end), 0.5 * (end - start)
-    nodes = centre[..., None] + half[..., None] * _GL_NODES
-    values = f(nodes.ravel()).reshape((-1,) + nodes.shape)
-    # The weighted sums run in the integrand's (extended) precision before
-    # narrowing.
-    rules = (half * (values @ _GL_WEIGHTS)).astype(float)
+    blocks = []
+    for start in range(0, len(lo), _BLOCK_PANELS):
+        b_lo, b_hi = lo[start : start + _BLOCK_PANELS], hi[start : start + _BLOCK_PANELS]
+        mid = 0.5 * (b_lo + b_hi)
+        # axis 0: the whole panel, its left half, its right half
+        begin, end = np.stack([b_lo, b_lo, mid]), np.stack([b_hi, mid, b_hi])
+        centre, half = 0.5 * (begin + end), 0.5 * (end - begin)
+        nodes = centre[..., None] + half[..., None] * _GL_NODES
+        values = f(nodes.ravel()).reshape((-1,) + nodes.shape)
+        # weighted sums in the integrand's (extended) precision, then narrowed
+        blocks.append((half * (values @ _GL_WEIGHTS)).astype(float))
+    rules = np.concatenate(blocks, axis=-1)
     coarse, fine = rules[:, 0], rules[:, 1] + rules[:, 2]
-    return fine, np.abs(coarse - fine), values[:, 1:]
+    return fine, np.abs(coarse - fine)
 
 
-def _heap_entries(lo, hi, fine, err, scale, halves=None):
-    """Heap entries (-priority, lo, hi, fine, err), one per panel, with the
-    panel's (rows, 2, 15) half-panel values appended when halves is given.
-
-    A panel's priority is its largest error relative to the scale of its row.
-    """
-    priority = np.max(err / scale[:, None], axis=0)
-    columns = [(-priority).tolist(), lo.tolist(), hi.tolist(), fine.T, err.T]
-    if halves is not None:
-        columns.append(np.moveaxis(halves, 2, 0))
-    return list(zip(*columns))
-
-
-def _adapt(params, numerator, rel_tol, grade_floor, keep_values=False):
-    """Row totals, their error sums and the final panels' heap entries.
-
-    Bisects the worst panel of the initial mesh while any row misses
-    rel_tol; keep_values keeps each panel's half-panel values in its entry.
+def _adapt(params, numerator, rel_tol, grade_floor):
+    """Row totals, their error sums and the final mesh's panel ends (lo, hi),
+    refined in rounds; a round's children follow the panels it leaves whole.
     """
     f = _make_theta_integrand(params, numerator)
     if grade_floor is not None and not grade_floor / 8.0 >= _THETA_FLOOR:
@@ -302,36 +290,23 @@ def _adapt(params, numerator, rel_tol, grade_floor, keep_values=False):
             "the arch mesh's reach"
         )
     breaks = _arch_breaks(params, grade_floor)
-    los, his = breaks[:-1], breaks[1:]
-    blocks = [
-        _panels(f, los[start : start + _BLOCK_PANELS], his[start : start + _BLOCK_PANELS])
-        for start in range(0, len(los), _BLOCK_PANELS)
-    ]
-    fine = np.concatenate([b[0] for b in blocks], axis=1)
-    err = np.concatenate([b[1] for b in blocks], axis=1)
-    halves = np.concatenate([b[2] for b in blocks], axis=2) if keep_values else None
-    total, total_err = fine.sum(axis=1), err.sum(axis=1)
-    scale = np.maximum(np.abs(total), 1e-300)
-    heap = _heap_entries(los, his, fine, err, scale, halves)
-    heapq.heapify(heap)
-    n_panels = len(heap)
-    while np.any(total_err > rel_tol * np.maximum(np.abs(total), 1e-300)):
-        if n_panels >= _PANEL_CAP:
+    lo, hi = breaks[:-1], breaks[1:]
+    fine, err = _panels(f, lo, hi)
+    while True:
+        total, total_err = fine.sum(axis=1), err.sum(axis=1)
+        tol = rel_tol * np.maximum(np.abs(total), 1e-300)
+        missing = total_err > tol
+        if not np.any(missing):
+            return total, total_err, lo, hi
+        split = np.any(err[missing] > tol[missing, None] / lo.size, axis=0)
+        if lo.size + np.count_nonzero(split) > _PANEL_CAP:
             raise ConvergenceFailure("adaptive quadrature exceeded panel cap")
-        _, lo, hi, v, e, *_ = heapq.heappop(heap)
-        total = total - v
-        total_err = total_err - e
-        mid = 0.5 * (lo + hi)
-        c_lo, c_hi = np.array([lo, mid]), np.array([mid, hi])
-        c_fine, c_err, c_halves = _panels(f, c_lo, c_hi)
-        for child in _heap_entries(
-            c_lo, c_hi, c_fine, c_err, scale, c_halves if keep_values else None
-        ):
-            heapq.heappush(heap, child)
-            total = total + child[3]
-            total_err = total_err + child[4]
-        n_panels += 1
-    return total, total_err, heap
+        mid = 0.5 * (lo[split] + hi[split])
+        c_lo, c_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+        c_fine, c_err = _panels(f, c_lo, c_hi)
+        lo, hi = np.concatenate([lo[~split], c_lo]), np.concatenate([hi[~split], c_hi])
+        fine = np.concatenate([fine[:, ~split], c_fine], axis=1)
+        err = np.concatenate([err[:, ~split], c_err], axis=1)
 
 
 def _check_rel_tol(rel_tol: float) -> None:
@@ -356,8 +331,9 @@ def integrate_over_arch(
     geometrically toward the lower root down to an eighth of the smaller of
     sqrt(beta/(alpha-beta)) and grade_floor (at least 8 levels) and coarse
     toward the upper root, evaluated in blocks of at most 128 panels per
-    integrand call.  While any row's error estimate misses rel_tol, the panel
-    with the worst relative estimate is bisected, both children in one call.
+    integrand call.  While any row's error estimate misses rel_tol, rounds
+    bisect the panels above an even share of its tolerance (see the module
+    docstring) in the same blocks, up to 20000 panels (ConvergenceFailure).
     Numerators with an interior layer deeper than the moment layer (the
     layer's theta scale can fall below 1e-40 for momenta far above
     threshold) pass its theta scale as grade_floor; a floor the mesh cannot
@@ -370,7 +346,7 @@ def integrate_over_arch(
         limit = limit_at_maximum(params, numerator)
         return SingularIntegral(value=limit, error_estimate=0.0 * limit)
 
-    total, total_err, _ = _adapt(params, numerator, rel_tol, grade_floor)
+    total, total_err, _, _ = _adapt(params, numerator, rel_tol, grade_floor)
     if total.size == 1:
         total, total_err = float(total[0]), float(total_err[0])
     return SingularIntegral(value=total, error_estimate=total_err)
@@ -422,10 +398,11 @@ class ArchTrace:
         dA   = (1 - p/(sqrt(a) kappa^(1-p))) dpsi
 
     (psi's numerator is Lambda's, A is the area swept between the curve and
-    the pole (1, 0, 0)).  Every half panel keeps its 15 Gauss-Legendre values
-    as the Legendre coefficients of their antiderivative in the panel's local
-    variable u in [-1, 1], so each row is a piecewise polynomial in theta and
-    costs no further integrand calls.
+    the pole (1, 0, 0)).  Every half panel of the final mesh keeps its 15
+    Gauss-Legendre values as the Legendre coefficients of their antiderivative
+    in the panel's local variable u in [-1, 1], so each row is a piecewise
+    polynomial in theta and costs no further integrand calls.  Near-circular
+    parameters raise ResolutionError.
 
     at(s) reduces s to the rising half period by the profile's symmetries:
     reflection, kappa(T - s) = kappa(s), kappa'(T - s) = -kappa'(s),
@@ -438,6 +415,8 @@ class ArchTrace:
 
     def __init__(self, params: ElasticaParams, rel_tol: float = DEFAULT_REL_TOL):
         _check_rel_tol(rel_tol)
+        if params.near_circular:
+            raise ResolutionError("near-circular arch: too narrow for the trace to resolve")
         p, sqrt_a = params.p, math.sqrt(params.a)
         progression = _progression_numerator(p)
 
@@ -445,17 +424,18 @@ class ArchTrace:
             dpsi = p * (1.0 - p) ** 2 * sqrt_a * progression(k, q, r)
             return p * (1.0 - p) / k, dpsi, (1.0 - p / (sqrt_a * r)) * dpsi
 
-        _, _, heap = _adapt(
-            params, numerator, rel_tol, _progression_layer(params), keep_values=True
-        )
-        heap.sort(key=lambda entry: entry[1])
-        lo = np.array([entry[1] for entry in heap])
-        hi = np.array([entry[2] for entry in heap])
-        # (rows, half panels, 15), the half panels in theta order
-        values = np.stack([entry[5] for entry in heap], axis=1).reshape(3, -1, _GL_NODES.size)
+        _, _, lo, hi = _adapt(params, numerator, rel_tol, _progression_layer(params))
+        # the panels tile [0, pi/2], so their ends sort into matching pairs
+        lo, hi = np.sort(lo), np.sort(hi)
         edges = np.append(np.column_stack([lo, 0.5 * (lo + hi)]).ravel(), hi[-1])
         self._centre = 0.5 * (edges[:-1] + edges[1:])
         self._half = 0.5 * (edges[1:] - edges[:-1])
+        # (rows, half panels, 15), the half panels in theta order, evaluated
+        # in blocks of at most the 45 nodes of _BLOCK_PANELS panels
+        f = _make_theta_integrand(params, numerator)
+        nodes = self._centre[:, None] + self._half[:, None] * _GL_NODES
+        blocks = np.split(nodes, range(3 * _BLOCK_PANELS, len(nodes), 3 * _BLOCK_PANELS))
+        values = np.concatenate([f(b.ravel()).reshape(3, *b.shape) for b in blocks], axis=1)
         # Scaled by the half width in extended precision before narrowing:
         # the integrand's values can overflow float64 on the deepest panels.
         half = self._half[:, None]

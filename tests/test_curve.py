@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from pelastica.curve import (
     trace_to_svg,
     unit_tangent,
 )
-from pelastica.errors import DomainError
+from pelastica.errors import DomainError, ResolutionError
 from pelastica.hopf import horizontal_lift
 from pelastica.qpotential import a_star, make_params
 
@@ -274,6 +275,30 @@ def test_trace_meets_the_tightest_tolerance(solved_curves, p, n, m):
     # that accurate at the nodes next to theta = pi/2
     trace = sample_profile(make_params(p, solved_curves(p, n, m).a_solved), m, rel_tol=1e-14)
     assert trace.closure_gap < 1e-13
+
+
+@pytest.mark.parametrize("p", [0.01, 0.3, 0.5, 0.99])
+def test_near_circular_arch_is_not_traced(p):
+    # One to three ulps above a_* the arch is far narrower than Q's roots
+    # resolve; lambda_p takes the local-maximum limit there, and the trace
+    # refuses rather than integrate between inconsistent roots.
+    a = a_star(p)
+    for _ in range(3):
+        a = math.nextafter(a, math.inf)
+        params = make_params(p, a)
+        assert params.near_circular
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ResolutionError):
+                sample_profile(params, 1.0)
+
+
+def test_narrowest_traced_arch_keeps_its_progression():
+    # just above the near-circular width: alpha - beta = 3.1e-6 kappa_*
+    params = make_params(0.3, a_star(0.3) * (1.0 + 1e-12))
+    assert not params.near_circular
+    arch = sample_profile(params, 1.0).arch
+    assert arch.progression == pytest.approx(lambda_p(params), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("p,n,m", _REFERENCE_CURVES)

@@ -1,6 +1,5 @@
 """Singular arch quadrature against independent oracles."""
 
-import heapq
 import math
 import warnings
 
@@ -12,7 +11,7 @@ from scipy.integrate import quad as scipy_quad
 
 from pelastica import closure, quad
 from pelastica.cli import REFERENCE_TABLE, _solve_rows
-from pelastica.errors import DomainError, ResolutionError
+from pelastica.errors import ConvergenceFailure, DomainError, ResolutionError
 from pelastica.qpotential import a_star, make_params
 from pelastica.quad import (
     integrate_over_arch,
@@ -227,34 +226,31 @@ def _panel(f, lo, hi):
 
 
 def _per_panel_reference(params, numerator, rel_tol=quad.DEFAULT_REL_TOL, grade_floor=None):
-    """The adaptive arch rule with one integrand call per GL15 rule.
+    """The arch rule refined in rounds, with one integrand call per GL15 rule.
 
-    Runs on the rule's own initial mesh; returns (value, error estimate,
-    initial panels, bisections).
+    Runs on the rule's own initial mesh and keeps its panels in the rule's
+    order, each round's children after the panels it leaves whole: the left
+    halves, then the right halves.  Returns (value, error estimate, initial
+    panels, bisections).
     """
     f = quad._make_theta_integrand(params, numerator)
     breaks = quad._arch_breaks(params, grade_floor).tolist()
-    ends = list(zip(breaks[:-1], breaks[1:]))
-    panels = [_panel(f, lo, hi) for lo, hi in ends]
-    total = float(np.sum([fine for fine, _ in panels]))
-    total_err = float(np.sum([err for _, err in panels]))
-    scale = max(abs(total), 1e-300)
-    heap = [(-err / scale, lo, hi, fine, err) for (lo, hi), (fine, err) in zip(ends, panels)]
-    heapq.heapify(heap)
-    initial, bisections = len(heap), 0
-    while total_err > rel_tol * max(abs(total), 1e-300):
-        assert initial + bisections < quad._PANEL_CAP
-        _, lo, hi, fine, err = heapq.heappop(heap)
-        total -= fine
-        total_err -= err
-        mid = 0.5 * (lo + hi)
-        for c_lo, c_hi in ((lo, mid), (mid, hi)):
-            c_fine, c_err = _panel(f, c_lo, c_hi)
-            heapq.heappush(heap, (-c_err / scale, c_lo, c_hi, c_fine, c_err))
-            total += c_fine
-            total_err += c_err
-        bisections += 1
-    return total, total_err, initial, bisections
+    panels = [(lo, hi, *_panel(f, lo, hi)) for lo, hi in zip(breaks[:-1], breaks[1:])]
+    initial, bisections = len(panels), 0
+    while True:
+        total = float(np.sum([fine for _, _, fine, _ in panels]))
+        total_err = float(np.sum([err for _, _, _, err in panels]))
+        tol = rel_tol * max(abs(total), 1e-300)
+        if not total_err > tol:
+            return total, total_err, initial, bisections
+        share = tol / len(panels)
+        split = [(lo, hi) for lo, hi, _, err in panels if err > share]
+        assert len(panels) + len(split) <= quad._PANEL_CAP
+        children = [(lo, 0.5 * (lo + hi)) for lo, hi in split]
+        children += [(0.5 * (lo + hi), hi) for lo, hi in split]
+        panels = [panel for panel in panels if not panel[3] > share]
+        panels += [(lo, hi, *_panel(f, lo, hi)) for lo, hi in children]
+        bisections += len(split)
 
 
 def _fixed_mesh_breaks(params, grade_floor=None):
@@ -293,7 +289,7 @@ def test_block_evaluation_matches_per_panel_rule_bit_for_bit(p, a, monkeypatch):
     cases = [
         (numerator, rel_tol, floor),
         (lambda k, q, r: k**0.7, quad.DEFAULT_REL_TOL, None),
-        # a kink at kappa_* makes the heap bisect, so children are compared too
+        # a kink at kappa_* makes the rule bisect, so children are compared too
         (lambda k, q, r: np.abs(k - params.kappa_star) ** 0.5, quad.DEFAULT_REL_TOL, None),
     ]
     bisected = 0
@@ -322,6 +318,84 @@ def test_initial_mesh_is_evaluated_in_bounded_blocks(p, mult, monkeypatch):
     integrate_over_arch(params, counted, rel_tol, floor)
     assert len(sizes) == math.ceil(panels / 128)
     assert max(sizes) <= 128 * 45
+
+
+@pytest.mark.parametrize("rows", [1, 6])
+def test_panel_cap_is_reached_in_bounded_work(rows):
+    # Noise never meets a tolerance, however fine the panels: every round
+    # bisects most panels, so the cap comes after a few hundred calls of
+    # whole blocks, not one call per bisection.
+    params = make_params(0.3, 2.0)
+    rng = np.random.default_rng(20)
+    sizes = []
+
+    def noise(k, q, r):
+        sizes.append(k.size)
+        return 1.0 + 0.1 * rng.standard_normal((rows, k.size))
+
+    with pytest.raises(ConvergenceFailure):
+        integrate_over_arch(params, noise)
+    assert len(sizes) <= 400
+    assert max(sizes) <= 128 * 45
+
+
+def _oracle_split_at_kappa_star(params, exponent, right_factor):
+    """scipy quad of |kappa - kappa_*|^exponent / sqrt(Q) over [beta, kappa_*]
+    and, times right_factor, over [kappa_*, alpha], each side with algebraic
+    weights at both of its ends.
+
+    The smooth factor 1/sqrt(g), g = Q / ((alpha - kappa)(kappa - beta)),
+    takes Q / (kappa - root) about the nearer root with Q(root) = 0 exactly,
+    so it stays accurate where Q cancels next to the roots.
+    """
+    p, a = params.p, params.a
+    beta, alpha, ks = params.beta, params.alpha, params.kappa_star
+    e, c = 2.0 * (1.0 - p), (1.0 - p) ** 2
+
+    def q_over(k, root):
+        d = k - root
+        if d == 0.0:
+            return a * e * root ** (e - 1.0) - 2.0 * c * root
+        return a * root**e * math.expm1(e * math.log1p(d / root)) / d - c * (k + root)
+
+    def inv_sqrt_g(k):
+        if k - beta < alpha - k:
+            return 1.0 / math.sqrt(q_over(k, beta) / (alpha - k))
+        return 1.0 / math.sqrt(-q_over(k, alpha) / (k - beta))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        left, left_err = scipy_quad(
+            lambda k: inv_sqrt_g(k) / math.sqrt(alpha - k), beta, ks,
+            weight="alg", wvar=(-0.5, exponent), limit=200, epsabs=1e-16, epsrel=1e-14,
+        )
+        right, right_err = scipy_quad(
+            lambda k: inv_sqrt_g(k) / math.sqrt(k - beta), ks, alpha,
+            weight="alg", wvar=(exponent, -0.5), limit=200, epsabs=1e-16, epsrel=1e-14,
+        )
+    return left + right_factor * right, left_err + right_factor * right_err
+
+
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-12, 1e-14])
+@pytest.mark.parametrize("kind", ["kink", "step"])
+def test_error_estimate_is_honest_where_the_rule_bisects(kind, rel_tol):
+    params = make_params(0.3, 2.0)
+    ks = params.kappa_star
+    if kind == "kink":
+
+        def numerator(k, q, r):
+            return np.abs(k - ks) ** 0.5
+
+        ref, ref_err = _oracle_split_at_kappa_star(params, 0.5, 1.0)
+    else:
+
+        def numerator(k, q, r):
+            return np.where(k < ks, 1.0, 2.0)
+
+        ref, ref_err = _oracle_split_at_kappa_star(params, 0.0, 2.0)
+    assert _per_panel_reference(params, numerator, rel_tol)[3] > 0
+    res = integrate_over_arch(params, numerator, rel_tol)
+    assert abs(res.value - ref) <= 10 * (res.error_estimate + ref_err)
 
 
 def test_stacked_rows_equal_separate_integrals():
@@ -378,22 +452,40 @@ def test_moment_below_fixed_mesh_reach_is_resolved():
     assert (p - 2.0) * p**2 * m_low == pytest.approx(rhs, rel=1e-8)
 
 
-def test_table_work_stays_within_node_budget(monkeypatch):
-    # Integrand nodes of table1's work on the 11 reference rows (closure
-    # solves, one scan per exponent, then energy and Upsilon): 626,220 here;
-    # solved pair by pair it took 819,045, and the fixed 48/48 mesh 2,956,590.
-    nodes = []
+def _integrand_call_sizes(monkeypatch):
+    """The node count of every theta-integrand call from here on."""
+    sizes = []
     make = quad._make_theta_integrand
 
     def counting(params, numerator):
         f = make(params, numerator)
 
         def counted(theta):
-            nodes.append(theta.size)
+            sizes.append(theta.size)
             return f(theta)
 
         return counted
 
     monkeypatch.setattr(quad, "_make_theta_integrand", counting)
+    return sizes
+
+
+def test_table_work_stays_within_node_budget(monkeypatch):
+    # Integrand nodes of table1's work on the 11 reference rows (closure
+    # solves, one scan per exponent, then energy and Upsilon): 626,220 here;
+    # solved pair by pair it took 819,045, and the fixed 48/48 mesh 2,956,590.
+    nodes = _integrand_call_sizes(monkeypatch)
     _solve_rows(REFERENCE_TABLE)
     assert sum(nodes) <= 700_000
+
+
+def test_trace_is_evaluated_in_bounded_blocks(monkeypatch):
+    # One call per 128-panel block of the rule's mesh (here the initial one,
+    # deep into Lambda's layer), then one per block of 384 half panels, 15
+    # nodes each, for the dense output: neither pass exceeds 5,760 nodes.
+    params = make_params(0.99, 7.4e3 * a_star(0.99))
+    panels = len(quad._arch_breaks(params, quad._progression_layer(params))) - 1
+    sizes = _integrand_call_sizes(monkeypatch)
+    quad.ArchTrace(params)
+    assert len(sizes) == math.ceil(panels / 128) + math.ceil(2 * panels / 384)
+    assert max(sizes) <= 128 * 45
