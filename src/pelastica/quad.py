@@ -18,17 +18,25 @@ that root, takes Q's cubic Taylor form about it, with the root distance
 taken exactly from theta; every other node takes the direct form.  The
 choice rests on the nodes' positions, never on the computed Q.
 
-One rule serves every arch quantity of a (p, a).  Its initial mesh is graded
-geometrically toward theta = 0, halving the panel ends down to an eighth of
+One rule serves every arch quantity of a (p, a), on one mesh.  Below
+theta = pi/8 it is uniform in u = log theta, in which the smooth integrand
+above, F(theta), becomes theta F(theta): panels at most 3 wide in u run
+from pi/8 down to an eighth of
 
     floor = min(sqrt(beta / (alpha - beta)), grade_floor),
 
-and never fewer than 8 levels.  sqrt(beta / (alpha - beta)) is the theta at
-which kappa - beta reaches beta, the layer of every kappa^t moment;
-grade_floor is a numerator's own, deeper layer (Lambda's).  Toward
-theta = pi/2 the integrand is analytic, since Q has a simple root at alpha,
-so the rest of the arch takes uniform panels no wider than pi/8 and three
-halving levels.  The reference table's integrals take a median of 14 panels.
+and at least down to pi/2 2^-8, with one theta panel from 0 beneath them.
+sqrt(beta / (alpha - beta)) is the theta at which kappa - beta reaches
+beta, the layer of every kappa^t moment; grade_floor is a numerator's own,
+deeper layer (Lambda's).  Below a layer F is about constant and above it F
+is a power of theta, so in u a layer is a transition of width O(1) however
+deep it lies, and theta F is smooth on the scale of a panel; one panel
+spans 3 / log 2 = 4.3 octaves of theta.  Toward theta = pi/2 the integrand
+is analytic, since Q has a simple root at alpha, so the rest of the arch
+takes uniform theta panels no wider than pi/8 and three halving levels.
+The mesh grades toward theta = 0 only, so a numerator's layers must lie
+there.  A floor below 8e-300 raises ResolutionError: its log panels' theta
+would leave float64's normal range.
 
 Each node forms r = kappa^(1-p) once, the only non-integer power of the rule,
 then Q = a r^2 - (1-p)^2 kappa^2 - p^2 and the Jacobian.  r is formed without
@@ -44,20 +52,22 @@ Numerators are called as numerator(kappa, q, r) with the nodes' curvature,
 stabilised Q and r, and return one row of values or a stack of rows; every
 row is integrated on the same nodes.
 
-What stays adaptive: every panel's 15-point Gauss-Legendre rule in theta is
-compared with the sum of the rules on its two halves (45 nodes a panel).
-While the summed estimate of any row misses rel_tol, a round bisects every
-panel whose estimate exceeds an even share, rel_tol |total| / panels, of
-such a row's tolerance, and re-sums the rows.  The initial mesh and each
-round's children go through the integrand in blocks of at most 128 panels
-(5760 nodes) per call; the values equal those of one call per rule bit for
-bit, since every node and every weighted sum is formed the same way.
+What stays adaptive: every panel's 15-point Gauss-Legendre rule in its own
+variable (theta, or u on a log panel, whose nodes take the Jacobian
+dtheta/du = theta) is compared with the sum of the rules on its two halves
+in that variable (45 nodes a panel).  While the summed estimate of any row
+misses rel_tol, a round bisects every panel whose estimate exceeds an even
+share, rel_tol |total| / panels, of such a row's tolerance, and re-sums the
+rows.  The initial mesh and each round's children go through the integrand
+in blocks of at most 128 panels (5760 nodes) per call; the values equal
+those of one call per rule bit for bit, since every node and every weighted
+sum is formed the same way.
 
 ArchTrace runs the same rule on the rows of arc length, progression and
 swept area, evaluates its final mesh's half panels once more in such blocks
 and keeps their 15 node values as the Legendre coefficients of their
-antiderivative: a dense output of the three integrals over theta, from
-which a curve's profile is read at any arc length.
+antiderivative in the half panel's own variable: a dense output of the
+three integrals, from which a curve's profile is read at any arc length.
 """
 
 from __future__ import annotations
@@ -79,10 +89,16 @@ DEFAULT_REL_TOL = 1e-10
 # where (d/kappa)^4 ~ eps_ld, d/kappa ~ 2e-5, at any width.
 _TAYLOR_REACH = 1e-5
 _PANEL_CAP = 20000
-# Fewest halving levels toward theta = 0, and the levels toward pi/2.
+# The log panels start no higher than pi/2 2^-_LOW_LEVELS; halving levels
+# toward pi/2.
 _LOW_LEVELS = 8
 _HIGH_LEVELS = 3
-# Smallest theta the graded mesh may reach (it grades to an eighth of
+# Widest initial panel in u = log theta.  Wider panels still meet rel_tol,
+# but the arch trace's dense output interpolates on them: at width 4 the
+# Hopf lift's horizontality reads 1.3e-10 on p = 0.7 gamma_{11,19}, above
+# the 1e-10 its test allows.
+_LOG_WIDTH = 3.0
+# Smallest theta the mesh may reach (its log panels start at an eighth of
 # grade_floor); finer panel ends would run out of float64 range.
 _THETA_FLOOR = 1e-300
 # Panels per integrand call: bounds the node arrays (45 nodes a panel) when
@@ -91,7 +107,7 @@ _BLOCK_PANELS = 128
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 # GL15 values -> Legendre coefficients of their interpolant, and of its
-# antiderivative from u = -1 (exact: the rule integrates degree 29).
+# antiderivative from x = -1 (exact: the rule integrates degree 29).
 _TO_LEGENDRE = (
     (np.arange(15) + 0.5)[:, None]
     * np.polynomial.legendre.legvander(_GL_NODES, 14).T
@@ -99,10 +115,10 @@ _TO_LEGENDRE = (
 )
 _ANTIDERIVATIVE = np.polynomial.legendre.legint(_TO_LEGENDRE, lbnd=-1)
 # Newton steps on a panel polynomial: at most this many, and none after a
-# step in the local variable u in [-1, 1] below _NEWTON_U_TOL, since the
+# step in the local variable x in [-1, 1] below _NEWTON_X_TOL, since the
 # convergence is quadratic and the next step would be at roundoff.
 _NEWTON_STEPS = 8
-_NEWTON_U_TOL = 1e-8
+_NEWTON_X_TOL = 1e-8
 
 
 def limit_at_maximum(params: ElasticaParams, numerator: Callable):
@@ -232,8 +248,8 @@ def _make_theta_integrand(params: ElasticaParams, numerator: Callable):
         kl, q, r, s2, c2 = at(theta)
         if np.any(q <= 0.0):
             raise DomainError("Q <= 0 inside (beta, alpha): inconsistent roots")
-        # Everything stays in extended precision: on the deepest graded
-        # panels theta^2 underflows float64 and the integrand's pointwise
+        # Everything stays in extended precision: on the deepest panels
+        # theta^2 underflows float64 and the integrand's pointwise
         # values can overflow it, even though the integral is O(1).
         g = q / (width**2 * s2 * c2)
         return np.asarray(numerator(kl, q, r)).reshape(-1, theta.size) * (2.0 / np.sqrt(g))
@@ -241,47 +257,80 @@ def _make_theta_integrand(params: ElasticaParams, numerator: Callable):
     return integrand
 
 
-def _arch_breaks(params: ElasticaParams, grade_floor: float | None = None) -> np.ndarray:
-    """Panel ends in theta of the initial mesh for one (p, a)."""
+def _arch_breaks(params: ElasticaParams, grade_floor: float | None = None):
+    """Panel ends in theta of the initial mesh for one (p, a), and a mask of
+    the panels integrated in u = log theta."""
     half_pi = 0.5 * math.pi
     # sqrt(beta / (alpha - beta)) in logs: the ratio underflows at large a.
     floor = math.exp(0.5 * (math.log(params.beta) - math.log(params.alpha - params.beta)))
     if grade_floor is not None:
         floor = min(floor, grade_floor)
-    low_levels = max(_LOW_LEVELS, math.ceil(math.log2(half_pi / (floor / 8.0))))
-    # halving toward 0 up to pi/8, uniform pi/8 panels, halving toward pi/2
-    lows = [half_pi * 2.0**-k for k in range(low_levels, 1, -1)]
-    mids = [0.25 * math.pi, 0.375 * math.pi]
+    u_low = math.log(min(floor / 8.0, half_pi * 2.0**-_LOW_LEVELS))
+    u_high = math.log(0.125 * math.pi)
+    logs = math.ceil((u_high - u_low) / _LOG_WIDTH)
+    # a theta panel from 0, uniform log panels up to pi/8, uniform pi/8
+    # panels, halving toward pi/2
+    lows = np.exp(np.linspace(u_low, u_high, logs + 1))[:-1]
+    mids = [0.125 * math.pi, 0.25 * math.pi, 0.375 * math.pi]
     highs = [half_pi - 0.125 * math.pi * 2.0**-k for k in range(1, _HIGH_LEVELS + 1)]
-    return np.array([0.0] + lows + mids + highs + [half_pi])
+    breaks = np.concatenate([[0.0], lows, mids, highs, [half_pi]])
+    log = np.zeros(breaks.size - 1, dtype=bool)
+    log[1 : logs + 1] = True
+    return breaks, log
 
 
-def _panels(f, lo, hi):
+def _local_nodes(lo, hi, log, x):
+    """(theta, h, dtheta) at local variables x in [-1, 1] of the panels
+    [lo, hi]: the nodes, the panels' half widths h in their own variables
+    and d theta / d(own variable) at the nodes.
+
+    lo, hi and log hold one entry per panel, and x broadcasts against
+    (panels, 1).  A panel's own variable is theta, or u = log theta where
+    log is set; a log panel's nodes are theta = lo exp(h (1 + x)), formed
+    from its end rather than from u, whose rounding deep in the layer (|u|
+    up to ~690) would cost theta ~1e-13 of its relative precision.
+    """
+    lo, hi, log = lo[:, None], hi[:, None], log[:, None]
+    # the bottom theta panel starts at 0; a theta panel's ratio is unused
+    h = np.where(log, 0.5 * np.log(hi / np.where(log, lo, hi)), 0.5 * (hi - lo))
+    theta = np.where(log, lo * np.exp(h * (1.0 + x)), 0.5 * (lo + hi) + h * x)
+    return theta, h, np.where(log, theta, 1.0)
+
+
+def _midpoints(lo, hi, log):
+    """Midpoints in theta of the panels [lo, hi], each in its own variable."""
+    return _local_nodes(lo, hi, log, 0.0)[0][:, 0]
+
+
+def _panels(f, lo, hi, log):
     """(fine, err) of the panels [lo, hi], each of shape (rows, panels).
 
     fine sums the GL15 rules on a panel's two halves and err is its distance
-    from the rule on the whole panel.  The panels go through the integrand
-    in blocks of at most _BLOCK_PANELS, 45 nodes a panel, in one call each.
+    from the rule on the whole panel, all in the panel's own variable.  The
+    panels go through the integrand in blocks of at most _BLOCK_PANELS, 45
+    nodes a panel, in one call each.
     """
     blocks = []
     for start in range(0, len(lo), _BLOCK_PANELS):
         b_lo, b_hi = lo[start : start + _BLOCK_PANELS], hi[start : start + _BLOCK_PANELS]
-        mid = 0.5 * (b_lo + b_hi)
-        # axis 0: the whole panel, its left half, its right half
-        begin, end = np.stack([b_lo, b_lo, mid]), np.stack([b_hi, mid, b_hi])
-        centre, half = 0.5 * (begin + end), 0.5 * (end - begin)
-        nodes = centre[..., None] + half[..., None] * _GL_NODES
-        values = f(nodes.ravel()).reshape((-1,) + nodes.shape)
+        b_log = log[start : start + _BLOCK_PANELS]
+        mid = _midpoints(b_lo, b_hi, b_log)
+        # the whole panels, their left halves, their right halves
+        begin, end = np.concatenate([b_lo, b_lo, mid]), np.concatenate([b_hi, mid, b_hi])
+        theta, h, dtheta = _local_nodes(begin, end, np.tile(b_log, 3), _GL_NODES)
+        values = f(theta.ravel()).reshape(-1, *theta.shape) * dtheta
         # weighted sums in the integrand's (extended) precision, then narrowed
-        blocks.append((half * (values @ _GL_WEIGHTS)).astype(float))
+        rules = (h[:, 0] * (values @ _GL_WEIGHTS)).astype(float)
+        blocks.append(rules.reshape(rules.shape[0], 3, -1))
     rules = np.concatenate(blocks, axis=-1)
     coarse, fine = rules[:, 0], rules[:, 1] + rules[:, 2]
     return fine, np.abs(coarse - fine)
 
 
 def _adapt(params, numerator, rel_tol, grade_floor):
-    """Row totals, their error sums and the final mesh's panel ends (lo, hi),
-    refined in rounds; a round's children follow the panels it leaves whole.
+    """Row totals, their error sums and the final mesh's panels (lo, hi,
+    log), refined in rounds; a round's children follow the panels it leaves
+    whole.
     """
     f = _make_theta_integrand(params, numerator)
     if grade_floor is not None and not grade_floor / 8.0 >= _THETA_FLOOR:
@@ -289,22 +338,24 @@ def _adapt(params, numerator, rel_tol, grade_floor):
             f"inner layer's theta scale is below {8.0 * _THETA_FLOOR:g}, "
             "the arch mesh's reach"
         )
-    breaks = _arch_breaks(params, grade_floor)
+    breaks, log = _arch_breaks(params, grade_floor)
     lo, hi = breaks[:-1], breaks[1:]
-    fine, err = _panels(f, lo, hi)
+    fine, err = _panels(f, lo, hi, log)
     while True:
         total, total_err = fine.sum(axis=1), err.sum(axis=1)
         tol = rel_tol * np.maximum(np.abs(total), 1e-300)
         missing = total_err > tol
         if not np.any(missing):
-            return total, total_err, lo, hi
+            return total, total_err, lo, hi, log
         split = np.any(err[missing] > tol[missing, None] / lo.size, axis=0)
         if lo.size + np.count_nonzero(split) > _PANEL_CAP:
             raise ConvergenceFailure("adaptive quadrature exceeded panel cap")
-        mid = 0.5 * (lo[split] + hi[split])
+        mid = _midpoints(lo[split], hi[split], log[split])
         c_lo, c_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
-        c_fine, c_err = _panels(f, c_lo, c_hi)
+        c_log = np.tile(log[split], 2)
+        c_fine, c_err = _panels(f, c_lo, c_hi, c_log)
         lo, hi = np.concatenate([lo[~split], c_lo]), np.concatenate([hi[~split], c_hi])
+        log = np.concatenate([log[~split], c_log])
         fine = np.concatenate([fine[:, ~split], c_fine], axis=1)
         err = np.concatenate([err[:, ~split], c_err], axis=1)
 
@@ -327,26 +378,30 @@ def integrate_over_arch(
     and returns an array of the nodes' shape or a stack of such rows; a stack
     is integrated on shared nodes and gives one value per row.
 
-    The initial mesh is 15-point Gauss-Legendre panels in theta, graded
-    geometrically toward the lower root down to an eighth of the smaller of
-    sqrt(beta/(alpha-beta)) and grade_floor (at least 8 levels) and coarse
-    toward the upper root, evaluated in blocks of at most 128 panels per
-    integrand call.  While any row's error estimate misses rel_tol, rounds
-    bisect the panels above an even share of its tolerance (see the module
-    docstring) in the same blocks, up to 20000 panels (ConvergenceFailure).
-    Numerators with an interior layer deeper than the moment layer (the
-    layer's theta scale can fall below 1e-40 for momenta far above
-    threshold) pass its theta scale as grade_floor; a floor the mesh cannot
-    reach (below 8 * 1e-300, including 0 from an underflowed scale) raises
-    ResolutionError.  Near-circular parameters short-circuit to the
-    local-maximum limit.
+    The initial mesh is 15-point Gauss-Legendre panels, uniform in
+    u = log theta from pi/8 down to an eighth of the smaller of
+    sqrt(beta/(alpha-beta)) and grade_floor (at least to pi/2 2^-8), one
+    theta panel below and coarse theta panels toward the upper root,
+    evaluated in blocks of at most 128 panels per integrand call.  While any
+    row's error estimate misses rel_tol, rounds bisect the panels above an
+    even share of its tolerance (see the module docstring) in the same
+    blocks, up to 20000 panels (ConvergenceFailure).
+
+    The mesh is fine only toward theta = 0, at the lower root: a
+    numerator's layers must lie there.  One with a layer elsewhere, such as
+    toward the upper root, can come back wrong with a tiny error estimate.
+    Numerators with a layer deeper than the moment layer (its theta scale
+    can fall below 1e-40 for momenta far above threshold) pass its theta
+    scale as grade_floor; a floor the mesh cannot reach (below 8 * 1e-300,
+    including 0 from an underflowed scale) raises ResolutionError.
+    Near-circular parameters short-circuit to the local-maximum limit.
     """
     _check_rel_tol(rel_tol)
     if params.near_circular:
         limit = limit_at_maximum(params, numerator)
         return SingularIntegral(value=limit, error_estimate=0.0 * limit)
 
-    total, total_err, _, _ = _adapt(params, numerator, rel_tol, grade_floor)
+    total, total_err, *_ = _adapt(params, numerator, rel_tol, grade_floor)
     if total.size == 1:
         total, total_err = float(total[0]), float(total_err[0])
     return SingularIntegral(value=total, error_estimate=total_err)
@@ -400,17 +455,19 @@ class ArchTrace:
     (psi's numerator is Lambda's, A is the area swept between the curve and
     the pole (1, 0, 0)).  Every half panel of the final mesh keeps its 15
     Gauss-Legendre values as the Legendre coefficients of their antiderivative
-    in the panel's local variable u in [-1, 1], so each row is a piecewise
-    polynomial in theta and costs no further integrand calls.  Near-circular
-    parameters raise ResolutionError.
+    in the half panel's local variable x in [-1, 1], so each row is a
+    piecewise polynomial in theta or, on a log panel, in log theta and costs
+    no further integrand calls.  Near-circular parameters raise
+    ResolutionError.
 
     at(s) reduces s to the rising half period by the profile's symmetries:
     reflection, kappa(T - s) = kappa(s), kappa'(T - s) = -kappa'(s),
     psi(T - s) = Lambda - psi(s), A(T - s) = A(T) - A(s); and shift, s + T
-    adding Lambda to psi and A(T) to A.  It then solves s(theta) = s by
-    Newton's method on the panel polynomial, reads kappa = beta + (alpha -
-    beta) sin^2(theta) and kappa' = +-kappa sqrt(Q)/(p(1-p)) from the first
-    integral, and psi and A from their antiderivatives.
+    adding Lambda to psi and A(T) to A.  It then solves s(x) = s by
+    Newton's method on the panel polynomial, maps x back to theta, reads
+    kappa = beta + (alpha - beta) sin^2(theta) and kappa' =
+    +-kappa sqrt(Q)/(p(1-p)) from the first integral, and psi and A from
+    their antiderivatives.
     """
 
     def __init__(self, params: ElasticaParams, rel_tol: float = DEFAULT_REL_TOL):
@@ -424,21 +481,23 @@ class ArchTrace:
             dpsi = p * (1.0 - p) ** 2 * sqrt_a * progression(k, q, r)
             return p * (1.0 - p) / k, dpsi, (1.0 - p / (sqrt_a * r)) * dpsi
 
-        _, _, lo, hi = _adapt(params, numerator, rel_tol, _progression_layer(params))
-        # the panels tile [0, pi/2], so their ends sort into matching pairs
-        lo, hi = np.sort(lo), np.sort(hi)
-        edges = np.append(np.column_stack([lo, 0.5 * (lo + hi)]).ravel(), hi[-1])
-        self._centre = 0.5 * (edges[:-1] + edges[1:])
-        self._half = 0.5 * (edges[1:] - edges[:-1])
-        # (rows, half panels, 15), the half panels in theta order, evaluated
-        # in blocks of at most the 45 nodes of _BLOCK_PANELS panels
+        _, _, lo, hi, log = _adapt(params, numerator, rel_tol, _progression_layer(params))
+        # the half panels in theta order; the panels tile [0, pi/2]
+        order = np.argsort(lo)
+        lo, hi, log = lo[order], hi[order], log[order]
+        mid = _midpoints(lo, hi, log)
+        self._lo = np.column_stack([lo, mid]).ravel()
+        self._hi = np.column_stack([mid, hi]).ravel()
+        self._log = np.repeat(log, 2)
+        # (rows, half panels, 15), evaluated in blocks of at most the 45
+        # nodes of _BLOCK_PANELS panels
         f = _make_theta_integrand(params, numerator)
-        nodes = self._centre[:, None] + self._half[:, None] * _GL_NODES
+        nodes, half, dtheta = _local_nodes(self._lo, self._hi, self._log, _GL_NODES)
         blocks = np.split(nodes, range(3 * _BLOCK_PANELS, len(nodes), 3 * _BLOCK_PANELS))
         values = np.concatenate([f(b.ravel()).reshape(3, *b.shape) for b in blocks], axis=1)
+        values *= dtheta
         # Scaled by the half width in extended precision before narrowing:
         # the integrand's values can overflow float64 on the deepest panels.
-        half = self._half[:, None]
         antiderivative = values @ _ANTIDERIVATIVE.T * half
         self._antiderivative = antiderivative.astype(float)
         self._slope = (values[0] @ _TO_LEGENDRE.T * half).astype(float)
@@ -455,25 +514,25 @@ class ArchTrace:
         self.area = 2.0 * half_area
 
     def _locate(self, s_half: np.ndarray):
-        """Half panel index, local variable u and Legendre basis at u of the
+        """Half panel index, local variable x and Legendre basis at x of the
         points where the arc-length row reaches s_half in [0, T/2]."""
         cumulative = self._cumulative[0]
-        last = len(self._half) - 1
+        last = len(self._lo) - 1
         panel = np.clip(np.searchsorted(cumulative, s_half, side="right") - 1, 0, last)
         target = s_half - cumulative[panel]
         coeffs, slope = self._antiderivative[0, panel], self._slope[panel]
-        u = np.clip(2.0 * target / (cumulative[panel + 1] - cumulative[panel]) - 1.0, -1.0, 1.0)
+        x = np.clip(2.0 * target / (cumulative[panel + 1] - cumulative[panel]) - 1.0, -1.0, 1.0)
         for _ in range(_NEWTON_STEPS):
-            basis = np.polynomial.legendre.legvander(u, _GL_NODES.size)
+            basis = np.polynomial.legendre.legvander(x, _GL_NODES.size)
             step = (np.einsum("ij,ij->i", basis, coeffs) - target) / np.einsum(
                 "ij,ij->i", basis[:, :-1], slope
             )
-            u = np.clip(u - step, -1.0, 1.0)
-            if np.max(np.abs(step), initial=0.0) < _NEWTON_U_TOL:
+            x = np.clip(x - step, -1.0, 1.0)
+            if np.max(np.abs(step), initial=0.0) < _NEWTON_X_TOL:
                 break
         else:
             raise ConvergenceFailure("Newton's method on the arc-length polynomial failed")
-        return panel, u, np.polynomial.legendre.legvander(u, _GL_NODES.size)
+        return panel, x, np.polynomial.legendre.legvander(x, _GL_NODES.size)
 
     def at(self, s):
         """(kappa, kappa', psi, A) at arc lengths s, an array of any shape,
@@ -483,8 +542,9 @@ class ArchTrace:
         turns = np.floor(flat / self.period)
         rest = flat - turns * self.period
         falling = rest > 0.5 * self.period
-        panel, u, basis = self._locate(np.where(falling, self.period - rest, rest))
-        kappa, q, *_ = self._theta_map(self._centre[panel] + self._half[panel] * u)
+        panel, x, basis = self._locate(np.where(falling, self.period - rest, rest))
+        theta = _local_nodes(self._lo[panel], self._hi[panel], self._log[panel], x[:, None])[0]
+        kappa, q, *_ = self._theta_map(theta[:, 0])
         p = self.params.p
         speed = kappa * np.sqrt(np.maximum(q, 0.0)) / (p * (1.0 - p))
         psi_half, area_half = self._cumulative[1:, panel] + np.einsum(

@@ -228,8 +228,8 @@ def horizontality_traces(all_traces):
 
 def test_lift_is_horizontal(horizontality_traces):
     # <q', iq> on the lift that build_torus sweeps, q' by finite differences
-    # of the arch trace's dense output (2.8e-12 on p = 0.3 gamma_{2,3} and
-    # at most 4.7e-11 on these six curves, measured with numpy 2.4)
+    # of the arch trace's dense output (4.4e-12 on p = 0.3 gamma_{2,3} and
+    # at most 5.3e-11 on these six curves, measured with numpy 2.4)
     for trace in horizontality_traces:
         assert lift_horizontality(trace) < 1e-10
 

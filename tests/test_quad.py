@@ -164,9 +164,8 @@ def _full_size_q(params, theta):
 @pytest.mark.parametrize("p,mult,alpha_cancels", [(0.99, 7.4e3, False), (0.3, 1.0 + 1e-6, True)])
 def test_stabilised_q_equals_full_size_taylor_selection(p, mult, alpha_cancels):
     params = make_params(p, mult * a_star(p))
-    breaks = quad._arch_breaks(params, quad._progression_layer(params))
-    centre, half = 0.5 * (breaks[1:] + breaks[:-1]), 0.5 * (breaks[1:] - breaks[:-1])
-    theta = (centre[:, None] + half[:, None] * quad._GL_NODES).ravel()
+    breaks, log = quad._arch_breaks(params, quad._progression_layer(params))
+    theta = quad._local_nodes(breaks[:-1], breaks[1:], log, quad._GL_NODES)[0].ravel()
     _, q, *_ = quad._theta_map(params)[1](theta)
     ref, near, nearer_beta, cancelling = _full_size_q(params, theta)
     assert np.any(near & nearer_beta) and np.any(near & ~nearer_beta) and not np.all(near)
@@ -212,45 +211,55 @@ def test_unreachable_grade_floor_raises():
             integrate_over_arch(params, _one, grade_floor=floor)
 
 
-def _gl15(f, lo, hi):
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return float(half * np.dot(quad._GL_WEIGHTS, f(mid + half * quad._GL_NODES)[0]))
+def _gl15(f, lo, hi, log):
+    """GL15 on one panel in its own variable, with one integrand call."""
+    theta, h, dtheta = quad._local_nodes(
+        np.array([lo]), np.array([hi]), np.array([log]), quad._GL_NODES
+    )
+    return float(h[0, 0] * np.dot(quad._GL_WEIGHTS, f(theta[0])[0] * dtheta[0]))
 
 
-def _panel(f, lo, hi):
+def _mid(lo, hi, log):
+    return float(quad._midpoints(np.array([lo]), np.array([hi]), np.array([log]))[0])
+
+
+def _panel(f, lo, hi, log):
     """(fine, err) of one panel: its halves' GL15 sum and the gap to its own."""
-    mid = 0.5 * (lo + hi)
-    coarse = _gl15(f, lo, hi)
-    fine = _gl15(f, lo, mid) + _gl15(f, mid, hi)
+    mid = _mid(lo, hi, log)
+    coarse = _gl15(f, lo, hi, log)
+    fine = _gl15(f, lo, mid, log) + _gl15(f, mid, hi, log)
     return fine, abs(coarse - fine)
 
 
 def _per_panel_reference(params, numerator, rel_tol=quad.DEFAULT_REL_TOL, grade_floor=None):
     """The arch rule refined in rounds, with one integrand call per GL15 rule.
 
-    Runs on the rule's own initial mesh and keeps its panels in the rule's
-    order, each round's children after the panels it leaves whole: the left
-    halves, then the right halves.  Returns (value, error estimate, initial
-    panels, bisections).
+    Runs on the rule's own initial mesh, its log panels in u = log theta,
+    and keeps its panels in the rule's order, each round's children after
+    the panels it leaves whole: the left halves, then the right halves.
+    Returns (value, error estimate, initial panels, bisections, bisections
+    of log panels).
     """
     f = quad._make_theta_integrand(params, numerator)
-    breaks = quad._arch_breaks(params, grade_floor).tolist()
-    panels = [(lo, hi, *_panel(f, lo, hi)) for lo, hi in zip(breaks[:-1], breaks[1:])]
-    initial, bisections = len(panels), 0
+    breaks, logs = quad._arch_breaks(params, grade_floor)
+    ends = zip(breaks[:-1].tolist(), breaks[1:].tolist(), logs.tolist())
+    panels = [(lo, hi, log, *_panel(f, lo, hi, log)) for lo, hi, log in ends]
+    initial, bisections, log_bisections = len(panels), 0, 0
     while True:
-        total = float(np.sum([fine for _, _, fine, _ in panels]))
-        total_err = float(np.sum([err for _, _, _, err in panels]))
+        total = float(np.sum([panel[3] for panel in panels]))
+        total_err = float(np.sum([panel[4] for panel in panels]))
         tol = rel_tol * max(abs(total), 1e-300)
         if not total_err > tol:
-            return total, total_err, initial, bisections
+            return total, total_err, initial, bisections, log_bisections
         share = tol / len(panels)
-        split = [(lo, hi) for lo, hi, _, err in panels if err > share]
+        split = [(lo, hi, log) for lo, hi, log, _, err in panels if err > share]
         assert len(panels) + len(split) <= quad._PANEL_CAP
-        children = [(lo, 0.5 * (lo + hi)) for lo, hi in split]
-        children += [(0.5 * (lo + hi), hi) for lo, hi in split]
-        panels = [panel for panel in panels if not panel[3] > share]
-        panels += [(lo, hi, *_panel(f, lo, hi)) for lo, hi in children]
+        children = [(lo, _mid(lo, hi, log), log) for lo, hi, log in split]
+        children += [(_mid(lo, hi, log), hi, log) for lo, hi, log in split]
+        panels = [panel for panel in panels if not panel[4] > share]
+        panels += [(lo, hi, log, *_panel(f, lo, hi, log)) for lo, hi, log in children]
         bisections += len(split)
+        log_bisections += sum(log for _, _, log in split)
 
 
 def _fixed_mesh_breaks(params, grade_floor=None):
@@ -262,7 +271,8 @@ def _fixed_mesh_breaks(params, grade_floor=None):
         low_levels = max(low_levels, math.ceil(math.log2(half_pi / (grade_floor / 8.0))))
     lows = [half_pi * 2.0**-k for k in range(low_levels, 0, -1)]
     highs = [half_pi * (1.0 - 2.0**-k) for k in range(2, 49)]
-    return np.array([0.0] + lows + highs + [half_pi])
+    breaks = np.array([0.0] + lows + highs + [half_pi])
+    return breaks, np.zeros(breaks.size - 1, dtype=bool)
 
 
 def _lambda_call(params, monkeypatch):
@@ -292,13 +302,18 @@ def test_block_evaluation_matches_per_panel_rule_bit_for_bit(p, a, monkeypatch):
         # a kink at kappa_* makes the rule bisect, so children are compared too
         (lambda k, q, r: np.abs(k - params.kappa_star) ** 0.5, quad.DEFAULT_REL_TOL, None),
     ]
-    bisected = 0
+    bisected = log_bisected = 0
     for numerator, rel_tol, floor in cases:
         res = integrate_over_arch(params, numerator, rel_tol, floor)
-        value, err, _, bisections = _per_panel_reference(params, numerator, rel_tol, floor)
+        value, err, _, bisections, log_bisections = _per_panel_reference(
+            params, numerator, rel_tol, floor
+        )
         assert (res.value, res.error_estimate) == (value, err)
         bisected += bisections
+        log_bisected += log_bisections
     assert bisected > 0
+    # at p = 0.99 kappa_* lies below theta = pi/8, so the kink bisects log panels
+    assert (log_bisected > 0) == (p == 0.99)
 
 
 @pytest.mark.parametrize("p,mult", [(0.3, 2.0), (0.99, 7.4e3)])
@@ -307,7 +322,7 @@ def test_initial_mesh_is_evaluated_in_bounded_blocks(p, mult, monkeypatch):
     # fewer calls than that means unbounded blocks, more means per-panel calls.
     params = make_params(p, mult * a_star(p))
     numerator, rel_tol, floor = _lambda_call(params, monkeypatch)
-    _, _, panels, bisections = _per_panel_reference(params, numerator, rel_tol, floor)
+    _, _, panels, bisections, _ = _per_panel_reference(params, numerator, rel_tol, floor)
     assert bisections == 0
     sizes = []
 
@@ -472,11 +487,13 @@ def _integrand_call_sizes(monkeypatch):
 
 def test_table_work_stays_within_node_budget(monkeypatch):
     # Integrand nodes of table1's work on the 11 reference rows (closure
-    # solves, one scan per exponent, then energy and Upsilon): 626,220 here;
-    # solved pair by pair it took 819,045, and the fixed 48/48 mesh 2,956,590.
+    # solves, one scan per exponent, then energy and Upsilon): 216,360 here,
+    # refinement rounds included.  One octave panel per level below pi/8 took
+    # 620,325, solved pair by pair 819,045, and the fixed 48/48 mesh
+    # 2,956,590.
     nodes = _integrand_call_sizes(monkeypatch)
     _solve_rows(REFERENCE_TABLE)
-    assert sum(nodes) <= 700_000
+    assert sum(nodes) <= 300_000
 
 
 def test_trace_is_evaluated_in_bounded_blocks(monkeypatch):
@@ -484,7 +501,7 @@ def test_trace_is_evaluated_in_bounded_blocks(monkeypatch):
     # deep into Lambda's layer), then one per block of 384 half panels, 15
     # nodes each, for the dense output: neither pass exceeds 5,760 nodes.
     params = make_params(0.99, 7.4e3 * a_star(0.99))
-    panels = len(quad._arch_breaks(params, quad._progression_layer(params))) - 1
+    panels = len(quad._arch_breaks(params, quad._progression_layer(params))[1])
     sizes = _integrand_call_sizes(monkeypatch)
     quad.ArchTrace(params)
     assert len(sizes) == math.ceil(panels / 128) + math.ceil(2 * panels / 384)
