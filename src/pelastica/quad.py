@@ -52,22 +52,25 @@ Numerators are called as numerator(kappa, q, r) with the nodes' curvature,
 stabilised Q and r, and return one row of values or a stack of rows; every
 row is integrated on the same nodes.
 
-What stays adaptive: every panel's 15-point Gauss-Legendre rule in its own
-variable (theta, or u on a log panel, whose nodes take the Jacobian
-dtheta/du = theta) is compared with the sum of the rules on its two halves
-in that variable (45 nodes a panel).  While the summed estimate of any row
-misses rel_tol, a round bisects every panel whose estimate exceeds an even
-share, rel_tol |total| / panels, of such a row's tolerance, and re-sums the
-rows.  The initial mesh and each round's children go through the integrand
-in blocks of at most 128 panels (5760 nodes) per call; the values equal
-those of one call per rule bit for bit, since every node and every weighted
-sum is formed the same way.
+What stays adaptive: every panel is evaluated once, at the 31 nodes of the
+Gauss-Kronrod pair G15/K31 in its own variable (theta, or u on a log panel,
+whose nodes take the Jacobian dtheta/du = theta).  The panel's value is the
+31-point Kronrod sum, exact to degree 46, and its error estimate is the
+distance from the 15-point Gauss-Legendre sum on the Gauss nodes among them,
+so it measures the error of GL15 on the whole panel.  While the summed
+estimate of any row misses rel_tol, a round bisects every panel whose
+estimate exceeds an even share, rel_tol |total| / panels, of such a row's
+tolerance, and re-sums the rows.  The initial mesh and each round's children
+go through the integrand in blocks of at most 5760 nodes (185 panels) per
+call; the values equal those of one call per panel bit for bit, since every
+node and every weighted sum is formed the same way.
 
 ArchTrace runs the same rule on the rows of arc length, progression and
-swept area, evaluates its final mesh's half panels once more in such blocks
-and keeps their 15 node values as the Legendre coefficients of their
-antiderivative in the half panel's own variable: a dense output of the
-three integrals, from which a curve's profile is read at any arc length.
+swept area, evaluates its final mesh's half panels at their GL15 nodes in
+blocks of at most 5760 nodes (384 half panels) and keeps the 15 values as
+the Legendre coefficients of their antiderivative in the half panel's own
+variable: a dense output of the three integrals, from which a curve's
+profile is read at any arc length.
 """
 
 from __future__ import annotations
@@ -101,11 +104,32 @@ _LOG_WIDTH = 3.0
 # Smallest theta the mesh may reach (its log panels start at an eighth of
 # grade_floor); finer panel ends would run out of float64 range.
 _THETA_FLOOR = 1e-300
-# Panels per integrand call: bounds the node arrays (45 nodes a panel) when
-# grade_floor asks for ~1000 grade levels or a round bisects thousands.
-_BLOCK_PANELS = 128
+# Integrand nodes per call: bounds the node arrays when grade_floor asks for
+# ~1000 log panels or a round bisects thousands; 185 panels of the rule, or
+# 384 half panels of the arch trace's dense output.
+_BLOCK_NODES = 5760
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+# QUADPACK's G15/K31 pair: _GL_NODES, then the 16 Kronrod nodes, the roots
+# of the Stieltjes polynomial E16 (orthogonal to x^j P15 for j < 16), and
+# the 31 weights in the same order, exact to degree 46; derived at 60
+# digits and rounded to float64.
+_K31_NODES = np.concatenate([_GL_NODES, [
+    -0.9980022986933971, -0.9677390756791391, -0.8972645323440819, -0.790418501442466,
+    -0.650996741297417, -0.4850818636402397, -0.29918000715316884, -0.1011420669187175,
+    0.1011420669187175, 0.29918000715316884, 0.4850818636402397, 0.650996741297417,
+    0.790418501442466, 0.8972645323440819, 0.9677390756791391, 0.9980022986933971,
+]])
+_K31_WEIGHTS = np.array([
+    0.015007947329316122, 0.03534636079137585, 0.05348152469092809, 0.06985412131872826,
+    0.08308050282313302, 0.09312659817082532, 0.09917359872179196, 0.10133000701479154,
+    0.09917359872179196, 0.09312659817082532, 0.08308050282313302, 0.06985412131872826,
+    0.05348152469092809, 0.03534636079137585, 0.015007947329316122, 0.005377479872923349,
+    0.02546084732671532, 0.04458975132476488, 0.06200956780067064, 0.07684968075772038,
+    0.08856444305621176, 0.09664272698362368, 0.10076984552387559, 0.10076984552387559,
+    0.09664272698362368, 0.08856444305621176, 0.07684968075772038, 0.06200956780067064,
+    0.04458975132476488, 0.02546084732671532, 0.005377479872923349,
+])
 # GL15 values -> Legendre coefficients of their interpolant, and of its
 # antiderivative from x = -1 (exact: the rule integrates degree 29).
 _TO_LEGENDRE = (
@@ -303,28 +327,24 @@ def _midpoints(lo, hi, log):
 
 
 def _panels(f, lo, hi, log):
-    """(fine, err) of the panels [lo, hi], each of shape (rows, panels).
+    """(value, err) of the panels [lo, hi], each of shape (rows, panels).
 
-    fine sums the GL15 rules on a panel's two halves and err is its distance
-    from the rule on the whole panel, all in the panel's own variable.  The
-    panels go through the integrand in blocks of at most _BLOCK_PANELS, 45
-    nodes a panel, in one call each.
+    value is a panel's K31 sum in its own variable and err its distance from
+    the GL15 sum on the 15 Gauss nodes among them.  The panels go through the
+    integrand in blocks of at most _BLOCK_NODES // 31 panels, one call each.
     """
+    step = _BLOCK_NODES // _K31_NODES.size
     blocks = []
-    for start in range(0, len(lo), _BLOCK_PANELS):
-        b_lo, b_hi = lo[start : start + _BLOCK_PANELS], hi[start : start + _BLOCK_PANELS]
-        b_log = log[start : start + _BLOCK_PANELS]
-        mid = _midpoints(b_lo, b_hi, b_log)
-        # the whole panels, their left halves, their right halves
-        begin, end = np.concatenate([b_lo, b_lo, mid]), np.concatenate([b_hi, mid, b_hi])
-        theta, h, dtheta = _local_nodes(begin, end, np.tile(b_log, 3), _GL_NODES)
+    for start in range(0, len(lo), step):
+        block = slice(start, start + step)
+        theta, h, dtheta = _local_nodes(lo[block], hi[block], log[block], _K31_NODES)
         values = f(theta.ravel()).reshape(-1, *theta.shape) * dtheta
         # weighted sums in the integrand's (extended) precision, then narrowed
-        rules = (h[:, 0] * (values @ _GL_WEIGHTS)).astype(float)
-        blocks.append(rules.reshape(rules.shape[0], 3, -1))
-    rules = np.concatenate(blocks, axis=-1)
-    coarse, fine = rules[:, 0], rules[:, 1] + rules[:, 2]
-    return fine, np.abs(coarse - fine)
+        kronrod = h[:, 0] * (values @ _K31_WEIGHTS)
+        gauss = h[:, 0] * (values[..., : _GL_NODES.size] @ _GL_WEIGHTS)
+        blocks.append(np.stack([kronrod, gauss]).astype(float))
+    kronrod, gauss = np.concatenate(blocks, axis=-1)
+    return kronrod, np.abs(kronrod - gauss)
 
 
 def _adapt(params, numerator, rel_tol, grade_floor):
@@ -340,9 +360,9 @@ def _adapt(params, numerator, rel_tol, grade_floor):
         )
     breaks, log = _arch_breaks(params, grade_floor)
     lo, hi = breaks[:-1], breaks[1:]
-    fine, err = _panels(f, lo, hi, log)
+    value, err = _panels(f, lo, hi, log)
     while True:
-        total, total_err = fine.sum(axis=1), err.sum(axis=1)
+        total, total_err = value.sum(axis=1), err.sum(axis=1)
         tol = rel_tol * np.maximum(np.abs(total), 1e-300)
         missing = total_err > tol
         if not np.any(missing):
@@ -353,10 +373,10 @@ def _adapt(params, numerator, rel_tol, grade_floor):
         mid = _midpoints(lo[split], hi[split], log[split])
         c_lo, c_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
         c_log = np.tile(log[split], 2)
-        c_fine, c_err = _panels(f, c_lo, c_hi, c_log)
+        c_value, c_err = _panels(f, c_lo, c_hi, c_log)
         lo, hi = np.concatenate([lo[~split], c_lo]), np.concatenate([hi[~split], c_hi])
         log = np.concatenate([log[~split], c_log])
-        fine = np.concatenate([fine[:, ~split], c_fine], axis=1)
+        value = np.concatenate([value[:, ~split], c_value], axis=1)
         err = np.concatenate([err[:, ~split], c_err], axis=1)
 
 
@@ -378,14 +398,17 @@ def integrate_over_arch(
     and returns an array of the nodes' shape or a stack of such rows; a stack
     is integrated on shared nodes and gives one value per row.
 
-    The initial mesh is 15-point Gauss-Legendre panels, uniform in
-    u = log theta from pi/8 down to an eighth of the smaller of
-    sqrt(beta/(alpha-beta)) and grade_floor (at least to pi/2 2^-8), one
-    theta panel below and coarse theta panels toward the upper root,
-    evaluated in blocks of at most 128 panels per integrand call.  While any
-    row's error estimate misses rel_tol, rounds bisect the panels above an
-    even share of its tolerance (see the module docstring) in the same
-    blocks, up to 20000 panels (ConvergenceFailure).
+    The initial mesh is uniform in u = log theta from pi/8 down to an
+    eighth of the smaller of sqrt(beta/(alpha-beta)) and grade_floor (at
+    least to pi/2 2^-8), with one theta panel below and coarse theta panels
+    toward the upper root.  Each panel takes the 31 nodes of the
+    Gauss-Kronrod pair G15/K31: its value is the K31 sum and its error
+    estimate |K31 - G15|, with G15 the 15-point Gauss-Legendre sum on the
+    embedded Gauss nodes.  Panels are evaluated in blocks of at most 5760
+    nodes per integrand call.  While any row's error estimate misses
+    rel_tol, rounds bisect the panels above an even share of its tolerance
+    (see the module docstring) in the same blocks, up to 20000 panels
+    (ConvergenceFailure).
 
     The mesh is fine only toward theta = 0, at the lower root: a
     numerator's layers must lie there.  One with a layer elsewhere, such as
@@ -489,11 +512,11 @@ class ArchTrace:
         self._lo = np.column_stack([lo, mid]).ravel()
         self._hi = np.column_stack([mid, hi]).ravel()
         self._log = np.repeat(log, 2)
-        # (rows, half panels, 15), evaluated in blocks of at most the 45
-        # nodes of _BLOCK_PANELS panels
+        # (rows, half panels, 15), evaluated in blocks of at most _BLOCK_NODES
         f = _make_theta_integrand(params, numerator)
         nodes, half, dtheta = _local_nodes(self._lo, self._hi, self._log, _GL_NODES)
-        blocks = np.split(nodes, range(3 * _BLOCK_PANELS, len(nodes), 3 * _BLOCK_PANELS))
+        step = _BLOCK_NODES // _GL_NODES.size
+        blocks = np.split(nodes, range(step, len(nodes), step))
         values = np.concatenate([f(b.ravel()).reshape(3, *b.shape) for b in blocks], axis=1)
         values *= dtheta
         # Scaled by the half width in extended precision before narrowing:
