@@ -136,15 +136,22 @@ def _check_arguments(args) -> None:
 
 
 def _solve_indices(rows) -> dict:
-    """{(p, n, m): solved ClosureIndex} for the rows; one closure scan per p."""
-    by_p = {}
+    """{(p, n, m): solved ClosureIndex} for the rows; one closure scan per p or pair.
+
+    Rows whose exponents sum to exactly 1.0 share one scan at the smaller
+    exponent, since Lambda_p(a) = Lambda_{1-p}(a) at every momentum.
+    """
+    exponents = {p for _, p, *_ in rows}
+    scan_at = {p: min([p, *(q for q in exponents if p + q == 1.0)]) for p in exponents}
+    by_scan = {}
     for _, p, n, m, *_ in rows:
-        by_p.setdefault(p, []).append(closure.ClosureIndex(n, m))
-    return {
-        (p, index.n, index.m): index
-        for p, indices in by_p.items()
-        for index in closure.solve_closures(p, indices)
+        by_scan.setdefault(scan_at[p], {})[(n, m)] = closure.ClosureIndex(n, m)
+    solved = {
+        (scan_p, index.n, index.m): index
+        for scan_p, indices in by_scan.items()
+        for index in closure.solve_closures(scan_p, indices.values())
     }
+    return {(p, n, m): solved[(scan_at[p], n, m)] for _, p, n, m, *_ in rows}
 
 
 def _solve_rows(rows) -> list:

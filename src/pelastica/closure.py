@@ -91,11 +91,15 @@ def solve_closures(p: float, indices) -> tuple[ClosureIndex, ...]:
     Scans the geometric grid a_k = a_* (1 + 2^k * 1e-4) once for all targets
     and refines every sign change of each target's gap by Brent's method;
     monotonicity of Lambda is conjectural, so no uniqueness is assumed.
-    a_solved is the smallest refined root.  The scan ends at 1e6 a_*, at
-    momentum_cap or at the first momentum whose Lambda the arch mesh cannot
-    resolve, and NotFound says which and where.  Every index is checked
-    before any Lambda is computed; the results keep the order of indices.
-    Lambda is computed once per momentum and kept only for this call.
+    a_solved is the smallest refined root.  Lambda is computed at p wherever
+    p's arch resolves it (below momentum_cap(p) and the mesh's reach), and
+    past that at 1 - p: the polar dual has Lambda_p(a) = Lambda_{1-p}(a) at
+    every momentum.  The scan ends at 1e6 a_*, or at the first momentum that
+    neither side resolves, and NotFound names the farther of the two stops:
+    the last momentum before both momentum caps, or the first one whose
+    Lambda the arch mesh cannot resolve.  Every index is checked before any
+    Lambda is computed; the results keep the order of indices.  Lambda is
+    computed once per momentum and kept only for this call.
     """
     indices = tuple(indices)
     for index in indices:
@@ -109,30 +113,40 @@ def solve_closures(p: float, indices) -> tuple[ClosureIndex, ...]:
     if not indices:
         return ()
     thr = a_star(p)
+    a_end = thr * (1.0 + _SCAN_CAP)
+    sides = tuple((q, min(a_end, momentum_cap(q))) for q in (p, 1.0 - p))
     lam = {}  # {momentum: Lambda}, shared by the scan and every refinement
 
     def progression(a: float) -> float:
         if a not in lam:
-            lam[a] = lambda_p(make_params(p, a), _SCAN_REL_TOL)
+            for q, a_cap in sides:
+                try:
+                    if a <= a_cap:
+                        lam[a] = lambda_p(make_params(q, a), _SCAN_REL_TOL)
+                        break
+                except ResolutionError:
+                    pass
+            else:
+                raise ResolutionError(f"neither p nor 1 - p resolves Lambda at a = {a!r}")
         return lam[a]
 
-    a_cap = min(thr * (1.0 + _SCAN_CAP), momentum_cap(p))
     grid = [thr * (1.0 + _SCAN_BASE)]
     progression(grid[0])
     k = 1
     while True:
         a_next = thr * (1.0 + 2.0**k * _SCAN_BASE)
-        if a_next > a_cap:
-            limit = "momentum_cap" if a_cap < thr * (1.0 + _SCAN_CAP) else f"{_SCAN_CAP:g} a_*"
-            offset, why = 2.0 ** (k - 1) * _SCAN_BASE, f"the last grid momentum before {limit}"
-            break
         try:
             progression(a_next)
         except ResolutionError:
-            offset, why = 2.0**k * _SCAN_BASE, "where the arch mesh cannot resolve Lambda"
             break
         grid.append(a_next)
         k += 1
+    a_reach = max(a_cap for _, a_cap in sides)
+    if a_next > a_reach:
+        limit = "momentum_cap" if a_reach < a_end else f"{_SCAN_CAP:g} a_*"
+        offset, why = 2.0 ** (k - 1) * _SCAN_BASE, f"the last grid momentum before {limit}"
+    else:
+        offset, why = 2.0**k * _SCAN_BASE, "where the arch mesh cannot resolve Lambda"
 
     solved = []
     for index in indices:

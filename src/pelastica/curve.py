@@ -69,20 +69,6 @@ class ProfileSamples:
         return len(self.s)
 
 
-def psi_rate(p: float, a: float, kappa, kappa_prime):
-    """Angular speed psi' evaluated on-shell.
-
-    The raw form (1-p) sqrt(a) k^(2-p) / (a k^(2(1-p)) - p^2) loses all
-    precision near the curvature minimum for large momenta; substituting the
-    first integral turns the denominator into
-    (1-p)^2 (k^2 + p^2 (k'/k)^2), which is cancellation-free.
-    """
-    kappa = np.asarray(kappa, dtype=float)
-    kp = np.asarray(kappa_prime, dtype=float)
-    denom = (1.0 - p) * (kappa**2 + p**2 * (kp / kappa) ** 2)
-    return math.sqrt(a) * kappa ** (2.0 - p) / denom
-
-
 @dataclass
 class CurveTrace:
     """A traced curve: the arch trace, its samples and, for a closed curve,
@@ -170,24 +156,6 @@ def trace_closed_curve(
         index = solve_closure(p, index)
     params = make_params(p, index.a_solved)
     return _trace(params, index.m, rel_tol, samples_per_period, index)
-
-
-def unit_tangent(params: ElasticaParams, kappa, kappa_prime, psi) -> np.ndarray:
-    """Analytic unit tangent gamma'(s) from profile values, shape (..., 3).
-
-    Takes numpy arrays or scalars (ArchTrace.at's values).
-    """
-    p, a = params.p, params.a
-    x = p * kappa ** (p - 1.0) / math.sqrt(a)
-    xp = p * (p - 1.0) * kappa ** (p - 2.0) * kappa_prime / math.sqrt(a)
-    r = np.sqrt(1.0 - x**2)
-    rp = -x * xp / r
-    psip = psi_rate(p, a, kappa, kappa_prime)
-    sin_psi, cos_psi = np.sin(psi), np.cos(psi)
-    return np.stack(
-        [xp, rp * sin_psi + r * psip * cos_psi, rp * cos_psi - r * psip * sin_psi],
-        axis=-1,
-    )
 
 
 def geodesic_curvature_check(trace: CurveTrace) -> float:

@@ -53,12 +53,6 @@ def hopf_project(q):
     return base[0] if single else base
 
 
-def fiber_direction(q):
-    """Unit-fiber tangent at q: multiplication by i on both complex slots."""
-    q = np.asarray(q, dtype=float)
-    return np.stack([-q[..., 1], q[..., 0], -q[..., 3], q[..., 2]], axis=-1)
-
-
 def fiber_seed(base_point) -> np.ndarray:
     """The section sigma: the fiber point over each base point (..., 3).
 

@@ -29,7 +29,9 @@ def pytest_terminal_summary(terminalreporter, config):
 @pytest.fixture(scope="session")
 def solved_rows():
     """Map (p, n, m) -> solved ClosureIndex for every reference-table row,
-    by table1's own path: one closure scan per exponent."""
+    by table1's own path: one closure scan per exponent, and one per dual
+    pair (p, 1 - p) at the smaller exponent, whose ClosureIndex the larger
+    row shares."""
     return _solve_indices(REFERENCE_TABLE)
 
 

@@ -12,9 +12,10 @@ a constant factor, shows as a residual of the size of the error.
 from dataclasses import replace
 
 import numpy as np
+from ode_reference import fiber_direction
 
 from pelastica.curve import _embed_points
-from pelastica.hopf import fiber_direction, horizontal_lift
+from pelastica.hopf import horizontal_lift
 
 
 def _dense_lift(trace, s):

@@ -5,6 +5,9 @@ keeps the time-stepping pipeline it replaced, so that the tests compare the
 quadrature trace with an integration that shares none of its code: the
 expanded Euler-Lagrange equation for kappa, with psi' on-shell and the swept
 area A' = (1 - x) psi', from kappa(0) = beta, kappa'(0) = psi(0) = A(0) = 0.
+It also keeps the pieces of the ODE pipeline and of its lift that the
+closed-form library needs none of: psi' on-shell, the analytic unit tangent
+and the fiber direction.
 """
 
 import math
@@ -14,7 +17,45 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from pelastica.closure import period
-from pelastica.curve import ProfileSamples, psi_rate
+from pelastica.curve import ProfileSamples
+
+
+def psi_rate(p: float, a: float, kappa, kappa_prime):
+    """Angular speed psi' evaluated on-shell.
+
+    The raw form (1-p) sqrt(a) k^(2-p) / (a k^(2(1-p)) - p^2) loses all
+    precision near the curvature minimum for large momenta; substituting the
+    first integral turns the denominator into
+    (1-p)^2 (k^2 + p^2 (k'/k)^2), which is cancellation-free.
+    """
+    kappa = np.asarray(kappa, dtype=float)
+    kp = np.asarray(kappa_prime, dtype=float)
+    denom = (1.0 - p) * (kappa**2 + p**2 * (kp / kappa) ** 2)
+    return math.sqrt(a) * kappa ** (2.0 - p) / denom
+
+
+def unit_tangent(params, kappa, kappa_prime, psi) -> np.ndarray:
+    """Analytic unit tangent gamma'(s) from profile values, shape (..., 3).
+
+    Takes numpy arrays or scalars (ArchTrace.at's values).
+    """
+    p, a = params.p, params.a
+    x = p * kappa ** (p - 1.0) / math.sqrt(a)
+    xp = p * (p - 1.0) * kappa ** (p - 2.0) * kappa_prime / math.sqrt(a)
+    r = np.sqrt(1.0 - x**2)
+    rp = -x * xp / r
+    psip = psi_rate(p, a, kappa, kappa_prime)
+    sin_psi, cos_psi = np.sin(psi), np.cos(psi)
+    return np.stack(
+        [xp, rp * sin_psi + r * psip * cos_psi, rp * cos_psi - r * psip * sin_psi],
+        axis=-1,
+    )
+
+
+def fiber_direction(q):
+    """Unit-fiber tangent at q: multiplication by i on both complex slots."""
+    q = np.asarray(q, dtype=float)
+    return np.stack([-q[..., 1], q[..., 0], -q[..., 3], q[..., 2]], axis=-1)
 
 
 def first_integral_residual(p, a, kappa, kappa_prime):

@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from pelastica.closure import (
     solve_closures,
 )
 from pelastica.errors import DomainError, NotFound, ResolutionError
-from pelastica.qpotential import _zeroin, a_star, make_params
+from pelastica.qpotential import _zeroin, a_star, make_params, momentum_cap
 
 SQRT2_PI = math.sqrt(2.0) * math.pi
 
@@ -80,23 +81,30 @@ def test_solve_closure_reproduces_reference_momentum(g23_solved):
 def test_zeroin_matches_brentq_on_every_reference_closure_bracket(solved_rows):
     # the scan cell holding each reference row's root, refined by the port
     # and by brentq with solve_closure's tolerances: the same bits, and the
-    # bits solve_closure returned
+    # bits table1's scan returned.  The dual rows p = 0.8 and 0.99 take
+    # their root from the scan at 0.2 and 0.01, so they are refined on that
+    # exponent; Brent on Lambda at the row's own p, in the same cell, lands
+    # within 1e-14 of it.
+    exponents = {p for p, _, _ in solved_rows}
     for (p, n, m), solved in solved_rows.items():
-        thr = a_star(p)
+        scan_p = min([p, *(q for q in exponents if p + q == 1.0)])
+        thr = a_star(scan_p)
         target = ClosureIndex(n, m).target
 
-        def gap(a, p=p, target=target):
-            return lambda_p(make_params(p, a), closure._SCAN_REL_TOL) - target
+        def gap(a, q, target=target):
+            return lambda_p(make_params(q, a), closure._SCAN_REL_TOL) - target
 
         k = 1
         while thr * (1.0 + 2.0**k * closure._SCAN_BASE) < solved.a_solved:
             k += 1
         lo = thr * (1.0 + 2.0 ** (k - 1) * closure._SCAN_BASE)
         hi = thr * (1.0 + 2.0**k * closure._SCAN_BASE)
-        root = _zeroin(gap, lo, hi, xtol=1e-15, rtol=1e-14)
-        assert root == brentq(gap, lo, hi, xtol=1e-15, rtol=1e-14), (p, n, m)
+        root = _zeroin(partial(gap, q=scan_p), lo, hi, xtol=1e-15, rtol=1e-14)
+        assert root == brentq(gap, lo, hi, xtol=1e-15, rtol=1e-14, args=(scan_p,)), (p, n, m)
         assert root == solved.a_solved, (p, n, m)
         assert solved.a_candidates == (root,), (p, n, m)
+        own = _zeroin(partial(gap, q=p), lo, hi, xtol=1e-15, rtol=1e-14)
+        assert own == pytest.approx(root, rel=1e-14, abs=0.0), (p, n, m)
 
 
 def test_solve_closure_rejects_inadmissible():
@@ -217,10 +225,11 @@ def test_closure_scan_stops_at_unresolvable_lambda(monkeypatch):
     "p,stop",
     [
         # 2 pi 12/17 lies within 2.5e-3 of sqrt(2) pi: at p = 0.999 Lambda is
-        # unresolvable past 1.8 a_* offsets, at p = 0.001 the curvature cap
-        # ends the scan first
+        # unresolvable past 1.8 a_* offsets; at p = 0.001 the curvature cap
+        # ends p's own side first, at 0.8192, and the scan goes on at
+        # 1 - p = 0.999 to the same wall
         (0.999, "a = a_* (1 + 1.6384), where the arch mesh cannot resolve Lambda"),
-        (0.001, "a = a_* (1 + 0.8192), the last grid momentum before momentum_cap"),
+        (0.001, "a = a_* (1 + 1.6384), where the arch mesh cannot resolve Lambda"),
     ],
 )
 def test_closure_scan_names_where_it_stopped(p, stop):
@@ -229,6 +238,51 @@ def test_closure_scan_names_where_it_stopped(p, stop):
     assert str(info.value) == (
         f"no momentum solves Lambda = 2 pi 12/17: the scan stopped at {stop}"
     )
+
+
+@pytest.mark.parametrize(
+    "pair,index,stop",
+    [
+        ((0.001, 0.999), ClosureIndex(12, 17), "1.6384"),
+        # 2 pi 5001/10001 is 1e-4 pi above pi: its root lies past the
+        # reach of p = 0.99, 6,710 a_* offsets, where Lambda is 1.15e-4 pi
+        # above pi, and momentum_cap(0.01) stops the small side at 1,046
+        ((0.01, 0.99), ClosureIndex(5001, 10001), "13421.8"),
+    ],
+    ids=["0.001-0.999", "0.01-0.99"],
+)
+def test_dual_exponents_stop_at_the_same_momentum(pair, index, stop):
+    # a scan covers every momentum either side of the pair resolves, so p
+    # and 1 - p stop at the same grid momentum, for the same reason
+    for p in pair:
+        with pytest.raises(NotFound) as info:
+            solve_closure(p, index)
+        assert str(info.value) == (
+            f"no momentum solves Lambda = 2 pi {index.n}/{index.m}: the scan stopped at "
+            f"a = a_* (1 + {stop}), where the arch mesh cannot resolve Lambda"
+        ), p
+
+
+@pytest.mark.parametrize("p,dual", [(0.3, False), (0.99, False), (0.01, True)])
+def test_scan_computes_lambda_at_one_minus_p_only_past_its_own_reach(p, dual, monkeypatch):
+    # at p = 0.3 the scan ends at 1e6 a_*, and at p = 0.99 at its mesh's
+    # wall, beyond momentum_cap(0.01): neither computes Lambda at 1 - p.
+    # At p = 0.01 the curvature cap ends p's own side, and the scan goes on
+    # at 0.99 up to that side's wall.
+    seen = []
+    original = closure.lambda_p
+
+    def recording(params, *args):
+        seen.append((params.p, params.a))
+        return original(params, *args)
+
+    monkeypatch.setattr(closure, "lambda_p", recording)
+    alone = solve_closure(p, ClosureIndex(2, 3))
+    assert {q for q, _ in seen} == ({p, 1.0 - p} if dual else {p})
+    own = [a for q, a in seen if q == p]
+    assert all(a <= momentum_cap(p) for a in own)
+    assert all(a > max(own) for q, a in seen if q != p)
+    assert alone.a_candidates == (alone.a_solved,)
 
 
 @pytest.mark.parametrize(

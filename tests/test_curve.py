@@ -10,7 +10,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from ode_reference import first_integral_residual, ode_profile, ode_trace
+from ode_reference import (
+    first_integral_residual,
+    ode_profile,
+    ode_trace,
+    psi_rate,
+    unit_tangent,
+)
 
 import pelastica
 from pelastica import curve
@@ -18,12 +24,10 @@ from pelastica.closure import ClosureIndex, lambda_p, period, solve_closure
 from pelastica.curve import (
     geodesic_curvature_check,
     monotone_progression_check,
-    psi_rate,
     sample_profile,
     trace_to_csv,
     trace_to_json,
     trace_to_svg,
-    unit_tangent,
 )
 from pelastica.errors import DomainError, ResolutionError
 from pelastica.hopf import horizontal_lift

@@ -6,12 +6,11 @@ import math
 import numpy as np
 import pytest
 from lift_reference import lift_horizontality, with_scaled_area
-from ode_reference import ode_profile
+from ode_reference import fiber_direction, ode_profile, unit_tangent
 from scipy.integrate import solve_ivp
 
 from pelastica import curve, hopf
 from pelastica.closure import ClosureIndex
-from pelastica.curve import unit_tangent
 from pelastica.errors import PoleCollision, SeedError
 from pelastica.hopf import (
     SPHERE_RADIUS,
@@ -19,7 +18,6 @@ from pelastica.hopf import (
     build_torus,
     discrete_gaussian_curvature,
     discrete_mean_curvature,
-    fiber_direction,
     fiber_seed,
     hopf_project,
     horizontal_lift,

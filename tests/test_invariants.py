@@ -88,6 +88,21 @@ def test_quantities_are_dual_under_p_to_one_minus_p(p):
             assert at_dual == pytest.approx(at_p, rel=rel, abs=0.0), (name, offset)
 
 
+@pytest.mark.parametrize("p,dual", [(0.2, 0.8), (0.01, 0.99)])
+def test_dual_reference_rows_share_their_closure(solved_rows, p, dual):
+    # table1's dual rows take one closure scan, at the smaller exponent: the
+    # larger row's ClosureIndex is the smaller row's, bit for bit.  The
+    # energy and delta^2, computed independently at p and 1 - p at that
+    # momentum, agree as the duality says (ROADMAP item 8).
+    index = solved_rows[(p, 2, 3)]
+    assert solved_rows[(dual, 2, 3)] == index
+    low, high = make_params(p, index.a_solved), make_params(dual, index.a_solved)
+    assert energy_closed(high, 3) == pytest.approx(energy_closed(low, 3), rel=1e-12, abs=0.0)
+    assert upsilon(high, m=3).delta_squared == pytest.approx(
+        upsilon(low, m=3).delta_squared, rel=1e-12, abs=0.0
+    )
+
+
 # At p = 1/2, Q = a kappa - kappa^2/4 - 1/4 is a quadratic in kappa, so
 # int dkappa / (kappa sqrt(Q)) over the arch is 2 pi and the period, times
 # 2p(1-p) = 1/2, is pi at every momentum (ROADMAP item 9).
