@@ -8,6 +8,7 @@ to flat tori in the 3-sphere.
 from .closure import (
     ClosureIndex,
     is_admissible,
+    lambda_grid,
     lambda_p,
     period,
     solve_closure,
@@ -50,6 +51,7 @@ __all__ = [
     "is_admissible",
     "kappa_moment",
     "kappa_star",
+    "lambda_grid",
     "lambda_p",
     "make_params",
     "parts_identity_residual",

@@ -250,7 +250,11 @@ def cmd_stability(args) -> int:
 
 def cmd_hopf(args) -> int:
     pole = _parse_pole(args.pole)
-    trace = curve.trace_closed_curve(args.p, closure.ClosureIndex(args.n, args.m))
+    # build_torus reads only the trace's end and its arch, so one sample a
+    # period is enough
+    trace = curve.trace_closed_curve(
+        args.p, closure.ClosureIndex(args.n, args.m), samples_per_period=1
+    )
     patch = hopf.build_torus(trace, s_samples=args.samples)
     base = args.out or f"hopf_p{args.p}_n{args.n}_m{args.m}"
     hopf.patch_to_obj(patch, base + ".obj", pole=pole)
@@ -266,13 +270,10 @@ def cmd_sweep(args) -> int:
     thr = a_star(args.p)
     grid = thr * (1.0 + np.geomspace(args.offset_min, args.offset_max, args.count))
 
-    def one(a_val):
-        params = make_params(args.p, a_val)
-        if args.quantity == "lambda":
-            return closure.lambda_p(params)
-        return stability.upsilon(params).upsilon
-
-    values = [one(a_val) for a_val in grid]
+    if args.quantity == "lambda":
+        values = closure.lambda_grid([make_params(args.p, a_val) for a_val in grid])
+    else:
+        values = [stability.upsilon(make_params(args.p, a_val)).upsilon for a_val in grid]
     writer_target = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(writer_target)

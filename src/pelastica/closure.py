@@ -18,8 +18,10 @@ from .errors import DomainError, NotFound, ResolutionError
 from .qpotential import ElasticaParams, _zeroin, a_star, make_params, momentum_cap
 from .quad import (
     DEFAULT_REL_TOL,
+    _integrate_arches,
     _progression_layer,
     _progression_numerator,
+    _resolves,
     integrate_over_arch,
 )
 
@@ -59,18 +61,37 @@ def is_admissible(n: int, m: int) -> bool:
     return math.gcd(n, m) == 1 and m < 2 * n and 4 * n * n < 2 * m * m
 
 
+def lambda_grid(params_seq, rel_tol: float = DEFAULT_REL_TOL) -> tuple[float, ...]:
+    """Angular progression over one curvature period at each of a sequence
+    of parameters at one p, in one arch quadrature.
+
+    The momenta's panels share integrand blocks, while each momentum keeps
+    its own mesh, refinement and checks, so every value equals lambda_p's
+    for its parameters alone, bit for bit.  If the arch mesh cannot resolve
+    Lambda at any of them, ResolutionError is raised before any integrand
+    is evaluated.
+    """
+    params_seq = tuple(params_seq)
+    if not params_seq:
+        return ()
+    p = params_seq[0].p
+    if any(params.p != p for params in params_seq):
+        raise DomainError("lambda_grid needs every parameter set at one p")
+    layers = [_progression_layer(params) for params in params_seq]
+    integrals = _integrate_arches(params_seq, _progression_numerator(p), rel_tol, layers)
+    return tuple(
+        2.0 * p * (1.0 - p) ** 2 * math.sqrt(params.a) * integral.value
+        for params, integral in zip(params_seq, integrals)
+    )
+
+
 def lambda_p(params: ElasticaParams, rel_tol: float = DEFAULT_REL_TOL) -> float:
     """Angular progression over one curvature period.
 
     Near-circular parameters return the local-maximum limit, which
     simplifies to sqrt(2) pi.
     """
-    p = params.p
-    pref = 2.0 * p * (1.0 - p) ** 2 * math.sqrt(params.a)
-    value = integrate_over_arch(
-        params, _progression_numerator(p), rel_tol, grade_floor=_progression_layer(params)
-    ).value
-    return pref * value
+    return lambda_grid((params,), rel_tol)[0]
 
 
 def period(params: ElasticaParams) -> float:
@@ -98,8 +119,14 @@ def solve_closures(p: float, indices) -> tuple[ClosureIndex, ...]:
     neither side resolves, and NotFound names the farther of the two stops:
     the last momentum before both momentum caps, or the first one whose
     Lambda the arch mesh cannot resolve.  Every index is checked before any
-    Lambda is computed; the results keep the order of indices.  Lambda is
-    computed once per momentum and kept only for this call.
+    Lambda is computed; the results keep the order of indices.
+
+    Each grid momentum's side is settled first (make_params, the
+    momentum_cap test and the arch rule's own reach predicate), and then
+    Lambda of the whole own-side grid comes from one lambda_grid call and
+    that of the 1 - p continuation from a second, bit for bit the values of
+    one call per momentum.  Brent's refinement computes one momentum at a
+    time.  Lambda is computed once per momentum and kept only for this call.
     """
     indices = tuple(indices)
     for index in indices:
@@ -115,32 +142,44 @@ def solve_closures(p: float, indices) -> tuple[ClosureIndex, ...]:
     thr = a_star(p)
     a_end = thr * (1.0 + _SCAN_CAP)
     sides = tuple((q, min(a_end, momentum_cap(q))) for q in (p, 1.0 - p))
-    lam = {}  # {momentum: Lambda}, shared by the scan and every refinement
+
+    def side(a: float):
+        """The parameters at a of the first side, p or 1 - p, whose arch
+        resolves Lambda there, or None."""
+        for q, a_cap in sides:
+            if a <= a_cap:
+                params = make_params(q, a)
+                if _resolves(params, _progression_layer(params)):
+                    return params
+        return None
+
+    grid, by_side = [], {q: [] for q, _ in sides}
+    k = 0
+    while True:
+        a_next = thr * (1.0 + 2.0**k * _SCAN_BASE)
+        params = side(a_next)
+        if params is None:
+            break
+        grid.append(a_next)
+        by_side[params.p].append(params)
+        k += 1
+    if not grid:
+        raise ResolutionError(f"neither p nor 1 - p resolves Lambda at a = {a_next!r}")
+    # {momentum: Lambda}, one batched quadrature per side, shared by the scan
+    # and every refinement
+    lam = {}
+    for params_seq in by_side.values():
+        values = lambda_grid(params_seq, _SCAN_REL_TOL)
+        lam.update(zip((params.a for params in params_seq), values))
 
     def progression(a: float) -> float:
         if a not in lam:
-            for q, a_cap in sides:
-                try:
-                    if a <= a_cap:
-                        lam[a] = lambda_p(make_params(q, a), _SCAN_REL_TOL)
-                        break
-                except ResolutionError:
-                    pass
-            else:
+            params = side(a)
+            if params is None:
                 raise ResolutionError(f"neither p nor 1 - p resolves Lambda at a = {a!r}")
+            lam[a] = lambda_p(params, _SCAN_REL_TOL)
         return lam[a]
 
-    grid = [thr * (1.0 + _SCAN_BASE)]
-    progression(grid[0])
-    k = 1
-    while True:
-        a_next = thr * (1.0 + 2.0**k * _SCAN_BASE)
-        try:
-            progression(a_next)
-        except ResolutionError:
-            break
-        grid.append(a_next)
-        k += 1
     a_reach = max(a_cap for _, a_cap in sides)
     if a_next > a_reach:
         limit = "momentum_cap" if a_reach < a_end else f"{_SCAN_CAP:g} a_*"

@@ -65,6 +65,19 @@ go through the integrand in blocks of at most 5760 nodes (185 panels) per
 call; the values equal those of one call per panel bit for bit, since every
 node and every weighted sum is formed the same way.
 
+One rule serves several momenta at one p as well (_integrate_arches, behind
+closure.lambda_grid): every arch keeps its own mesh, tolerance share,
+rounds, panel cap and reach check, and its totals are summed over its own
+panels in the same order, but the panels of all arches share the integrand
+blocks, each carrying its arch's roots, width, a and Taylor coefficients.
+Each arch's results equal those of a call for it alone bit for bit, and
+the ~34 momenta of a closure scan, ~9 panels each, take 2 integrand calls
+instead of 34.
+Arches that fill a block by themselves go through their own blocks, since
+sharing would save them no call and a block on several arches costs more a
+node (its constants broadcast one row per panel, a lone arch's are scalars).
+integrate_over_arch is the one-arch form of the same path.
+
 ArchTrace runs the same rule on the rows of arc length, progression and
 swept area, evaluates its final mesh's half panels at their GL15 nodes in
 blocks of at most 5760 nodes (384 half panels) and keeps the 15 values as
@@ -75,6 +88,7 @@ profile is read at any arc length.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -130,6 +144,8 @@ _K31_WEIGHTS = np.array([
     0.09664272698362368, 0.08856444305621176, 0.07684968075772038, 0.06200956780067064,
     0.04458975132476488, 0.02546084732671532, 0.005377479872923349,
 ])
+# Panels of the rule per integrand call.
+_BLOCK_PANELS = _BLOCK_NODES // _K31_NODES.size
 # GL15 values -> Legendre coefficients of their interpolant, and of its
 # antiderivative from x = -1 (exact: the rule integrates degree 29).
 _TO_LEGENDRE = (
@@ -223,60 +239,94 @@ def _polish_root(p: float, a: float, kappa: float):
     return k - q / _q_derivatives(p, a, k)[0]
 
 
-def _theta_map(params: ElasticaParams):
-    """(alpha - beta, theta -> (kappa, Q, r, sin^2 theta, cos^2 theta)).
+def _arch_constants(params_seq) -> np.ndarray:
+    """The theta map's constants of arches at one p, in extended precision:
+    one row per constant, one column per arch.
 
-    The map works in extended precision with the polished roots.  At the
-    nodes within _TAYLOR_REACH of the nearer root, relative to that root, Q
-    is its cubic Taylor expansion about the root; the choice depends on the
-    nodes' exact root distances alone, never on the computed Q.
+    The rows are the polished lower root beta, the width alpha - beta and
+    its square, a, _TAYLOR_REACH times each polished root, and the
+    coefficients Q', Q''/2 and Q'''/6 of Q's Taylor expansion about beta,
+    then about alpha.  Every step acts elementwise, so a column equals the
+    constants of its arch alone.
     """
-    p, a = params.p, params.a
-    beta, alpha = _polish_root(p, a, params.beta), _polish_root(p, a, params.alpha)
+
+    def column(name):
+        # numpy's scalar arithmetic costs a fraction of its 1-element arrays'
+        values = [getattr(params, name) for params in params_seq]
+        return values[0] if len(values) == 1 else np.array(values)
+
+    p, a = params_seq[0].p, column("a")
+    beta, alpha = _polish_root(p, a, column("beta")), _polish_root(p, a, column("alpha"))
     width = alpha - beta
-    db = _q_derivatives(p, a, beta)
-    da = _q_derivatives(p, a, alpha)
-    a_l, e = np.longdouble(a), 1.0 - p
-    mid_c = np.longdouble((1.0 - p) ** 2)
-    p2_l = np.longdouble(p) ** 2
+    taylor = []
+    for root in (beta, alpha):
+        d1, d2, d3 = _q_derivatives(p, a, root)
+        taylor += [d1, 0.5 * d2, d3 / 6.0]
+    reach = [_TAYLOR_REACH * beta, _TAYLOR_REACH * alpha]
+    rows = [beta, width, width * width, np.longdouble(a), *reach, *taylor]
+    return np.array(rows).reshape(len(rows), len(params_seq))
 
-    def taylor(coeffs, d):
+
+def _theta_map(p: float, constants, theta):
+    """(kappa, Q, r, sin^2 theta, cos^2 theta) at the nodes theta.
+
+    constants are the rows of _arch_constants: scalars, where every node is
+    on one arch, or arrays (panels, 1), where theta holds the nodes (panels,
+    nodes) of panels on several arches at one p.  The map works in extended
+    precision with the polished roots.  At the nodes within _TAYLOR_REACH
+    of the nearer root, relative to that root, Q is its cubic Taylor
+    expansion about the root; the choice depends on the nodes' exact root
+    distances alone, never on the computed Q.
+    """
+    beta, width, _, a_l, reach_beta, reach_alpha, *taylor = constants
+    s2 = np.sin(theta).astype(np.longdouble) ** 2
+    c2 = np.cos(theta).astype(np.longdouble) ** 2
+    # Root distances come straight from the substitution, so they stay
+    # meaningful even when kappa - beta underflows the ulp of kappa.
+    d_beta = width * s2
+    d_alpha = width * c2
+    kl = beta + d_beta
+    r = _power(kl, 1.0 - p)
+    q = a_l * r * r - np.longdouble((1.0 - p) ** 2) * kl**2 - np.longdouble(p) ** 2
+    nearer_beta = s2 < c2
+    near_beta = nearer_beta & (d_beta < reach_beta)
+    near_alpha = ~nearer_beta & (d_alpha < reach_alpha)
+    for near, d, coeffs in ((near_beta, d_beta, taylor[:3]), (near_alpha, -d_alpha, taylor[3:])):
+        d = d[near]
+        if np.ndim(coeffs[0]):
+            # one row per panel: the coefficients of each near node's panel
+            panel = near.nonzero()[0]
+            coeffs = [c[panel, 0] for c in coeffs]
         d1, d2, d3 = coeffs
-        return d * (d1 + d * (0.5 * d2 + d * (d3 / 6.0)))
-
-    def at(theta):
-        s2 = np.sin(theta).astype(np.longdouble) ** 2
-        c2 = np.cos(theta).astype(np.longdouble) ** 2
-        # Root distances come straight from the substitution, so they stay
-        # meaningful even when kappa - beta underflows the ulp of kappa.
-        d_beta = width * s2
-        d_alpha = width * c2
-        kl = beta + d_beta
-        r = _power(kl, e)
-        q = a_l * r * r - mid_c * kl**2 - p2_l
-        nearer_beta = s2 < c2
-        near_beta = nearer_beta & (d_beta < _TAYLOR_REACH * beta)
-        near_alpha = ~nearer_beta & (d_alpha < _TAYLOR_REACH * alpha)
-        q[near_beta] = taylor(db, d_beta[near_beta])
-        q[near_alpha] = taylor(da, -d_alpha[near_alpha])
-        return kl, q, r, s2, c2
-
-    return width, at
+        q[near] = d * (d1 + d * (d2 + d * d3))
+    return kl, q, r, s2, c2
 
 
-def _make_theta_integrand(params: ElasticaParams, numerator: Callable):
-    """theta nodes -> (rows, nodes) integrand values of the numerator."""
-    width, at = _theta_map(params)
+def _make_theta_integrand(params_seq, numerator: Callable):
+    """(theta, arch) -> (rows, *theta.shape) integrand values of the
+    numerator at the nodes theta (panels, nodes), each panel on the arch
+    params_seq[arch] (arch holds one index per panel); the arches share p."""
+    p = params_seq[0].p
+    constants = _arch_constants(params_seq)
 
-    def integrand(theta):
-        kl, q, r, s2, c2 = at(theta)
+    def integrand(theta, arch):
+        # A block on one arch takes its constants as scalars, which numpy
+        # operates with at a fraction of the cost of 1-element arrays, and
+        # its nodes flat; a block on several arches takes one row (panels,
+        # 1) per constant, against the nodes (panels, nodes).
+        if np.all(arch == arch[0]):
+            columns, nodes = tuple(constants[:, arch[0]]), theta.ravel()
+        else:
+            columns, nodes = tuple(constants[:, arch, None]), theta
+        kl, q, r, s2, c2 = _theta_map(p, columns, nodes)
         if np.any(q <= 0.0):
             raise DomainError("Q <= 0 inside (beta, alpha): inconsistent roots")
         # Everything stays in extended precision: on the deepest panels
         # theta^2 underflows float64 and the integrand's pointwise
         # values can overflow it, even though the integral is O(1).
-        g = q / (width**2 * s2 * c2)
-        return np.asarray(numerator(kl, q, r)).reshape(-1, theta.size) * (2.0 / np.sqrt(g))
+        g = (q / (columns[2] * s2 * c2)).ravel()
+        values = np.asarray(numerator(kl.ravel(), q.ravel(), r.ravel())).reshape(-1, g.size)
+        return (values * (2.0 / np.sqrt(g))).reshape(-1, *theta.shape)
 
     return integrand
 
@@ -326,19 +376,19 @@ def _midpoints(lo, hi, log):
     return _local_nodes(lo, hi, log, 0.0)[0][:, 0]
 
 
-def _panels(f, lo, hi, log):
-    """(value, err) of the panels [lo, hi], each of shape (rows, panels).
+def _panels(f, lo, hi, log, arch):
+    """(value, err) of the panels [lo, hi] of the arches arch (one index per
+    panel), each of shape (rows, panels).
 
     value is a panel's K31 sum in its own variable and err its distance from
     the GL15 sum on the 15 Gauss nodes among them.  The panels go through the
-    integrand in blocks of at most _BLOCK_NODES // 31 panels, one call each.
+    integrand in blocks of at most _BLOCK_PANELS panels, one call each.
     """
-    step = _BLOCK_NODES // _K31_NODES.size
     blocks = []
-    for start in range(0, len(lo), step):
-        block = slice(start, start + step)
+    for start in range(0, len(lo), _BLOCK_PANELS):
+        block = slice(start, start + _BLOCK_PANELS)
         theta, h, dtheta = _local_nodes(lo[block], hi[block], log[block], _K31_NODES)
-        values = f(theta.ravel()).reshape(-1, *theta.shape) * dtheta
+        values = f(theta, arch[block]) * dtheta
         # weighted sums in the integrand's (extended) precision, then narrowed
         kronrod = h[:, 0] * (values @ _K31_WEIGHTS)
         gauss = h[:, 0] * (values[..., : _GL_NODES.size] @ _GL_WEIGHTS)
@@ -347,42 +397,118 @@ def _panels(f, lo, hi, log):
     return kronrod, np.abs(kronrod - gauss)
 
 
-def _adapt(params, numerator, rel_tol, grade_floor):
-    """Row totals, their error sums and the final mesh's panels (lo, hi,
-    log), refined in rounds; a round's children follow the panels it leaves
-    whole.
+def _resolves(params: ElasticaParams, grade_floor: float | None) -> bool:
+    """Whether the arch rule resolves an integral over params' arch whose
+    numerator has its deepest layer at the theta scale grade_floor.
+
+    A near-circular arch takes the local-maximum limit; any other needs the
+    floor within the mesh's reach, 8 * _THETA_FLOOR (an underflowed 0 is
+    not).
     """
-    f = _make_theta_integrand(params, numerator)
-    if grade_floor is not None and not grade_floor / 8.0 >= _THETA_FLOOR:
+    return params.near_circular or grade_floor is None or grade_floor / 8.0 >= _THETA_FLOOR
+
+
+def _adapt(params_seq, numerator, rel_tol, grade_floors):
+    """For each arch of params_seq (all at one p, each with the grade floor
+    of the same place in grade_floors): row totals, their error sums and the
+    final mesh's panels (lo, hi, log), refined in rounds.
+
+    Each arch keeps its own mesh, tolerance share, rounds and panel cap, and
+    a round's children follow the panels it leaves whole.  The arches'
+    panels share _panels' blocks, and a panel's value does not depend on the
+    block it is in, so every arch's results are those of a call for it
+    alone, bit for bit.  Any arch the mesh cannot resolve raises
+    ResolutionError before the first integrand call.
+    """
+    if not all(map(_resolves, params_seq, grade_floors)):
         raise ResolutionError(
             f"inner layer's theta scale is below {8.0 * _THETA_FLOOR:g}, "
             "the arch mesh's reach"
         )
-    breaks, log = _arch_breaks(params, grade_floor)
-    lo, hi = breaks[:-1], breaks[1:]
-    value, err = _panels(f, lo, hi, log)
+    f = _make_theta_integrand(params_seq, numerator)
+
+    def evaluate(arches, meshes):
+        """(value, err) of each mesh (lo, hi, log), meshes[j] on arches[j].
+
+        Meshes of fewer panels than a block share blocks; one that fills a
+        block goes alone, since sharing would save it no call and a block on
+        several arches costs more a node.
+        """
+        alone = [[j] for j, (lo, _, _) in enumerate(meshes) if lo.size >= _BLOCK_PANELS]
+        shared = [j for j, (lo, _, _) in enumerate(meshes) if lo.size < _BLOCK_PANELS]
+        sums = [None] * len(meshes)
+        for group in alone + ([shared] if shared else []):
+            sizes = [meshes[j][0].size for j in group]
+            lo, hi, log = (np.concatenate(ends) for ends in zip(*(meshes[j] for j in group)))
+            value, err = _panels(f, lo, hi, log, np.repeat([arches[j] for j in group], sizes))
+            for j, i, n in zip(group, itertools.accumulate(sizes, initial=0), sizes):
+                sums[j] = (value[:, i : i + n], err[:, i : i + n])
+        return sums
+
+    meshes = []
+    for params, floor in zip(params_seq, grade_floors):
+        breaks, log = _arch_breaks(params, floor)
+        meshes.append((breaks[:-1], breaks[1:], log))
+    sums = evaluate(range(len(meshes)), meshes)
+    results = [None] * len(meshes)
+    pending = range(len(meshes))
     while True:
-        total, total_err = value.sum(axis=1), err.sum(axis=1)
-        tol = rel_tol * np.maximum(np.abs(total), 1e-300)
-        missing = total_err > tol
-        if not np.any(missing):
-            return total, total_err, lo, hi, log
-        split = np.any(err[missing] > tol[missing, None] / lo.size, axis=0)
-        if lo.size + np.count_nonzero(split) > _PANEL_CAP:
-            raise ConvergenceFailure("adaptive quadrature exceeded panel cap")
-        mid = _midpoints(lo[split], hi[split], log[split])
-        c_lo, c_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
-        c_log = np.tile(log[split], 2)
-        c_value, c_err = _panels(f, c_lo, c_hi, c_log)
-        lo, hi = np.concatenate([lo[~split], c_lo]), np.concatenate([hi[~split], c_hi])
-        log = np.concatenate([log[~split], c_log])
-        value = np.concatenate([value[:, ~split], c_value], axis=1)
-        err = np.concatenate([err[:, ~split], c_err], axis=1)
+        refining = []
+        for i in pending:
+            (lo, hi, log), (value, err) = meshes[i], sums[i]
+            total, total_err = value.sum(axis=1), err.sum(axis=1)
+            tol = rel_tol * np.maximum(np.abs(total), 1e-300)
+            missing = total_err > tol
+            if not np.any(missing):
+                results[i] = (total, total_err, lo, hi, log)
+                continue
+            split = np.any(err[missing] > tol[missing, None] / lo.size, axis=0)
+            if lo.size + np.count_nonzero(split) > _PANEL_CAP:
+                raise ConvergenceFailure("adaptive quadrature exceeded panel cap")
+            mid = _midpoints(lo[split], hi[split], log[split])
+            c_lo, c_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+            refining.append((i, split, (c_lo, c_hi, np.tile(log[split], 2))))
+        if not refining:
+            return results
+        pending = [i for i, _, _ in refining]
+        children = evaluate(pending, [child for _, _, child in refining])
+        for (i, split, child), (c_value, c_err) in zip(refining, children):
+            meshes[i] = tuple(np.concatenate([x[~split], c]) for x, c in zip(meshes[i], child))
+            value, err = sums[i]
+            sums[i] = (
+                np.concatenate([value[:, ~split], c_value], axis=1),
+                np.concatenate([err[:, ~split], c_err], axis=1),
+            )
 
 
 def _check_rel_tol(rel_tol: float) -> None:
     if not 1e-14 <= rel_tol <= 1e-3:
         raise DomainError("rel_tol must lie in [1e-14, 1e-3]")
+
+
+def _integrate_arches(params_seq, numerator, rel_tol, grade_floors) -> list:
+    """integrate_over_arch over each arch of params_seq, all at one p, with
+    the grade floor of the same place in grade_floors: near-circular arches
+    take the local-maximum limit, and the rest go through one arch rule
+    (_adapt), whose panels share integrand blocks."""
+    _check_rel_tol(rel_tol)
+    results = [None] * len(params_seq)
+    arches = []
+    for i, params in enumerate(params_seq):
+        if params.near_circular:
+            limit = limit_at_maximum(params, numerator)
+            results[i] = SingularIntegral(value=limit, error_estimate=0.0 * limit)
+        else:
+            arches.append(i)
+    if arches:
+        adapted = _adapt(
+            [params_seq[i] for i in arches], numerator, rel_tol, [grade_floors[i] for i in arches]
+        )
+        for i, (total, total_err, *_) in zip(arches, adapted):
+            if total.size == 1:
+                total, total_err = float(total[0]), float(total_err[0])
+            results[i] = SingularIntegral(value=total, error_estimate=total_err)
+    return results
 
 
 def integrate_over_arch(
@@ -418,16 +544,10 @@ def integrate_over_arch(
     scale as grade_floor; a floor the mesh cannot reach (below 8 * 1e-300,
     including 0 from an underflowed scale) raises ResolutionError.
     Near-circular parameters short-circuit to the local-maximum limit.
+    This is the one-arch form of the rule that integrates several momenta
+    at one p together (see the module docstring).
     """
-    _check_rel_tol(rel_tol)
-    if params.near_circular:
-        limit = limit_at_maximum(params, numerator)
-        return SingularIntegral(value=limit, error_estimate=0.0 * limit)
-
-    total, total_err, *_ = _adapt(params, numerator, rel_tol, grade_floor)
-    if total.size == 1:
-        total, total_err = float(total[0]), float(total_err[0])
-    return SingularIntegral(value=total, error_estimate=total_err)
+    return _integrate_arches((params,), numerator, rel_tol, (grade_floor,))[0]
 
 
 def _progression_numerator(p: float) -> Callable:
@@ -504,7 +624,9 @@ class ArchTrace:
             dpsi = p * (1.0 - p) ** 2 * sqrt_a * progression(k, q, r)
             return p * (1.0 - p) / k, dpsi, (1.0 - p / (sqrt_a * r)) * dpsi
 
-        _, _, lo, hi, log = _adapt(params, numerator, rel_tol, _progression_layer(params))
+        ((_, _, lo, hi, log),) = _adapt(
+            (params,), numerator, rel_tol, (_progression_layer(params),)
+        )
         # the half panels in theta order; the panels tile [0, pi/2]
         order = np.argsort(lo)
         lo, hi, log = lo[order], hi[order], log[order]
@@ -513,11 +635,11 @@ class ArchTrace:
         self._hi = np.column_stack([mid, hi]).ravel()
         self._log = np.repeat(log, 2)
         # (rows, half panels, 15), evaluated in blocks of at most _BLOCK_NODES
-        f = _make_theta_integrand(params, numerator)
+        f = _make_theta_integrand((params,), numerator)
         nodes, half, dtheta = _local_nodes(self._lo, self._hi, self._log, _GL_NODES)
         step = _BLOCK_NODES // _GL_NODES.size
         blocks = np.split(nodes, range(step, len(nodes), step))
-        values = np.concatenate([f(b.ravel()).reshape(3, *b.shape) for b in blocks], axis=1)
+        values = np.concatenate([f(b, np.zeros(len(b), dtype=int)) for b in blocks], axis=1)
         values *= dtheta
         # Scaled by the half width in extended precision before narrowing:
         # the integrand's values can overflow float64 on the deepest panels.
@@ -530,7 +652,7 @@ class ArchTrace:
             [np.zeros((3, 1)), np.cumsum(steps, axis=1).astype(float)], axis=1
         )
         self.params = params
-        self._theta_map = _theta_map(params)[1]
+        self._constants = tuple(_arch_constants((params,))[:, 0])
         half_period, half_progression, half_area = self._cumulative[:, -1]
         self.period = 2.0 * half_period
         self.progression = 2.0 * half_progression
@@ -567,8 +689,8 @@ class ArchTrace:
         falling = rest > 0.5 * self.period
         panel, x, basis = self._locate(np.where(falling, self.period - rest, rest))
         theta = _local_nodes(self._lo[panel], self._hi[panel], self._log[panel], x[:, None])[0]
-        kappa, q, *_ = self._theta_map(theta[:, 0])
         p = self.params.p
+        kappa, q, *_ = _theta_map(p, self._constants, theta[:, 0])
         speed = kappa * np.sqrt(np.maximum(q, 0.0)) / (p * (1.0 - p))
         psi_half, area_half = self._cumulative[1:, panel] + np.einsum(
             "rij,ij->ri", self._antiderivative[1:, panel], basis

@@ -184,13 +184,13 @@ def test_reference_table_shape():
 
 def test_table_command_flags_known_discrepancies(tmp_path, monkeypatch, capsys):
     seen = []
-    original = cli.closure.lambda_p
+    original = cli.closure.lambda_grid
 
-    def recording(params, *args):
-        seen.append((params.p, params.a))
-        return original(params, *args)
+    def recording(params_seq, *args):
+        seen.extend((params.p, params.a) for params in params_seq)
+        return original(params_seq, *args)
 
-    monkeypatch.setattr(cli.closure, "lambda_p", recording)
+    monkeypatch.setattr(cli.closure, "lambda_grid", recording)
     out = tmp_path / "table.csv"
     code = main(["table1", "--out", str(out)])
     # one closure scan per exponent: no (p, momentum) has its Lambda computed
@@ -238,7 +238,7 @@ def test_bad_arguments_exit_2_before_any_computation(argv, tmp_path, monkeypatch
 
     for name in ("trace_closed_curve", "sample_profile"):
         monkeypatch.setattr(cli.curve, name, forbidden)
-    for name in ("solve_closure", "lambda_p"):
+    for name in ("solve_closure", "lambda_p", "lambda_grid"):
         monkeypatch.setattr(cli.closure, name, forbidden)
     monkeypatch.setattr(cli, "make_params", forbidden)
     monkeypatch.setattr(cli.stability, "upsilon", forbidden)
@@ -263,3 +263,13 @@ def test_sweep_unresolvable_lambda_is_an_invariant_breach(capsys):
     )
     assert code == EXIT_INVARIANT
     assert "the arch mesh's reach" in capsys.readouterr().err
+
+
+def test_sweep_with_an_unresolvable_lambda_writes_no_csv(tmp_path, capsys):
+    # offsets 1, 27, 737 and 2e4: the last lies past p = 0.99's mesh wall,
+    # and the batched Lambda refuses the grid before any row is written
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--p", "0.99", "--count", "4", "--offset-min", "1", "--offset-max", "2e4"]
+    assert main([*argv, "--out", str(out)]) == EXIT_INVARIANT
+    assert "the arch mesh's reach" in capsys.readouterr().err
+    assert not out.exists()

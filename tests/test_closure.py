@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -144,6 +145,7 @@ def test_grouped_solve_checks_every_index_before_any_lambda(bad, error, position
         raise AssertionError("Lambda computed before every index was checked")
 
     monkeypatch.setattr(closure, "lambda_p", forbidden)
+    monkeypatch.setattr(closure, "lambda_grid", forbidden)
     indices = [ClosureIndex(2, 3), ClosureIndex(3, 5)]
     indices.insert(position, bad)
     with pytest.raises(error):
@@ -204,16 +206,74 @@ def test_lambda_unresolvable_layer_raises():
             lambda_p(make_params(0.99, thr * (1.0 + offset)))
 
 
+def test_batched_lambda_with_an_unresolvable_momentum_raises_its_error():
+    # the batch holds resolvable momenta on both sides of one past p = 0.99's
+    # mesh wall; it raises the error that momentum raises alone
+    thr = a_star(0.99)
+    good, bad, far = (make_params(0.99, thr * (1.0 + off)) for off in (1.0, 2e4, 7.4e3))
+    with pytest.raises(ResolutionError) as alone:
+        lambda_p(bad)
+    with pytest.raises(ResolutionError) as batched:
+        closure.lambda_grid([good, bad, far])
+    assert str(batched.value) == str(alone.value) == (
+        "inner layer's theta scale is below 8e-300, the arch mesh's reach"
+    )
+
+
+def test_batched_lambda_edges():
+    with pytest.raises(DomainError):
+        closure.lambda_grid([make_params(0.3, 2.0), make_params(0.5, 2.0)])
+    assert closure.lambda_grid([]) == ()
+    # a near-circular momentum takes the local-maximum limit inside a batch
+    near, far = (make_params(0.5, a_star(0.5) * (1.0 + off)) for off in (1e-14, 1.0))
+    assert near.near_circular
+    assert closure.lambda_grid([near, far]) == (lambda_p(near), lambda_p(far))
+
+
+@pytest.mark.parametrize(
+    "p,sides",
+    [(0.3, [(0.3, 34)]), (0.2, [(0.2, 34)]), (0.5, [(0.5, 34)]), (0.01, [(0.01, 24), (0.99, 3)])],
+)
+def test_scan_lambda_is_batched_per_side_and_equals_one_at_a_time(p, sides, monkeypatch):
+    # table1's four scans (its 0.8 and 0.99 rows share the 0.2 and 0.01
+    # ones): each side's grid goes through one lambda_grid call, and every
+    # value is the one lambda_p gives for its momentum alone, bit for bit
+    batches = []
+    original = closure.lambda_grid
+
+    def recording(params_seq, *args):
+        values = original(params_seq, *args)
+        batches.append((params_seq, args, values))
+        return values
+
+    monkeypatch.setattr(closure, "lambda_grid", recording)
+    solve_closures(p, [ClosureIndex(n, m) for _, q, n, m, *_ in REFERENCE_TABLE if q == p])
+    monkeypatch.undo()
+    scans = [batch for batch in batches if len(batch[0]) > 1]
+    assert [(params_seq[0].p, len(params_seq)) for params_seq, _, _ in scans] == sides
+    for params_seq, args, values in scans:
+        assert values == tuple(lambda_p(params, *args) for params in params_seq)
+
+
+@pytest.mark.parametrize("p,offset_max", [(0.01, 5e2), (0.5, 1e5), (0.99, 7.4e3)])
+def test_sweep_lambda_batch_equals_one_at_a_time(p, offset_max):
+    # sweep grids from (1 + 1e-6) a_* up to about half of momentum_cap at
+    # p = 0.01 and short of the mesh wall at p = 0.99
+    grid = a_star(p) * (1.0 + np.geomspace(1e-6, offset_max, 16))
+    params_seq = [make_params(p, a) for a in grid]
+    assert closure.lambda_grid(params_seq) == tuple(lambda_p(params) for params in params_seq)
+
+
 def test_closure_scan_stops_at_unresolvable_lambda(monkeypatch):
     seen = []
-    original = closure.lambda_p
+    original = closure.lambda_grid
 
     def recording(*args):
-        value = original(*args)
-        seen.append(value)
-        return value
+        values = original(*args)
+        seen.extend(values)
+        return values
 
-    monkeypatch.setattr(closure, "lambda_p", recording)
+    monkeypatch.setattr(closure, "lambda_grid", recording)
     solved = solve_closure(0.99, ClosureIndex(2, 3))
     assert solved.a_solved == pytest.approx(0.96, abs=0.02)
     assert solved.a_candidates == (solved.a_solved,)
@@ -270,13 +330,13 @@ def test_scan_computes_lambda_at_one_minus_p_only_past_its_own_reach(p, dual, mo
     # At p = 0.01 the curvature cap ends p's own side, and the scan goes on
     # at 0.99 up to that side's wall.
     seen = []
-    original = closure.lambda_p
+    original = closure.lambda_grid
 
-    def recording(params, *args):
-        seen.append((params.p, params.a))
-        return original(params, *args)
+    def recording(params_seq, *args):
+        seen.extend((params.p, params.a) for params in params_seq)
+        return original(params_seq, *args)
 
-    monkeypatch.setattr(closure, "lambda_p", recording)
+    monkeypatch.setattr(closure, "lambda_grid", recording)
     alone = solve_closure(p, ClosureIndex(2, 3))
     assert {q for q, _ in seen} == ({p, 1.0 - p} if dual else {p})
     own = [a for q, a in seen if q == p]

@@ -166,7 +166,7 @@ def test_stabilised_q_equals_full_size_taylor_selection(p, mult, alpha_cancels):
     params = make_params(p, mult * a_star(p))
     breaks, log = quad._arch_breaks(params, quad._progression_layer(params))
     theta = quad._local_nodes(breaks[:-1], breaks[1:], log, quad._GL_NODES)[0].ravel()
-    _, q, *_ = quad._theta_map(params)[1](theta)
+    _, q, *_ = quad._theta_map(params.p, quad._arch_constants((params,))[:, 0], theta)
     ref, near, nearer_beta, cancelling = _full_size_q(params, theta)
     assert np.any(near & nearer_beta) and np.any(near & ~nearer_beta) and not np.all(near)
     assert np.any(cancelling & nearer_beta)
@@ -239,7 +239,7 @@ def _panel(f, lo, hi, log):
     theta, h, dtheta = quad._local_nodes(
         np.array([lo]), np.array([hi]), np.array([log]), quad._K31_NODES
     )
-    values = f(theta[0])[0] * dtheta[0]
+    values = f(theta, np.zeros(1, dtype=int))[0, 0] * dtheta[0]
     kronrod = float(h[0, 0] * np.dot(quad._K31_WEIGHTS, values))
     gauss = float(h[0, 0] * np.dot(quad._GL_WEIGHTS, values[: quad._GL_NODES.size]))
     return kronrod, abs(kronrod - gauss)
@@ -254,7 +254,7 @@ def _per_panel_reference(params, numerator, rel_tol=quad.DEFAULT_REL_TOL, grade_
     Returns (value, error estimate, initial panels, bisections, bisections
     of log panels).
     """
-    f = quad._make_theta_integrand(params, numerator)
+    f = quad._make_theta_integrand((params,), numerator)
     breaks, logs = quad._arch_breaks(params, grade_floor)
     ends = zip(breaks[:-1].tolist(), breaks[1:].tolist(), logs.tolist())
     panels = [(lo, hi, log, *_panel(f, lo, hi, log)) for lo, hi, log in ends]
@@ -293,11 +293,11 @@ def _lambda_call(params, monkeypatch):
     """Lambda's arch integral: its numerator, rel_tol and grade_floor."""
     seen = []
 
-    def spy(params, numerator, rel_tol, grade_floor=None):
-        seen.append((numerator, rel_tol, grade_floor))
-        return integrate_over_arch(params, numerator, rel_tol, grade_floor)
+    def spy(params_seq, numerator, rel_tol, grade_floors):
+        seen.extend((numerator, rel_tol, floor) for floor in grade_floors)
+        return quad._integrate_arches(params_seq, numerator, rel_tol, grade_floors)
 
-    monkeypatch.setattr(closure, "integrate_over_arch", spy)
+    monkeypatch.setattr(closure, "_integrate_arches", spy)
     closure.lambda_p(params)
     (call,) = seen
     return call
@@ -489,12 +489,12 @@ def _integrand_call_sizes(monkeypatch):
     sizes = []
     make = quad._make_theta_integrand
 
-    def counting(params, numerator):
-        f = make(params, numerator)
+    def counting(params_seq, numerator):
+        f = make(params_seq, numerator)
 
-        def counted(theta):
+        def counted(theta, arch):
             sizes.append(theta.size)
-            return f(theta)
+            return f(theta, arch)
 
         return counted
 
@@ -513,6 +513,17 @@ def test_table_work_stays_within_node_budget(monkeypatch):
     _solve_rows(REFERENCE_TABLE)
     assert sum(nodes) <= 110_000
 
+
+def test_table_scans_share_integrand_calls(monkeypatch):
+    # table1's work on the 11 reference rows takes 94 integrand calls of
+    # 94,147 nodes: each scan puts its own-side grid, and its 1 - p
+    # continuation, through one arch rule whose momenta share blocks.  One
+    # call per momentum took 208 calls (median 279 nodes) for the same nodes.
+    sizes = _integrand_call_sizes(monkeypatch)
+    _solve_rows(REFERENCE_TABLE)
+    assert len(sizes) <= 100
+    assert sum(sizes) <= 110_000
+    assert max(sizes) <= 5_760
 
 def test_trace_is_evaluated_in_bounded_blocks(monkeypatch):
     # One call per 185-panel block of the rule's mesh (here the initial one,
