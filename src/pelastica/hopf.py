@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curve
-from .curve import CurveTrace, _embed_points, _write_lines
+from .curve import CurveTrace, _embed_points, _g12_lines
 from .errors import PoleCollision, SeedError
 
 SPHERE_RADIUS = 2.0
@@ -277,7 +277,7 @@ def patch_to_obj(patch: HopfPatch, path: str, pole=(0.0, 0.0, 0.0, -1.0)) -> Non
     The text is that of one "v %.12g %.12g %.12g" line per vertex, one
     "f %d %d %d" line per triangle (1-based) and one "%.12g" line of kappa/2
     per vertex in the sidecar, assembled from the mesh's structure:
-    - vertices go through the blocked line writer;
+    - vertices go through the blocked %.12g kernel (curve._g12_lines);
     - faces are generated a block of lines at a time from their grid rows,
       and each block's text is gathered in numpy from the decimal text of
       every vertex index, formatted once (_decimal_table);
@@ -286,11 +286,11 @@ def patch_to_obj(patch: HopfPatch, path: str, pole=(0.0, 0.0, 0.0, -1.0)) -> Non
     """
     projected = stereographic_project(patch.vertices, pole)
     nt, ns, _ = patch.vertices.shape
-    with open(path, "w") as fh:
-        _write_lines(fh, "v %.12g %.12g %.12g\n", projected.reshape(-1, 3))
+    with open(path, "wb") as fh:
+        fh.writelines(_g12_lines("v %.12g %.12g %.12g\n", projected.reshape(-1, 3)))
         _write_faces(fh, nt, ns, patch.closed)
-    column = ("%.12g\n" * ns) % tuple(patch.h_field.tolist())
-    with open(path + ".meancurv", "w") as fh:
+    column = b"".join(_g12_lines("%.12g\n", patch.h_field[:, None]))
+    with open(path + ".meancurv", "wb") as fh:
         for _ in range(nt):
             fh.write(column)
 
@@ -334,7 +334,7 @@ def _write_faces(fh, nt: int, ns: int, wrap_s: bool) -> None:
         for k in range(3):
             col = 2 + k * (width + 1)
             text[:, col : col + width] = digits[tris[:, k]]
-        fh.write(text[text != 0].tobytes().decode("ascii"))
+        fh.write(text.tobytes().translate(None, b"\0"))
 
 
 def patch_to_json(patch: HopfPatch, path: str) -> None:

@@ -177,16 +177,76 @@ def _per_sample_text(trace):
     return "".join(rows), json.dumps(meta, indent=1)
 
 
-@pytest.mark.parametrize("closed", [True, False])
-def test_exports_match_per_sample_writer(tmp_path, g23_trace, g23_params, closed):
-    # the closed gamma_{2,3} trace, and half a period embedded without an index
-    trace = g23_trace if closed else sample_profile(g23_params, 0.5)
+@pytest.mark.parametrize("block_lines", [None, 7])
+@pytest.mark.parametrize(
+    ("p", "closed"),
+    [
+        pytest.param(0.3, True, id="True"),
+        pytest.param(0.3, False, id="False"),
+        # kappa' = 0 cells are exact zeros and psi ~ 1e-19 cells exponent
+        # notation: values that the %.12g kernel leaves to Python
+        pytest.param(0.01, True, id="p0.01-True"),
+    ],
+)
+def test_exports_match_per_sample_writer(
+    tmp_path, monkeypatch, all_traces, g23_params, p, closed, block_lines
+):
+    # the closed gamma_{2,3} traces, and half a period embedded without an index
+    trace = all_traces(p, 2, 3) if closed else sample_profile(g23_params, 0.5)
     assert (trace.index is None) is not closed
+    if block_lines is not None:
+        monkeypatch.setattr(curve, "_BLOCK_LINES", block_lines)
     trace_to_csv(trace, str(tmp_path / "trace.csv"))
     trace_to_json(trace, str(tmp_path / "trace.json"))
     csv_ref, json_ref = _per_sample_text(trace)
+    if p == 0.01:
+        assert ",0," in csv_ref and "e-" in csv_ref
     assert (tmp_path / "trace.csv").read_bytes() == csv_ref.encode()
     assert (tmp_path / "trace.json").read_bytes() == json_ref.encode()
+
+
+def _first_mismatch(values, got: bytes, expected: bytes) -> str:
+    for value, line, ref in zip(values, got.splitlines(), expected.splitlines()):
+        if line != ref:
+            return f"{value!r}: {line!r} != {ref!r}"
+    return f"{len(got)} != {len(expected)} bytes"
+
+
+def test_g12_kernel_matches_python_percent_format():
+    rng = np.random.default_rng(25)
+    # 13-digit decimals ending in 5, exponents -5..12: each double lies
+    # within an ulp of a .5 tie of the 12th digit, on either side
+    ties = [
+        float(f"{d}5e{k - 12}")
+        for d, k in zip(
+            rng.integers(10**11, 10**12, 20000).tolist(), rng.integers(-5, 13, 20000).tolist()
+        )
+    ]
+    # 10^k and 4 ulps to either side, where log10 may round across the
+    # power and rounding to 12 digits carries into it (1e-4, 1e-5, 1e11 and
+    # 1e12 among them), and values that do or do not round to 10^k
+    near_powers = []
+    for k in range(-6, 14):
+        power = float(f"1e{k}")
+        near_powers += [power, power * (1 - 4e-13), power * (1 - 6e-13), power * (1 + 4e-12)]
+        below = above = power
+        for _ in range(4):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            near_powers += [below, above]
+    big = np.finfo(float).max
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, big, -big]
+    # short decimals: the fraction's trailing zeros, integers, no fraction
+    short = [0.5, 1.25, 100.0, 120000.0, 0.001, 0.0001, 1.5e-3, 2.5e10, 123456789012.0, 99.9]
+    short += np.round(rng.uniform(-1e3, 1e3, 2000), 2).tolist()
+    short += np.round(rng.uniform(-1e6, 1e6, 1000)).tolist()
+    sweep = rng.uniform(1.0, 10.0, 100000) * 10.0 ** rng.integers(-8, 15, 100000)
+    values = np.concatenate([ties, near_powers, special, short, sweep])
+    values[rng.random(len(values)) < 0.5] *= -1.0
+    values = rng.permutation(values)[: len(values) // 3 * 3]
+    line_format = "v %.12g %.12g %.12g\n"
+    got = b"".join(curve._g12_lines(line_format, values.reshape(-1, 3)))
+    expected = ((line_format * (len(values) // 3)) % tuple(values.tolist())).encode()
+    assert got == expected, _first_mismatch(values.reshape(-1, 3).tolist(), got, expected)
 
 
 def _per_point_svg(trace):

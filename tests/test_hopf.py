@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -435,3 +436,19 @@ def test_obj_export_matches_per_line_writer(
     obj_ref, curv_ref = _loop_obj_text(patch)
     assert path.read_bytes() == obj_ref.encode()
     assert (tmp_path / "mesh.obj.meancurv").read_bytes() == curv_ref.encode()
+
+
+def test_obj_export_memory_peak_is_the_projection(tmp_path, all_traces):
+    # the CLI's 4-cover torus (256 x 512 vertices): the export's tracemalloc
+    # peak, 9.44 MB, is set by stereographic_project's full-size
+    # temporaries, and the writers' blocks of curve._BLOCK_LINES lines must
+    # stay under it (8,192-line blocks of the %.12g kernel do not)
+    patch = build_torus(all_traces(0.5, 2, 3), t_samples=256, s_samples=128)
+    assert patch.covers == 4
+    tracemalloc.start()
+    try:
+        patch_to_obj(patch, str(tmp_path / "torus.obj"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.44e6
