@@ -23,10 +23,12 @@ variation all read those same arrays.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from .quad import DEFAULT_REL_TOL, ArchTrace
 
 SAMPLES_PER_PERIOD = 512
 # Lines formatted per block by every numeric text writer (the % writer, the
-# OBJ faces, and the %.12g kernel on lines of 3 values): one format per line
+# OBJ faces, and the number writer on lines of 3 values): one format per line
 # is slow, one over the whole file holds every line's text at once.  On
 # 4,096 vertex lines the kernel's tracemalloc peak is 3.3 MB, and the
 # 4-cover torus export stays at the 9.44 MB of stereographic_project; 8,192
@@ -203,21 +205,32 @@ def _word(text: bytes) -> int:
     return int.from_bytes(text.ljust(4, b"\0"), sys.byteorder)
 
 
-# Offsets in the %.12g kernel's word table (_digit_words): the 4-digit text
-# of 0..9999 with every digit at 0, then with leading zeros as NUL, with
-# trailing zeros as NUL, and with leading zeros as NUL but 0 written "0"; a
-# NUL word and a "." word follow
+# Offsets in the word table (_Tables.words): the 4-digit text of 0..9999 with
+# every digit at 0, then with leading zeros as NUL, with trailing zeros as
+# NUL, and with leading zeros as NUL but 0 written "0"; a NUL word, a "."
+# word and a ".0" word follow
 _LEAD, _TRAIL, _LEAD0, _NUL = 10000, 20000, 30000, 40000
 _SIGN = _word(b"\0\0\0-")
-# 10^k for k = 0..17, each exact in float64
-_POW10 = np.array([float(10**k) for k in range(18)])
+# Veltkamp's splitter for float64: 2^27 + 1
+_SPLIT = 134217729.0
 # rint(y) is Python's rounding of |x| to 12 digits unless y, which carries at
 # most 2^-14 of rounding error below 1e12, lies this close to a .5 tie
 _TIE = 0.5 - 2.0**-11
 
 
-def _digit_words() -> np.ndarray:
-    words = np.zeros(40002, dtype=np.uint32)
+class _Tables(NamedTuple):
+    words: np.ndarray  # uint32 text words, at the offsets above
+    pow10: np.ndarray  # 10^k for k = 0..22, each exact in float64
+    pow10_high: np.ndarray  # the 26-bit upper half of each 10^k
+    pow10_low: np.ndarray  # 10^k minus its upper half, exact
+    pow10_int: np.ndarray  # 10^k for k = 0..17 in int64
+
+
+@functools.cache
+def _tables() -> _Tables:
+    """The number writer's tables, built at the first export: a command
+    that writes no numbers builds none."""
+    words = np.zeros(40003, dtype=np.uint32)
     digits = words[:40000].view(np.uint8).reshape(4, 10000, 4)
     values = np.arange(10000, dtype=np.uint16)[:, None]
     place = np.array([1000, 100, 10, 1], dtype=np.uint16)  # of each digit column
@@ -227,30 +240,37 @@ def _digit_words() -> np.ndarray:
     digits[3] = digits[1]
     digits[3, 0, 3] = ord("0")  # leading zeros as NUL, but 0 written "0"
     words[_NUL + 1] = _word(b".")
-    return words
+    words[_NUL + 2] = _word(b".0")
+    pow10 = np.array([float(10**k) for k in range(23)])
+    split = _SPLIT * pow10
+    high = split - (split - pow10)
+    return _Tables(words, pow10, high, pow10 - high, 10 ** np.arange(18, dtype=np.int64))
 
 
-_DIGIT_WORDS = _digit_words()
-
-
-def _g12_lines(line_format: str, rows: np.ndarray):
+def _number_lines(line_format: str, rows: np.ndarray):
     """Yield the ASCII text of line_format % row for every row of a 2-D float
     array, byte for byte, a block of lines at a time.
 
-    Every field of line_format is %.12g, and its literal text between two
-    fields is at most 3 bytes long.  Each field becomes a fixed row of 9
-    uint32 words (_g12_words): a separator word holding the literal text
-    before the field (before a line's first field: the previous line's end
-    and the line's start) with the sign in its last byte, 3 words of
-    integer digits, a "." word and 4 words of fraction digits, NUL where a
-    digit is absent.  Dropping the NUL bytes leaves the text.
+    Every field of line_format is %.12g, or every field is %r.  Each field
+    becomes a fixed row of uint32 words: separator words holding the
+    literal text before the field (before a line's first field: the
+    previous line's end and the line's start), NUL-padded, with the sign in
+    the last byte, then the digit words that the format's front end
+    (_g12_index, _repr_index) indexes in the word table, NUL where a digit
+    is absent.  Python formats, one value at a time, every value that the
+    front end cannot be sure of.  Dropping the NUL bytes leaves the text.
     """
-    parts = line_format.encode("ascii").split(b"%.12g")
+    conversion = b"%r" if "%r" in line_format else b"%.12g"
+    front = _repr_index if conversion == b"%r" else _g12_index
+    parts = line_format.encode("ascii").split(conversion)
     end = parts[-1]
     seps = [end + parts[0], *parts[1:-1]]
-    if any(len(sep) > 3 or b"%" in sep for sep in seps + [end]):
-        raise ValueError(f"not %.12g fields with at most 3 bytes between: {line_format!r}")
-    sep_words = np.array([_word(sep) for sep in seps], dtype=np.uint32)
+    if any(b"%" in sep for sep in seps + [end]):
+        raise ValueError(f"not all fields {conversion.decode()}: {line_format!r}")
+    width = max(map(len, seps)) // 4 + 1  # separator words, the sign byte included
+    sep_words = np.frombuffer(
+        b"".join(sep.ljust(4 * width, b"\0") for sep in seps), dtype=np.uint32
+    ).reshape(len(seps), width)
     # as many values a block as _BLOCK_LINES vertex lines hold, whatever the
     # fields a line: a 7-field CSV block of 4,096 lines (28,672 values) ran at
     # 77 ns a value against 64 ns for 1,755 lines, its temporaries past a
@@ -259,31 +279,83 @@ def _g12_lines(line_format: str, rows: np.ndarray):
     skip = len(end)  # the first line has no line end before it
     for start in range(0, len(rows), lines):
         block = np.ascontiguousarray(rows[start : start + lines], dtype=float)
-        yield _g12_words(block.ravel(), sep_words)[skip:]
+        yield _number_words(block.ravel(), sep_words, front, conversion)[skip:]
         skip = 0
     if len(rows):
         yield end
 
 
-def _g12_words(x: np.ndarray, sep_words: np.ndarray) -> bytes:
-    """The %.12g text of x, len(sep_words) fields a line (see _g12_lines).
+def _number_words(x: np.ndarray, sep_words: np.ndarray, front, conversion: bytes) -> bytes:
+    """The text of x, len(sep_words) fields a line (see _number_lines)."""
+    tables = _tables()
+    index, exact = front(x, tables)
+    width = sep_words.shape[1]
+    text = np.empty((width + len(index), len(x)), dtype=np.uint32)
+    text[:width].reshape(width, -1, len(sep_words))[:] = sep_words.T[:, None, :]
+    text[width - 1] += (np.signbit(x) & exact) * np.uint32(_SIGN)
+    # every index is in range or belongs to a value Python formats; "clip"
+    # spares the copy that "raise" buffers
+    np.take(tables.words, index, out=text[width:], mode="clip")
+    fallback = np.flatnonzero(~exact)
+    if fallback.size:
+        python = np.array(
+            [conversion % v for v in x[fallback].tolist()], dtype=f"S{4 * len(index)}"
+        )
+        text[width:, fallback] = python.view(np.uint32).reshape(-1, len(index)).T
+    return text.T.tobytes().translate(None, b"\0")
+
+
+def _digit_index(halves: np.ndarray, n_int: int):
+    """Word indices of 8-digit halves of decimal text, split into 4-digit
+    groups: the first n_int groups the integer part, right-aligned, then a
+    zero group that holds the "." slot, then the fraction, left-aligned.
+
+    A group takes the leading-NUL variant when every group before it is
+    zero (the units group the variant that writes 0 as "0") and the
+    trailing-NUL one when every group after it is, so no row is shifted.
+    Returns the indices, with the "." slot at the NUL word for the caller
+    to move, and the mask of the values whose fraction is zero.
+    """
+    index = np.empty((2 * len(halves), halves.shape[1]), dtype=np.intp)
+    np.floor_divide(halves, 10000, out=index[0::2])
+    np.multiply(index[0::2], 10000, out=index[1::2])
+    np.subtract(halves, index[1::2], out=index[1::2])
+    zero = index == 0
+    lead = zero[0]  # every group so far is zero
+    index[0] += _LEAD
+    for row in range(1, n_int - 1):
+        index[row] += lead * _LEAD
+        lead = lead & zero[row]
+    index[n_int - 1] += lead * _LEAD0
+    index[n_int] += _NUL
+    trail = zero[-1]  # every group after this row is zero
+    index[-1] += _TRAIL
+    for row in range(len(index) - 2, n_int, -1):
+        index[row] += trail * _TRAIL
+        trail = trail & zero[row]
+    return index, trail
+
+
+def _g12_index(x: np.ndarray, tables: _Tables):
+    """Word indices of the %.12g text of x (see _number_lines) and the mask
+    of the values they hold.
 
     With e = floor(log10|x|), y = |x| 10^(11 - e) lies in [1e11, 1e12) and
     rint(y) is |x| rounded to 12 significant digits.  Where log10 rounds
     across a power of ten, y lies within 1e-3 below 1e11 or above 1e12, and
     rint(y) is 1e11, or 1e12, which is 1e11 a decade up: the same digits.
     The integer part and the fraction, left-aligned to 16 digits, are exact
-    float64 integers; their 4-digit groups index words, which take the
-    leading-NUL variant where every group before them is zero and the
-    trailing-NUL one where every group after them is.  Python formats every
-    value that this cannot be sure of: y near a .5 tie, zero, nan, inf, and
-    exponents outside the fixed notation's -4..11.
+    float64 integers; 3 integer groups and 4 fraction groups hold them, and
+    the "." is written only before a nonzero fraction.  Left to Python: y
+    near a .5 tie, zero, nan, inf, and exponents outside the fixed
+    notation's -4..11.
     """
+    pow10 = tables.pow10
     with np.errstate(divide="ignore", invalid="ignore"):
         ax = np.abs(x)
         e = np.floor(np.log10(ax))
         # 10^(11 - e), with 11 - e clipped to 0..17 and nan taken as 0
-        y = ax * _POW10[np.fmin(np.fmax(11.0 - e, 0.0), 17.0).astype(np.intp)]
+        y = ax * pow10[np.fmin(np.fmax(11.0 - e, 0.0), 17.0).astype(np.intp)]
         digits = np.rint(y)
         exact = np.abs(y - digits) <= _TIE
         carry = digits == 1e12
@@ -294,41 +366,90 @@ def _g12_words(x: np.ndarray, sep_words: np.ndarray) -> bytes:
     digits[fallback] = 0.0
     e[fallback] = 0.0
     exponent = e.astype(np.intp)
-    place = _POW10[11 - exponent]
+    place = pow10[11 - exponent]
     whole = np.floor(digits / place)
-    fraction = (digits - whole * place) * _POW10[5 + exponent]  # < 1e16, exact
-    # 8-digit halves (the integer part's lower half shifted up 4 digits, so
-    # that its lower group and the "." share a pair), then 4-digit groups
-    m = len(x)
-    halves = np.empty((4, m))
+    fraction = (digits - whole * place) * pow10[5 + exponent]  # < 1e16, exact
+    # 8-digit halves, the integer part's lower group shifted up to share a
+    # half with the "." slot
+    halves = np.empty((4, len(x)))
     np.floor(whole / 1e4, out=halves[0])
     np.multiply(whole - halves[0] * 1e4, 1e4, out=halves[1])
     np.floor(fraction / 1e8, out=halves[2])
     np.subtract(fraction, halves[2] * 1e8, out=halves[3])
-    halves = halves.astype(np.intp)
-    index = np.empty((8, m), dtype=np.intp)
-    np.floor_divide(halves, 10000, out=index[0::2])
-    np.multiply(index[0::2], 10000, out=index[1::2])
-    np.subtract(halves, index[1::2], out=index[1::2])
-    # index rows: integer groups, the "." (0 here), fraction groups
-    index[0] += _LEAD
-    index[1] += (whole < 1e8) * _LEAD
-    index[2] += (whole < 1e4) * _LEAD0
-    index[3] += (fraction != 0.0) + _NUL  # "." before a nonzero fraction
-    low_zero = halves[3] == 0
-    index[4] += ((index[5] == 0) & low_zero) * _TRAIL
-    index[5] += low_zero * _TRAIL
-    index[6] += (index[7] == 0) * _TRAIL
-    index[7] += _TRAIL
-    text = np.empty((9, m), dtype=np.uint32)
-    text[0].reshape(-1, len(sep_words))[:] = sep_words
-    text[0] += (np.signbit(x) & exact) * np.uint32(_SIGN)
-    # every index is in range; "clip" spares the copy that "raise" buffers
-    np.take(_DIGIT_WORDS, index, out=text[1:], mode="clip")
-    if fallback.size:
-        python = np.array([b"%.12g" % v for v in x[fallback].tolist()], dtype="S32")
-        text[1:, fallback] = python.view(np.uint32).reshape(-1, 8).T
-    return text.T.tobytes().translate(None, b"\0")
+    index, bare = _digit_index(halves.astype(np.intp), 3)
+    index[3] += ~bare  # "." before a nonzero fraction
+    return index, exact
+
+
+def _repr_index(x: np.ndarray, tables: _Tables):
+    """Word indices of the %r text (repr) of x (see _number_lines) and the
+    mask of the values they hold.
+
+    repr writes the shortest digits that read back as x, and the nearest to
+    x among those (Steele & White 1990), in fixed notation for |x| in
+    [1e-4, 1e16).  With e = floor(log10|x|) and k = 16 - e, y = |x| 10^k
+    lies in [1e16, 1e17); Dekker's product forms it exactly as yh + yl, and
+    w, half the gap above x scaled alike, is exact.  The digits are the
+    nearest multiple of 100 within w, else of 10 (at a tie the even one),
+    else the nearest integer, which always is (w > 0.55).  No margin is
+    needed: the distances carry at most ~1e-14 of rounding, and a decimal
+    of at most 16 digits stays w / 5^19 (> 2.9e-14) or more from the ends
+    of the interval, so whether an end counts never matters either.  The
+    gap below a power of two is half the gap above, yet no power of two in
+    the range has a decimal in the difference (the tests try each one).  A
+    decade that log10 rounds up leaves y in [1e15, 1e16), whose nearest
+    integer is within w as well, so the digits stand; one that it rounds
+    down is left to Python (digits of 10^17 or more), as are |x| outside
+    [1e-4, 1e16), zero, nan and inf.  The integer part (4 groups) is
+    right-aligned, the fraction (5 groups) left-aligned, and ".0" stands
+    for an empty fraction.
+    """
+    with np.errstate(all="ignore"):
+        ax = np.abs(x)
+        exact = (ax >= 1e-4) & (ax < 1e16)
+        np.copyto(ax, 1.5, where=~exact)  # any value with its digits in range
+        e = np.floor(np.log10(ax)).astype(np.intp)  # -4..16 (-5 if log10 errs low)
+        k = 16 - e
+        scale = tables.pow10[k]
+        scale_high, scale_low = tables.pow10_high[k], tables.pow10_low[k]
+        split = _SPLIT * ax
+        ax_high = split - (split - ax)
+        ax_low = ax - ax_high
+        yh = ax * scale
+        yl = (
+            (ax_high * scale_high - yh) + ax_high * scale_low + ax_low * scale_high
+        ) + ax_low * scale_low
+        w = 0.5 * np.spacing(ax) * scale
+        # y = nearest + f with nearest = rint(y), ties to even (yh is even)
+        rounded = np.rint(yl)
+        f = yl - rounded
+        nearest = yh.astype(np.int64) + rounded.astype(np.int64)
+        digits = nearest
+        for unit in (10, 100):  # the shorter digits, where they read back
+            low = nearest // unit
+            gap = (nearest - low * unit) + f  # y - low * unit
+            # the nearer multiple; at a tie, the even one
+            up = (gap > unit / 2) | ((gap == unit / 2) & (low & 1 == 1))
+            inside = np.where(up, unit - gap, gap) < w
+            digits = np.where(inside, (low + up) * unit, digits)
+        exact &= digits < 10**17
+        pow10_int = tables.pow10_int
+        place = pow10_int[np.minimum(k, 17)]
+        whole = digits // place
+        fraction = digits - whole * place  # k digits
+        # the fraction left-aligned to 20 digits: the first 4, the last 16
+        rest = pow10_int[np.maximum(k - 4, 0)]
+        head = fraction // rest
+        tail = (fraction - head * rest) * pow10_int[20 - np.maximum(k, 4)]
+        halves = np.empty((5, len(x)), dtype=np.int64)
+        np.floor_divide(whole, 10**8, out=halves[0])
+        np.subtract(whole, halves[0] * 10**8, out=halves[1])
+        np.multiply(head, pow10_int[np.maximum(4 - k, 0)], out=halves[2])
+        np.floor_divide(tail, 10**8, out=halves[3])
+        np.subtract(tail, halves[3] * 10**8, out=halves[4])
+    index, bare = _digit_index(halves, 4)
+    index[4] += 1 + bare  # "." before a fraction, ".0" for none
+    return index, exact
 
 
 def _sample_rows(trace: CurveTrace) -> np.ndarray:
@@ -342,15 +463,15 @@ def trace_to_csv(trace: CurveTrace, path: str) -> None:
     (%.12g) and "\r\n" line ends, as the csv module writes them."""
     with open(path, "wb") as fh:
         fh.write(b"s,kappa,kappa_prime,psi,x,y,z\r\n")
-        fh.writelines(_g12_lines(",".join(["%.12g"] * 7) + "\r\n", _sample_rows(trace)))
+        fh.writelines(_number_lines(",".join(["%.12g"] * 7) + "\r\n", _sample_rows(trace)))
 
 
 def trace_to_json(trace: CurveTrace, path: str) -> None:
-    """Write trace metadata and samples as JSON, the text of
+    """Write trace metadata and samples as JSON, the bytes of
     json.dump(meta, fh, indent=1) with the samples under "samples".
 
-    The samples go through the blocked line writer: %r of a finite float is
-    its JSON text.
+    The samples go through the numeric line writer (_number_lines) as %r
+    fields: repr of a finite float is its JSON text.
     """
     meta = {
         "p": trace.params.p,
@@ -361,12 +482,12 @@ def trace_to_json(trace: CurveTrace, path: str) -> None:
         "windingNumber": trace.winding_number,
     }
     rows = _sample_rows(trace)
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         # the metadata object without its closing "\n}"
-        fh.write(json.dumps(meta, indent=1)[:-2] + ',\n "samples": [\n')
-        _write_lines(fh, _JSON_SAMPLE + ",\n", rows[:-1])
-        _write_lines(fh, _JSON_SAMPLE + "\n", rows[-1:])
-        fh.write(" ]\n}")
+        fh.write((json.dumps(meta, indent=1)[:-2] + ',\n "samples": [\n').encode("ascii"))
+        fh.writelines(_number_lines(_JSON_SAMPLE + ",\n", rows[:-1]))
+        fh.writelines(_number_lines(_JSON_SAMPLE + "\n", rows[-1:]))
+        fh.write(b" ]\n}")
 
 
 def trace_to_svg(trace: CurveTrace, path: str) -> None:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curve
-from .curve import CurveTrace, _embed_points, _g12_lines
+from .curve import CurveTrace, _embed_points, _number_lines
 from .errors import PoleCollision, SeedError
 
 SPHERE_RADIUS = 2.0
@@ -277,7 +277,7 @@ def patch_to_obj(patch: HopfPatch, path: str, pole=(0.0, 0.0, 0.0, -1.0)) -> Non
     The text is that of one "v %.12g %.12g %.12g" line per vertex, one
     "f %d %d %d" line per triangle (1-based) and one "%.12g" line of kappa/2
     per vertex in the sidecar, assembled from the mesh's structure:
-    - vertices go through the blocked %.12g kernel (curve._g12_lines);
+    - vertices go through the numeric line writer (curve._number_lines);
     - faces are generated a block of lines at a time from their grid rows,
       and each block's text is gathered in numpy from the decimal text of
       every vertex index, formatted once (_decimal_table);
@@ -287,9 +287,9 @@ def patch_to_obj(patch: HopfPatch, path: str, pole=(0.0, 0.0, 0.0, -1.0)) -> Non
     projected = stereographic_project(patch.vertices, pole)
     nt, ns, _ = patch.vertices.shape
     with open(path, "wb") as fh:
-        fh.writelines(_g12_lines("v %.12g %.12g %.12g\n", projected.reshape(-1, 3)))
+        fh.writelines(_number_lines("v %.12g %.12g %.12g\n", projected.reshape(-1, 3)))
         _write_faces(fh, nt, ns, patch.closed)
-    column = b"".join(_g12_lines("%.12g\n", patch.h_field[:, None]))
+    column = b"".join(_number_lines("%.12g\n", patch.h_field[:, None]))
     with open(path + ".meancurv", "wb") as fh:
         for _ in range(nt):
             fh.write(column)
@@ -298,8 +298,10 @@ def patch_to_obj(patch: HopfPatch, path: str, pole=(0.0, 0.0, 0.0, -1.0)) -> Non
 def _decimal_table(n: int) -> np.ndarray:
     """ASCII decimal text of 0..n as uint8 rows, right-aligned to the width
     of n with NUL in place of leading zeros."""
+    if n >= 2**31:
+        raise ValueError(f"{n} vertices do not fit the int32 digit arithmetic")
     width = len(str(n))
-    values = np.arange(n + 1)
+    values = np.arange(n + 1, dtype=np.int32)
     table = np.empty((n + 1, width), dtype=np.uint8)
     for k in range(width):
         place = 10 ** (width - 1 - k)

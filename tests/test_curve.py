@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -244,9 +245,98 @@ def test_g12_kernel_matches_python_percent_format():
     values[rng.random(len(values)) < 0.5] *= -1.0
     values = rng.permutation(values)[: len(values) // 3 * 3]
     line_format = "v %.12g %.12g %.12g\n"
-    got = b"".join(curve._g12_lines(line_format, values.reshape(-1, 3)))
+    got = b"".join(curve._number_lines(line_format, values.reshape(-1, 3)))
     expected = ((line_format * (len(values) // 3)) % tuple(values.tolist())).encode()
     assert got == expected, _first_mismatch(values.reshape(-1, 3).tolist(), got, expected)
+
+
+def _odd_multiples(rng, e: int, shift: int, count: int) -> list[float]:
+    # doubles A 2^-shift in [10^e, 10^(e + 1)) with A odd and below 2^53
+    lo = math.ceil(Fraction(10) ** e * 2**shift)
+    hi = min(math.ceil(Fraction(10) ** (e + 1) * 2**shift), 2**53)
+    if hi - lo < 2:
+        return []
+    return [math.ldexp(a | 1, -shift) for a in rng.integers(lo, hi - 1, count).tolist()]
+
+
+def _interval_end_neighbours(e: int, digits: int) -> list[float]:
+    # In each binade 2^E of the decade [10^e, 10^(e + 1)), the two doubles on
+    # either side of the midpoint N 2^(E - 53) (N odd) that a decimal of
+    # `digits` significant digits comes closest to: the midpoint lies
+    # (N a mod b) / b steps of 10^(e - digits + 1) from that grid, for
+    # a / b = 2^(E - 53) / 10^(e - digits + 1), so N a = +-1 (mod b).
+    # Rounding those doubles keeps or drops the decimal by a hair's breadth.
+    values = []
+    for binade in range(math.floor(e * math.log2(10)) - 1, math.ceil((e + 1) * math.log2(10))):
+        unit = Fraction(2) ** (binade - 53)
+        ratio = unit / Fraction(10) ** (e - digits + 1)
+        a, b = ratio.numerator, ratio.denominator
+        lo = max(Fraction(2) ** binade, Fraction(10) ** e) / unit
+        hi = min(Fraction(2) ** (binade + 1), Fraction(10) ** (e + 1)) / unit
+        for residue in (1, b - 1):
+            n = residue * pow(a, -1, b) % b
+            n += math.ceil((lo + 1 - n) / b) * b
+            if b > 2 and n + 1 < hi:
+                assert n % 2 == 1
+                values += [math.ldexp(n - 1, binade - 53), math.ldexp(n + 1, binade - 53)]
+    return values
+
+
+def test_repr_kernel_matches_python_repr():
+    rng = np.random.default_rng(26)
+    # With k = 16 - e, y = |x| 10^k ends in 50, 5 or .5, a tie between
+    # 15-, 16- or 17-digit candidates, where x is an odd multiple of
+    # 2^(1 - k), 2^-k or 2^-(k + 1); with the doubles next to them
+    ties = []
+    for e in range(-4, 16):
+        for shift in (15 - e, 16 - e, 17 - e):
+            ties += _odd_multiples(rng, e, shift, 300)
+    ties += np.nextafter(ties, 0.0).tolist() + np.nextafter(ties, np.inf).tolist()
+    # the doubles whose rounding interval ends nearest a 15- or 16-digit
+    # decimal, with an even and an odd significand
+    ends = [v for e in range(-4, 16) for d in (15, 16) for v in _interval_end_neighbours(e, d)]
+    # powers of two: the gap below is half the gap above
+    powers_of_two = (2.0 ** np.arange(-20, 60)).tolist()
+    # 10^k and 4 ulps to either side, where log10 may round across the power
+    # and the shortest digits may carry into it
+    near_powers = []
+    for k in range(-5, 17):
+        below = above = float(f"1e{k}")
+        near_powers.append(below)
+        for _ in range(4):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            near_powers += [below, above]
+    # decimals of at most 14 digits: the fraction's trailing zeros, integers
+    short = [0.5, 1.25, 100.0, 120000.0, 0.001, 0.0001, 1.5e-3, 2.5e10, 1e15, 99.9]
+    short += np.round(rng.uniform(-1e3, 1e3, 2000), 2).tolist()
+    short += np.round(rng.uniform(-1e6, 1e6, 1000)).tolist()
+    short += [
+        float(f"{d}e{k}")
+        for d, k in zip(
+            rng.integers(1, 10**14, 2000).tolist(), rng.integers(-20, 4, 2000).tolist()
+        )
+    ]
+    big = np.finfo(float).max
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-310, 2.2250738585072014e-308, big]
+    sweep = rng.uniform(1.0, 10.0, 100000) * 10.0 ** rng.integers(-8, 19, 100000)
+    values = np.concatenate([ties, ends, powers_of_two, near_powers, short, special, sweep])
+    values[rng.random(len(values)) < 0.5] *= -1.0
+    # the JSON trace's line: separators of 6 to 23 bytes
+    fields = 7
+    values = rng.permutation(values)[: len(values) // fields * fields]
+    line_format = curve._JSON_SAMPLE + ",\n"
+    got = b"".join(curve._number_lines(line_format, values.reshape(-1, fields)))
+    expected = ((line_format * (len(values) // fields)) % tuple(values.tolist())).encode()
+    assert got == expected, _first_mismatch(values.reshape(-1, fields).tolist(), got, expected)
+    assert len(ends) > 100
+
+
+@pytest.mark.parametrize(("p", "n", "m"), [(0.5, 2, 3), (0.3, 5, 8)])
+def test_repr_kernel_formats_trace_values_itself(all_traces, p, n, m):
+    # a kernel that left every value to Python would pass the byte tests
+    values = curve._sample_rows(all_traces(p, n, m)).ravel()
+    _, exact = curve._repr_index(values, curve._tables())
+    assert exact.mean() >= 0.98
 
 
 def _per_point_svg(trace):
@@ -396,20 +486,31 @@ def test_profile_reflection_and_shift_symmetry(solved_curves, p, n, m):
     assert np.allclose(sa, a_swept + 2.0 * area, rtol=0.0, atol=1e-12 * abs(area))
 
 
-@pytest.mark.parametrize("module", ["pelastica", "pelastica.cli"])
-def test_import_leaves_scipy_out(module):
-    # a fresh interpreter, importing the package these tests run against:
-    # the runtime needs numpy only
+def _fresh_interpreter(code: str) -> str:
+    # a fresh interpreter, importing the package these tests run against
     src = os.path.dirname(os.path.dirname(os.path.abspath(pelastica.__file__)))
-    code = (
-        f"import sys, {module}; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
-    )
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         check=True,
         env=dict(os.environ, PYTHONPATH=src),
     ).stdout
+
+
+@pytest.mark.parametrize("module", ["pelastica", "pelastica.cli"])
+def test_import_leaves_scipy_out(module):
+    # the runtime needs numpy only
+    code = (
+        f"import sys, {module}; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = _fresh_interpreter(code)
     assert out.strip() == "[]"
+
+
+def test_import_builds_no_number_writer_table():
+    # the word table and powers of ten are built at the first export, so a
+    # command that writes no numbers pays for none of them
+    code = "import pelastica.cli, pelastica.curve as c; print(c._tables.cache_info().currsize)"
+    assert _fresh_interpreter(code).strip() == "0"

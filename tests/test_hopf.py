@@ -438,6 +438,12 @@ def test_obj_export_matches_per_line_writer(
     assert (tmp_path / "mesh.obj.meancurv").read_bytes() == curv_ref.encode()
 
 
+def test_face_digits_refuse_indices_past_int32():
+    # the face writer forms each vertex index's digits in int32
+    with pytest.raises(ValueError, match="int32"):
+        hopf._decimal_table(2**31)
+
+
 def test_obj_export_memory_peak_is_the_projection(tmp_path, all_traces):
     # the CLI's 4-cover torus (256 x 512 vertices): the export's tracemalloc
     # peak, 9.44 MB, is set by stereographic_project's full-size
