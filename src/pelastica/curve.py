@@ -39,11 +39,10 @@ from .quad import DEFAULT_REL_TOL, ArchTrace
 
 SAMPLES_PER_PERIOD = 512
 # Lines formatted per block by every numeric text writer (the % writer, the
-# OBJ faces, and the number writer on lines of 3 values): one format per line
-# is slow, one over the whole file holds every line's text at once.  On
-# 4,096 vertex lines the kernel's tracemalloc peak is 3.3 MB, and the
-# 4-cover torus export stays at the 9.44 MB of stereographic_project; 8,192
-# lines would pass it.
+# OBJ vertex projection and faces, and the number writer on lines of 3
+# values): one format per line is slow, one over the whole file holds every
+# line's text at once.  On 4,096 vertex lines the kernel's tracemalloc peak
+# is 2.7-3.3 MB and sets the 4-cover torus export's; 8,192 lines double it.
 _BLOCK_LINES = 4096
 # One trace sample as json.dump(..., indent=1) writes it inside "samples".
 _JSON_SAMPLE = (

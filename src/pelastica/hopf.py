@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curve
-from .curve import CurveTrace, _embed_points, _number_lines
+from .curve import _LEAD, CurveTrace, _embed_points, _number_lines, _tables, _word
 from .errors import PoleCollision, SeedError
 
 SPHERE_RADIUS = 2.0
@@ -234,27 +234,52 @@ def stereographic_project(
     The image plane is the hyperplane through the origin orthogonal to the
     pole; coordinates are expressed in a fixed orthonormal basis of it.
     """
+    n, basis = _pole_frame(pole)
+    v = vertices.reshape(-1, 4)
+    _check_pole(v, n)
+    return _project_rows(v, n, basis).reshape(*vertices.shape[:-1], 3)
+
+
+def _pole_frame(pole):
+    """The unit pole direction n and the plane basis orthogonal to it."""
     pole = np.asarray(pole, dtype=float)
     n = pole / np.linalg.norm(pole)
-    shape = vertices.shape[:-1]
-    v = vertices.reshape(-1, 4)
-    height = v @ n
-    denom = SPHERE_RADIUS - height
-    if np.any(denom < 1e-6 * SPHERE_RADIUS):
+    return n, _plane_basis(n)
+
+
+def _height(v: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """v @ n for rows v (N, 4), a column at a time: no BLAS call, which on
+    a threaded OpenBLAS costs more than the arithmetic."""
+    height = v[:, 0] * n[0]
+    for j in range(1, 4):
+        height += v[:, j] * n[j]
+    return height
+
+
+def _check_pole(v: np.ndarray, n: np.ndarray) -> None:
+    if np.any(SPHERE_RADIUS - _height(v, n) < 1e-6 * SPHERE_RADIUS):
         raise PoleCollision("a mesh vertex lies too close to the projection pole")
-    # one (N, 4) array, reused in place: v minus its pole component, scaled
-    planar = np.outer(height, n)
-    np.subtract(v, planar, out=planar)
-    planar *= (SPHERE_RADIUS / denom)[:, None]
-    basis = _plane_basis(n)
-    return (planar @ basis.T).reshape(*shape, 3)
+
+
+def _project_rows(v: np.ndarray, n: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Rows v (N, 4) projected to plane coordinates (N, 3), a column at a
+    time: each column of v minus its pole component, scaled, is added into
+    every output column.  The columns start at +0, as a BLAS sum does, so
+    at the default pole, where every step is exact, the zeros keep a BLAS
+    product's sign."""
+    height = _height(v, n)
+    scale = SPHERE_RADIUS / (SPHERE_RADIUS - height)
+    out = np.zeros((len(v), 3))
+    for j in range(4):
+        planar = (v[:, j] - height * n[j]) * scale
+        for k in range(3):
+            out[:, k] += planar * basis[k, j]
+    return out
 
 
 def inverse_stereographic(points3: np.ndarray, pole=(0.0, 0.0, 0.0, -1.0)) -> np.ndarray:
     """Analytic inverse of stereographic_project."""
-    pole = np.asarray(pole, dtype=float)
-    n = pole / np.linalg.norm(pole)
-    basis = _plane_basis(n)
+    n, basis = _pole_frame(pole)
     shape = points3.shape[:-1]
     y = points3.reshape(-1, 3) @ basis
     t = np.einsum("ij,ij->i", y, y)
@@ -277,17 +302,25 @@ def patch_to_obj(patch: HopfPatch, path: str, pole=(0.0, 0.0, 0.0, -1.0)) -> Non
     The text is that of one "v %.12g %.12g %.12g" line per vertex, one
     "f %d %d %d" line per triangle (1-based) and one "%.12g" line of kappa/2
     per vertex in the sidecar, assembled from the mesh's structure:
-    - vertices go through the numeric line writer (curve._number_lines);
+    - every vertex is checked against the pole before the file is opened,
+      so a PoleCollision writes nothing;
+    - vertices are projected (stereographic_project's formula) and go
+      through the numeric line writer (curve._number_lines) a block of
+      curve._BLOCK_LINES at a time, so no full-size temporary is formed;
     - faces are generated a block of lines at a time from their grid rows,
-      and each block's text is gathered in numpy from the decimal text of
-      every vertex index, formatted once (_decimal_table);
+      and each index's text is gathered 4 digits a word from the number
+      writer's word table (curve._tables().words);
     - the sidecar's values depend only on the s column, so one column's text
       is formatted once and written once per fiber phase.
     """
-    projected = stereographic_project(patch.vertices, pole)
     nt, ns, _ = patch.vertices.shape
+    v = patch.vertices.reshape(-1, 4)
+    n, basis = _pole_frame(pole)
+    _check_pole(v, n)
     with open(path, "wb") as fh:
-        fh.writelines(_number_lines("v %.12g %.12g %.12g\n", projected.reshape(-1, 3)))
+        for start in range(0, len(v), curve._BLOCK_LINES):
+            projected = _project_rows(v[start : start + curve._BLOCK_LINES], n, basis)
+            fh.writelines(_number_lines("v %.12g %.12g %.12g\n", projected))
         _write_faces(fh, nt, ns, patch.closed)
     column = b"".join(_number_lines("%.12g\n", patch.h_field[:, None]))
     with open(path + ".meancurv", "wb") as fh:
@@ -295,32 +328,18 @@ def patch_to_obj(patch: HopfPatch, path: str, pole=(0.0, 0.0, 0.0, -1.0)) -> Non
             fh.write(column)
 
 
-def _decimal_table(n: int) -> np.ndarray:
-    """ASCII decimal text of 0..n as uint8 rows, right-aligned to the width
-    of n with NUL in place of leading zeros."""
-    if n >= 2**31:
-        raise ValueError(f"{n} vertices do not fit the int32 digit arithmetic")
-    width = len(str(n))
-    values = np.arange(n + 1, dtype=np.int32)
-    table = np.empty((n + 1, width), dtype=np.uint8)
-    for k in range(width):
-        place = 10 ** (width - 1 - k)
-        table[:, k] = values // place % 10 + ord("0")
-        if place > 1:
-            table[:place, k] = 0  # the values below place have no digit here
-    return table
-
-
 def _write_faces(fh, nt: int, ns: int, wrap_s: bool) -> None:
     """Write "f a b c" lines for _fan_rows(nt, ns, wrap_s, 0, nt), 1-based,
     in blocks of curve._BLOCK_LINES lines.
 
-    Each block is a (faces, 3 width + 5) uint8 matrix: "f", then a space and
-    the index's padded digits three times, then a newline; dropping its NUL
-    bytes leaves the block's text.
+    Each block is a (faces, 3 groups + 4) uint32 matrix of text words from
+    the number writer's word table: "f ", then per index its 4-digit groups,
+    as many as nt * ns needs, and " " (after the last index a newline).  A
+    group takes the leading-NUL variant while every group before it is
+    zero; dropping the block's NUL bytes leaves its text.
     """
-    digits = _decimal_table(nt * ns)
-    width = digits.shape[1]
+    words = _tables().words
+    groups = -(-len(str(nt * ns)) // 4)
     per_row = 2 * (ns if wrap_s else ns - 1)
     total = nt * per_row
     for start in range(0, total, curve._BLOCK_LINES):
@@ -329,13 +348,19 @@ def _write_faces(fh, nt: int, ns: int, wrap_s: bool) -> None:
         offset = first_row * per_row
         rows = _fan_rows(nt, ns, wrap_s, first_row, -(-stop // per_row))
         tris = rows[start - offset : stop - offset] + 1  # OBJ indices are 1-based
-        text = np.empty((len(tris), 3 * width + 5), dtype=np.uint8)
-        text[:, 0] = ord("f")
-        text[:, 1 :: width + 1] = ord(" ")
-        text[:, -1] = ord("\n")
-        for k in range(3):
-            col = 2 + k * (width + 1)
-            text[:, col : col + width] = digits[tris[:, k]]
+        text = np.empty((len(tris), 3 * groups + 4), dtype=np.uint32)
+        text[:, 0] = _word(b"f ")
+        fields = text[:, 1:].reshape(len(tris), 3, groups + 1)  # a view
+        fields[:, :2, groups] = _word(b" ")
+        fields[:, 2, groups] = _word(b"\n")
+        rest = tris
+        for r in range(groups - 1, -1, -1):
+            # // by a scalar divides through libdivide, np.divmod at half speed
+            higher = rest // 10000
+            group = rest - 10000 * higher
+            group += (higher == 0) * _LEAD
+            fields[:, :, r] = words[group]
+            rest = higher
         fh.write(text.tobytes().translate(None, b"\0"))
 
 

@@ -1,5 +1,6 @@
 """Submersion to the 2-sphere, horizontal lifts and torus meshes."""
 
+import io
 import json
 import math
 import tracemalloc
@@ -345,17 +346,57 @@ def test_stereographic_roundtrip():
     assert float(np.max(np.abs(back - q))) < 1e-10
 
 
-@pytest.mark.parametrize("pole", [(0.0, 0.0, 0.0, -1.0), (0.1, 0.2, 0.3, -1.0)])
-def test_stereographic_projection_in_place_matches_three_temporaries(pole, all_traces):
-    # the 4-cover torus of p = 1/2 gamma_{2,3} at the CLI's mesh size, against
-    # the formula that formed v - height n and its scaled copy as new arrays
-    vertices = build_torus(all_traces(0.5, 2, 3)).vertices
+_POLE1 = (0.1, 0.2, 0.3, -1.0)
+
+
+def _blas_projection(vertices, pole):
+    # the projection as v - height n and its scaled copy, new arrays, with
+    # the height and the plane coordinates as BLAS products
     n = np.asarray(pole) / np.linalg.norm(pole)
     v = vertices.reshape(-1, 4)
     height = v @ n
     planar = (v - np.outer(height, n)) * (SPHERE_RADIUS / (SPHERE_RADIUS - height))[:, None]
-    expected = (planar @ hopf._plane_basis(n).T).reshape(*vertices.shape[:-1], 3)
+    return (planar @ hopf._plane_basis(n).T).reshape(*vertices.shape[:-1], 3)
+
+
+def _columnwise_projection(vertices, pole, dtype=float):
+    # the same formula a column at a time, in dtype, each step a new array:
+    # height = sum of v_j n_j, then plane coordinate k = sum over j of
+    # (v_j - height n_j) scale b_kj, both summed in order of j
+    n = np.asarray(pole) / np.linalg.norm(pole)
+    basis = hopf._plane_basis(n).astype(dtype)
+    n = n.astype(dtype)
+    v = vertices.reshape(-1, 4).astype(dtype)
+    radius = dtype(SPHERE_RADIUS)
+    height = v[:, 0] * n[0] + v[:, 1] * n[1] + v[:, 2] * n[2] + v[:, 3] * n[3]
+    scale = radius / (radius - height)
+    planar = [(v[:, j] - height * n[j]) * scale for j in range(4)]
+    columns = [sum(planar[j] * basis[k, j] for j in range(4)) for k in range(3)]
+    return np.stack(columns, axis=-1).reshape(*vertices.shape[:-1], 3)
+
+
+@pytest.mark.parametrize("pole", [(0.0, 0.0, 0.0, -1.0), _POLE1])
+def test_stereographic_projection_in_place_matches_three_temporaries(pole, all_traces):
+    # the 4-cover torus of p = 1/2 gamma_{2,3} at the CLI's mesh size.  At the
+    # default pole the basis is a permutation and every step is exact, so
+    # the BLAS formula gives the same values; at a generic pole the BLAS sums
+    # round differently, and the reference is the column-wise formula
+    vertices = build_torus(all_traces(0.5, 2, 3)).vertices
+    if pole == _POLE1:
+        expected = _columnwise_projection(vertices, pole)
+    else:
+        expected = _blas_projection(vertices, pole)
     assert np.array_equal(stereographic_project(vertices, pole), expected)
+
+
+def test_stereographic_projection_rounding_at_a_generic_pole(all_traces):
+    # against the same formula in long double, the program and the BLAS form
+    # both lie within 5 ulps of each row's largest coordinate
+    vertices = build_torus(all_traces(0.5, 2, 3)).vertices.reshape(-1, 4)
+    reference = _columnwise_projection(vertices, _POLE1, np.longdouble)
+    ulp = np.spacing(np.max(np.abs(reference.astype(float)), axis=1))[:, None]
+    for projected in (stereographic_project(vertices, _POLE1), _blas_projection(vertices, _POLE1)):
+        assert np.max(np.abs(projected - reference) / ulp) <= 5.0
 
 
 def test_stereographic_pole_collision():
@@ -411,20 +452,21 @@ _SMALL_MESHES = [
 
 
 @pytest.mark.parametrize(
-    ("closed", "t_samples", "s_samples", "block_lines"),
+    ("closed", "t_samples", "s_samples", "block_lines", "pole"),
     [
-        pytest.param(closed, t, s, block, id=f"{name}-{block}")
+        pytest.param(closed, t, s, block, pole, id=f"{name}-{block}{suffix}")
         for name, closed, t, s in _SMALL_MESHES
         for block in (None, 7)
+        for pole, suffix in (((0.0, 0.0, 0.0, -1.0), ""), (_POLE1, "-pole1"))
     ]
     + [
         # the CLI's 4-cover torus, 256 x 512 with 6-digit indices, at the
         # default block size: the small meshes cover the partial blocks
-        pytest.param(True, 256, 128, None, id="closed-default-None"),
+        pytest.param(True, 256, 128, None, (0.0, 0.0, 0.0, -1.0), id="closed-default-None"),
     ],
 )
 def test_obj_export_matches_per_line_writer(
-    tmp_path, monkeypatch, all_traces, closed, t_samples, s_samples, block_lines
+    tmp_path, monkeypatch, all_traces, closed, t_samples, s_samples, block_lines, pole
 ):
     trace = all_traces(0.5, 2, 3) if closed else all_traces(0.3, 2, 3)
     patch = build_torus(trace, t_samples=t_samples, s_samples=s_samples)
@@ -432,23 +474,40 @@ def test_obj_export_matches_per_line_writer(
     if block_lines is not None:
         monkeypatch.setattr(curve, "_BLOCK_LINES", block_lines)
     path = tmp_path / "mesh.obj"
-    patch_to_obj(patch, str(path))
-    obj_ref, curv_ref = _loop_obj_text(patch)
+    patch_to_obj(patch, str(path), pole)
+    obj_ref, curv_ref = _loop_obj_text(patch, pole)
     assert path.read_bytes() == obj_ref.encode()
     assert (tmp_path / "mesh.obj.meancurv").read_bytes() == curv_ref.encode()
 
 
-def test_face_digits_refuse_indices_past_int32():
-    # the face writer forms each vertex index's digits in int32
-    with pytest.raises(ValueError, match="int32"):
-        hopf._decimal_table(2**31)
+def test_obj_export_checks_the_last_block_before_writing(tmp_path, monkeypatch, all_traces):
+    # the vertices are projected a block at a time, yet a pole on the mesh's
+    # last vertex (in the last of 7 blocks) must still leave no file behind
+    patch = build_torus(all_traces(0.5, 2, 3), t_samples=3, s_samples=4)
+    monkeypatch.setattr(curve, "_BLOCK_LINES", 7)
+    path = tmp_path / "mesh.obj"
+    with pytest.raises(PoleCollision):
+        patch_to_obj(patch, str(path), tuple(patch.vertices[-1, -1]))
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_obj_export_memory_peak_is_the_projection(tmp_path, all_traces):
-    # the CLI's 4-cover torus (256 x 512 vertices): the export's tracemalloc
-    # peak, 9.44 MB, is set by stereographic_project's full-size
-    # temporaries, and the writers' blocks of curve._BLOCK_LINES lines must
-    # stay under it (8,192-line blocks of the %.12g kernel do not)
+def test_face_words_cross_the_four_digit_group_boundary():
+    # indices up to 10,000 take two 4-digit words, the upper one the word
+    # table's leading-NUL variant (all NUL below 10,000), the lower one all
+    # four digits above it; a mesh of 9,999 vertices takes one word
+    for nt, ns, wrap_s in ((2, 5000, False), (1, 9999, True)):
+        buffer = io.BytesIO()
+        hopf._write_faces(buffer, nt, ns, wrap_s)
+        tris = _fan_rows(nt, ns, wrap_s, 0, nt) + 1
+        assert tris.max() == nt * ns
+        assert buffer.getvalue() == "".join(f"f {a} {b} {c}\n" for a, b, c in tris).encode()
+
+
+def test_obj_export_memory_peak_is_one_writer_block(tmp_path, all_traces):
+    # the CLI's 4-cover torus (256 x 512 vertices): the vertices are
+    # projected and written a block of curve._BLOCK_LINES lines at a time,
+    # so the export's tracemalloc peak (2.8 MB) is the %.12g kernel's on one
+    # block, and no full-size projection temporary (9.44 MB) is formed
     patch = build_torus(all_traces(0.5, 2, 3), t_samples=256, s_samples=128)
     assert patch.covers == 4
     tracemalloc.start()
@@ -457,4 +516,4 @@ def test_obj_export_memory_peak_is_the_projection(tmp_path, all_traces):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 9.44e6
+    assert peak <= 4.5e6
