@@ -247,21 +247,24 @@ def _tables() -> _Tables:
 
 
 def _number_lines(line_format: str, rows: np.ndarray):
-    """Yield the ASCII text of line_format % row for every row of a 2-D float
+    """Yield the ASCII text of line_format % row for every row of a 2-D
     array, byte for byte, a block of lines at a time.
 
-    Every field of line_format is %.12g, or every field is %r.  Each field
-    becomes a fixed row of uint32 words: separator words holding the
-    literal text before the field (before a line's first field: the
-    previous line's end and the line's start), NUL-padded, with the sign in
-    the last byte, then the digit words that the format's front end
-    (_g12_index, _repr_index) indexes in the word table, NUL where a digit
-    is absent.  Python formats, one value at a time, every value that the
-    front end cannot be sure of.  Dropping the NUL bytes leaves the text.
+    Every field of line_format is %.12g, every one %r or every one %d (rows
+    read as int64).  Each field becomes a fixed row of uint32 words:
+    separator words holding the literal text before the field (before a
+    line's first field: the previous line's end and the line's start),
+    NUL-padded, with the sign in the last byte, then the digit words that
+    the format's front end (_g12_index, _repr_index, _int_index) indexes in
+    the word table, NUL where a digit is absent.  Python formats, one value
+    at a time, every value that the front end cannot be sure of.  Dropping
+    the NUL bytes leaves the text.
     """
-    conversion = b"%r" if "%r" in line_format else b"%.12g"
-    front = _repr_index if conversion == b"%r" else _g12_index
-    parts = line_format.encode("ascii").split(conversion)
+    fmt = line_format.encode("ascii")
+    fronts = {b"%r": (_repr_index, float), b"%d": (_int_index, np.int64)}
+    conversion = next((c for c in fronts if c in fmt), b"%.12g")
+    front, dtype = fronts.get(conversion, (_g12_index, float))
+    parts = fmt.split(conversion)
     end = parts[-1]
     seps = [end + parts[0], *parts[1:-1]]
     if any(b"%" in sep for sep in seps + [end]):
@@ -277,7 +280,7 @@ def _number_lines(line_format: str, rows: np.ndarray):
     lines = max(1, 3 * _BLOCK_LINES // len(seps))
     skip = len(end)  # the first line has no line end before it
     for start in range(0, len(rows), lines):
-        block = np.ascontiguousarray(rows[start : start + lines], dtype=float)
+        block = np.ascontiguousarray(rows[start : start + lines], dtype=dtype)
         yield _number_words(block.ravel(), sep_words, front, conversion)[skip:]
         skip = 0
     if len(rows):
@@ -290,8 +293,10 @@ def _number_words(x: np.ndarray, sep_words: np.ndarray, front, conversion: bytes
     index, exact = front(x, tables)
     width = sep_words.shape[1]
     text = np.empty((width + len(index), len(x)), dtype=np.uint32)
-    text[:width].reshape(width, -1, len(sep_words))[:] = sep_words.T[:, None, :]
-    text[width - 1] += (np.signbit(x) & exact) * np.uint32(_SIGN)
+    for k, sep in enumerate(sep_words):  # strided: 3x a broadcast's speed
+        text[:width, k :: len(sep_words)] = sep[:, None]
+    # x < 0: the sign bit of every value a front end holds, with no float cast
+    np.add(text[width - 1], _SIGN, out=text[width - 1], where=(x < 0) & exact)
     # every index is in range or belongs to a value Python formats; "clip"
     # spares the copy that "raise" buffers
     np.take(tables.words, index, out=text[width:], mode="clip")
@@ -449,6 +454,26 @@ def _repr_index(x: np.ndarray, tables: _Tables):
     index, bare = _digit_index(halves, 4)
     index[4] += 1 + bare  # "." before a fraction, ".0" for none
     return index, exact
+
+
+def _int_index(x: np.ndarray, tables: _Tables):
+    """Word indices of the %d text of int64 x (see _number_lines) and the
+    mask of the values they hold: all.  |x| (uint64, so |-2^63| holds) takes
+    as many 4-digit groups as the block's largest value needs, each the
+    leading-NUL variant where the groups before it are zero (the units
+    group the one that writes 0 as "0")."""
+    rest = np.abs(x).view(np.uint64)
+    groups = -(-len(str(rest.max())) // 4)
+    index = np.empty((groups, len(x)), dtype=np.intp)
+    lead = _LEAD0
+    for row in range(groups - 1, 0, -1):
+        # // by a scalar divides through libdivide, np.divmod at half speed
+        higher = rest // 10000
+        np.subtract(rest, 10000 * higher, out=index[row])
+        np.add(index[row], lead, out=index[row], where=higher == 0)
+        rest, lead = higher, _LEAD
+    np.add(rest, lead, out=index[0])
+    return index, np.ones(len(x), dtype=bool)
 
 
 def _sample_rows(trace: CurveTrace) -> np.ndarray:

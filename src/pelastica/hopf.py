@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curve
-from .curve import _LEAD, CurveTrace, _embed_points, _number_lines, _tables, _word
+from .curve import CurveTrace, _embed_points, _number_lines
 from .errors import PoleCollision, SeedError
 
 SPHERE_RADIUS = 2.0
@@ -173,7 +173,7 @@ def _cotan_and_areas(verts: np.ndarray, tris: np.ndarray):
     vertex_area = np.zeros(len(verts))
     for col in range(3):
         np.add.at(vertex_area, tris[:, col], area / 3.0)
-    return cots, area, vertex_area
+    return cots, vertex_area
 
 
 def discrete_mean_curvature(patch: HopfPatch) -> np.ndarray:
@@ -186,7 +186,7 @@ def discrete_mean_curvature(patch: HopfPatch) -> np.ndarray:
     nt, ns, _ = patch.vertices.shape
     verts = patch.vertices.reshape(nt * ns, 4)
     tris = _fan_rows(nt, ns, patch.closed, 0, nt)
-    cots, _, vertex_area = _cotan_and_areas(verts, tris)
+    cots, vertex_area = _cotan_and_areas(verts, tris)
     lap = np.zeros_like(verts)
     # cotangent at corner k weights the opposite edge (k+1, k+2)
     for corner, (ja, jb) in enumerate(((1, 2), (2, 0), (0, 1))):
@@ -206,24 +206,16 @@ def discrete_gaussian_curvature(patch: HopfPatch) -> np.ndarray:
     nt, ns, _ = patch.vertices.shape
     verts = patch.vertices.reshape(nt * ns, 4)
     tris = _fan_rows(nt, ns, patch.closed, 0, nt)
+    cots, vertex_area = _cotan_and_areas(verts, tris)
     defect = np.full(len(verts), 2.0 * math.pi)
-    p = [verts[tris[:, k]] for k in range(3)]
     for k in range(3):
-        u = p[(k + 1) % 3] - p[k]
-        v = p[(k + 2) % 3] - p[k]
-        cosang = np.einsum("ij,ij->i", u, v) / (
-            np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
-        )
-        np.subtract.at(defect, tris[:, k], np.arccos(np.clip(cosang, -1.0, 1.0)))
-    _, _, vertex_area = _cotan_and_areas(verts, tris)
-    kg = defect / vertex_area
+        # the angle at corner k, whose cotangent is cots[k]
+        np.subtract.at(defect, tris[:, k], np.arctan2(1.0, cots[k]))
+    kg = (defect / vertex_area).reshape(nt, ns)
     if not patch.closed:
         # boundary columns carry meaningless defects on an open segment
-        kg = kg.reshape(nt, ns)
-        kg[:, 0] = 0.0
-        kg[:, -1] = 0.0
-        return kg
-    return kg.reshape(nt, ns)
+        kg[:, [0, -1]] = 0.0
+    return kg
 
 
 def stereographic_project(
@@ -307,9 +299,8 @@ def patch_to_obj(patch: HopfPatch, path: str, pole=(0.0, 0.0, 0.0, -1.0)) -> Non
     - vertices are projected (stereographic_project's formula) and go
       through the numeric line writer (curve._number_lines) a block of
       curve._BLOCK_LINES at a time, so no full-size temporary is formed;
-    - faces are generated a block of lines at a time from their grid rows,
-      and each index's text is gathered 4 digits a word from the number
-      writer's word table (curve._tables().words);
+    - faces go through the same writer as %d fields, from as many whole
+      grid rows at a time as a block of curve._BLOCK_LINES lines holds;
     - the sidecar's values depend only on the s column, so one column's text
       is formatted once and written once per fiber phase.
     """
@@ -321,47 +312,14 @@ def patch_to_obj(patch: HopfPatch, path: str, pole=(0.0, 0.0, 0.0, -1.0)) -> Non
         for start in range(0, len(v), curve._BLOCK_LINES):
             projected = _project_rows(v[start : start + curve._BLOCK_LINES], n, basis)
             fh.writelines(_number_lines("v %.12g %.12g %.12g\n", projected))
-        _write_faces(fh, nt, ns, patch.closed)
+        rows = max(1, curve._BLOCK_LINES // (2 * ns))  # a grid row has <= 2 ns faces
+        for start in range(0, nt, rows):
+            faces = _fan_rows(nt, ns, patch.closed, start, min(start + rows, nt))
+            fh.writelines(_number_lines("f %d %d %d\n", faces + 1))  # 1-based
     column = b"".join(_number_lines("%.12g\n", patch.h_field[:, None]))
     with open(path + ".meancurv", "wb") as fh:
         for _ in range(nt):
             fh.write(column)
-
-
-def _write_faces(fh, nt: int, ns: int, wrap_s: bool) -> None:
-    """Write "f a b c" lines for _fan_rows(nt, ns, wrap_s, 0, nt), 1-based,
-    in blocks of curve._BLOCK_LINES lines.
-
-    Each block is a (faces, 3 groups + 4) uint32 matrix of text words from
-    the number writer's word table: "f ", then per index its 4-digit groups,
-    as many as nt * ns needs, and " " (after the last index a newline).  A
-    group takes the leading-NUL variant while every group before it is
-    zero; dropping the block's NUL bytes leaves its text.
-    """
-    words = _tables().words
-    groups = -(-len(str(nt * ns)) // 4)
-    per_row = 2 * (ns if wrap_s else ns - 1)
-    total = nt * per_row
-    for start in range(0, total, curve._BLOCK_LINES):
-        stop = min(start + curve._BLOCK_LINES, total)
-        first_row = start // per_row
-        offset = first_row * per_row
-        rows = _fan_rows(nt, ns, wrap_s, first_row, -(-stop // per_row))
-        tris = rows[start - offset : stop - offset] + 1  # OBJ indices are 1-based
-        text = np.empty((len(tris), 3 * groups + 4), dtype=np.uint32)
-        text[:, 0] = _word(b"f ")
-        fields = text[:, 1:].reshape(len(tris), 3, groups + 1)  # a view
-        fields[:, :2, groups] = _word(b" ")
-        fields[:, 2, groups] = _word(b"\n")
-        rest = tris
-        for r in range(groups - 1, -1, -1):
-            # // by a scalar divides through libdivide, np.divmod at half speed
-            higher = rest // 10000
-            group = rest - 10000 * higher
-            group += (higher == 0) * _LEAD
-            fields[:, :, r] = words[group]
-            rest = higher
-        fh.write(text.tobytes().translate(None, b"\0"))
 
 
 def patch_to_json(patch: HopfPatch, path: str) -> None:

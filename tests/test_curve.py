@@ -339,6 +339,24 @@ def test_repr_kernel_formats_trace_values_itself(all_traces, p, n, m):
     assert exact.mean() >= 0.98
 
 
+def test_int_kernel_matches_python_percent_d(monkeypatch):
+    # each block takes as many 4-digit groups as its largest value needs;
+    # the values cross every group boundary up to 2^53, and |-2^63| holds
+    # only as uint64
+    edges = [0, 1, 9, 10, 9999, 10000, 99999999, 100000000, 2**31, 2**53]
+    edges += [-1, -10000, -(2**63), 2**63 - 1]
+    # one block of 1- and 3-group values, the 3-group ones with zero groups
+    # inside and a 0 among them
+    mixed = [5, 100000001, 0, 999999999999, 7, 100000000000, 42, 12]
+    line_format = "f %d %d %d\n"
+    for values, block_lines in ((edges + [3], 2), (mixed + [1], 4096)):
+        monkeypatch.setattr(curve, "_BLOCK_LINES", block_lines)
+        rows = np.array(values, dtype=np.int64).reshape(-1, 3)
+        got = b"".join(curve._number_lines(line_format, rows))
+        expected = "".join(line_format % tuple(row) for row in rows.tolist()).encode()
+        assert got == expected
+
+
 def _per_point_svg(trace):
     # per-point reference writer: one f-string per point on numpy scalars
     size = 640

@@ -1,6 +1,5 @@
 """Submersion to the 2-sphere, horizontal lifts and torus meshes."""
 
-import io
 import json
 import math
 import tracemalloc
@@ -492,15 +491,16 @@ def test_obj_export_checks_the_last_block_before_writing(tmp_path, monkeypatch, 
 
 
 def test_face_words_cross_the_four_digit_group_boundary():
-    # indices up to 10,000 take two 4-digit words, the upper one the word
-    # table's leading-NUL variant (all NUL below 10,000), the lower one all
-    # four digits above it; a mesh of 9,999 vertices takes one word
+    # a block of face lines takes as many 4-digit words an index as its
+    # largest index needs: on the 2 x 5,000 mesh the blocks below 10,000
+    # one, the last block two, the upper one the word table's leading-NUL
+    # variant (all NUL below 10,000), the lower one all four digits above
+    # it; a mesh of 9,999 vertices takes one word
     for nt, ns, wrap_s in ((2, 5000, False), (1, 9999, True)):
-        buffer = io.BytesIO()
-        hopf._write_faces(buffer, nt, ns, wrap_s)
         tris = _fan_rows(nt, ns, wrap_s, 0, nt) + 1
         assert tris.max() == nt * ns
-        assert buffer.getvalue() == "".join(f"f {a} {b} {c}\n" for a, b, c in tris).encode()
+        got = b"".join(curve._number_lines("f %d %d %d\n", tris))
+        assert got == "".join(f"f {a} {b} {c}\n" for a, b, c in tris).encode()
 
 
 def test_obj_export_memory_peak_is_one_writer_block(tmp_path, all_traces):
