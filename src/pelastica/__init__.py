@@ -32,6 +32,7 @@ from .stability import (
     second_variation,
     upsilon,
     upsilon_elliptic_half,
+    upsilon_grid,
 )
 
 __all__ = [
@@ -63,6 +64,7 @@ __all__ = [
     "trace_closed_curve",
     "upsilon",
     "upsilon_elliptic_half",
+    "upsilon_grid",
 ]
 
 __version__ = "0.1.0"

@@ -273,7 +273,8 @@ def cmd_sweep(args) -> int:
     if args.quantity == "lambda":
         values = closure.lambda_grid([make_params(args.p, a_val) for a_val in grid])
     else:
-        values = [stability.upsilon(make_params(args.p, a_val)).upsilon for a_val in grid]
+        reports = stability.upsilon_grid([make_params(args.p, a_val) for a_val in grid])
+        values = [report.upsilon for report in reports]
     writer_target = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(writer_target)

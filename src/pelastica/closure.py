@@ -97,7 +97,7 @@ def lambda_p(params: ElasticaParams, rel_tol: float = DEFAULT_REL_TOL) -> float:
 def period(params: ElasticaParams) -> float:
     """Arc length of one full curvature period, 2p(1-p) int dkappa/(kappa sqrt(Q))."""
     p = params.p
-    val = integrate_over_arch(params, lambda k, q, r: 1.0 / k).value
+    val = integrate_over_arch(params, lambda k, q, r, a: 1.0 / k).value
     return 2.0 * p * (1.0 - p) * val
 
 

@@ -29,7 +29,7 @@ def energy_closed(params: ElasticaParams, m: int) -> float:
         raise DomainError("m must be at least 1")
     p = params.p
     # kappa^(p-1) = 1/r, with r = kappa^(1-p) formed by the arch rule
-    moment = integrate_over_arch(params, lambda k, q, r: 1.0 / r).value
+    moment = integrate_over_arch(params, lambda k, q, r, a: 1.0 / r).value
     return 2.0 * m * p * (1.0 - p) * moment
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -104,17 +103,35 @@ class ElasticaParams:
         return q_prime(self.p, self.a, kappa)
 
 
-def _q_sign_log(p: float, a: float, u):
-    """Sign surrogate for Q at kappa = exp(u) (a float or an array), safe at
-    any magnitude.
+_LOG_2 = math.log(2.0)
 
-    Q > 0  iff  log a + 2(1-p) u > log((1-p)^2 e^{2u} + p^2), and the right
-    hand side is a logaddexp, so neither kappa^2 nor kappa^(2(1-p)) is ever
-    formed explicitly.  Also valid for p < 0, where Q keeps this form.
+
+def _logaddexp(x: float, y: float) -> float:
+    """log(e^x + e^y) of two floats, by numpy's own steps (npy_logaddexp), so
+    it returns np.logaddexp's bits without its scalar dispatch."""
+    if x == y:
+        return x + _LOG_2
+    tmp = x - y
+    if tmp > 0.0:
+        return x + math.log1p(math.exp(-tmp))
+    if tmp <= 0.0:
+        return y + math.log1p(math.exp(tmp))
+    return tmp
+
+
+def _q_sign_log(p: float, a: float):
+    """Sign surrogate h(u) for Q at kappa = exp(u), a function of a float u
+    that is safe at any magnitude.
+
+    Q > 0  iff  h(u) = log a + 2(1-p) u - log((1-p)^2 e^{2u} + p^2) > 0, and
+    the subtracted term is a logaddexp, so neither kappa^2 nor
+    kappa^(2(1-p)) is ever formed explicitly.  The three logs are taken once
+    here, not at every evaluation.  Also valid for p < 0, where Q keeps this
+    form.
     """
-    return math.log(a) + 2.0 * (1.0 - p) * u - np.logaddexp(
-        2.0 * u + 2.0 * math.log1p(-p), 2.0 * math.log(abs(p))
-    )
+    log_a, slope = math.log(a), 2.0 * (1.0 - p)
+    log_c, log_p2 = 2.0 * math.log1p(-p), 2.0 * math.log(abs(p))
+    return lambda u: log_a + slope * u - _logaddexp(2.0 * u + log_c, log_p2)
 
 
 def _zeroin(
@@ -214,7 +231,7 @@ def curvature_bounds(p: float, a: float) -> tuple[float, float]:
     # computed Q is negative beyond cancellation noise (the 0.9 factor leaves
     # a deficit of a few percent of p^2).
     u_lo = min(log_ks + math.log(_BRACKET_EPS), log_beta + math.log(0.9))
-    sign = partial(_q_sign_log, p, a)
+    sign = _q_sign_log(p, a)
     beta = _zeroin(sign, u_lo, log_ks, xtol=_ROOT_XTOL)
     alpha = _zeroin(sign, log_ks, u_hi, xtol=_ROOT_XTOL)
     return math.exp(beta), math.exp(alpha)
@@ -229,20 +246,18 @@ def make_params(p: float, a: float) -> ElasticaParams:
 
 
 def _log_sign_fn(p: float, a: float):
-    """Sign surrogate of the oscillation bracket at kappa = exp(u), u a float
-    or an array.
+    """Sign surrogate of the oscillation bracket at kappa = exp(u), a function
+    of a float u.
 
     Working in the log keeps the scan overflow-free at any curvature
     magnitude; the surrogate shares the sign (and roots) of the bracketed
     function exactly.
     """
     if p < 1.0:
-        return lambda u: _q_sign_log(p, a, u)
+        return _q_sign_log(p, a)
     # For p > 1 the oscillation bracket is a - (p-1)^2 k^(2p) - p^2 k^(2(p-1)).
-    return lambda u: math.log(a) - np.logaddexp(
-        2.0 * p * u + 2.0 * math.log(p - 1.0),
-        2.0 * (p - 1.0) * u + 2.0 * math.log(p),
-    )
+    log_a, log_c, log_p2 = math.log(a), 2.0 * math.log(p - 1.0), 2.0 * math.log(p)
+    return lambda u: log_a - _logaddexp(2.0 * p * u + log_c, 2.0 * (p - 1.0) * u + log_p2)
 
 
 def classify_positive_roots(p: float, a: float) -> tuple[float, ...]:
@@ -266,7 +281,7 @@ def classify_positive_roots(p: float, a: float) -> tuple[float, ...]:
     else:
         u_lo, u_hi = -200.0, 200.0
     grid = np.linspace(u_lo, u_hi, 1024)
-    vals = fn(grid)
+    vals = np.array([fn(u) for u in grid.tolist()])
     roots = []
     for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)):
         u = grid[i] if vals[i] == 0.0 else _zeroin(fn, grid[i], grid[i + 1], xtol=1e-14)

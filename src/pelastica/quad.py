@@ -48,9 +48,9 @@ double is float64, and with I the integer nearest (1-p) E,
 
 whose exp2 argument stays in (-2, 1); r is within 2 ulp of the pow.  Q's
 Taylor form is evaluated only at the nodes where it replaces the direct one.
-Numerators are called as numerator(kappa, q, r) with the nodes' curvature,
-stabilised Q and r, and return one row of values or a stack of rows; every
-row is integrated on the same nodes.
+Numerators are called as numerator(kappa, q, r, a) with the nodes'
+curvature, stabilised Q and r and their arch's momentum, and return one row
+of values or a stack of rows; every row is integrated on the same nodes.
 
 What stays adaptive: every panel is evaluated once, at the 31 nodes of the
 Gauss-Kronrod pair G15/K31 in its own variable (theta, or u on a log panel,
@@ -62,14 +62,20 @@ estimate of any row misses rel_tol, a round bisects every panel whose
 estimate exceeds an even share, rel_tol |total| / panels, of such a row's
 tolerance, and re-sums the rows.  The initial mesh and each round's children
 go through the integrand in blocks of at most 5760 nodes (185 panels) per
-call; the values equal those of one call per panel bit for bit, since every
-node and every weighted sum is formed the same way.
+call, and of at most 17280 node values over a numerator's rows (92 panels
+for Upsilon's six rows), so that no block holds more than the arch trace's
+three rows; the values equal those of one call per panel bit for bit, since
+every node and every weighted sum is formed the same way.
 
 One rule serves several momenta at one p as well (_integrate_arches, behind
-closure.lambda_grid): every arch keeps its own mesh, tolerance share,
-rounds, panel cap and reach check, and its totals are summed over its own
-panels in the same order, but the panels of all arches share the integrand
-blocks, each carrying its arch's roots, width, a and Taylor coefficients.
+closure.lambda_grid and stability.upsilon_grid): every arch keeps its own
+mesh, tolerance share, rounds, panel cap and reach check, and its totals
+are summed over its own panels in the same order, but the panels of all
+arches share the integrand blocks, each carrying its arch's roots, width,
+a and Taylor coefficients.  A numerator reads its arch's momentum from its
+fourth argument: the float a on a block of one arch, and one float64 value
+per panel, shape (panels, 1) against the nodes (panels, nodes), on a block
+of several, so a product of a with a float forms the same bits either way.
 Each arch's results equal those of a call for it alone bit for bit, and
 the ~34 momenta of a closure scan, ~9 panels each, take 2 integrand calls
 instead of 34.
@@ -122,6 +128,10 @@ _THETA_FLOOR = 1e-300
 # ~1000 log panels or a round bisects thousands; 185 panels of the rule, or
 # 384 half panels of the arch trace's dense output.
 _BLOCK_NODES = 5760
+# Node values per call over all of a numerator's rows: the arch trace's three
+# rows on a full block.  Upsilon's six rows take blocks of 92 panels, so its
+# extended-precision rows and temporaries stay within the trace's.
+_BLOCK_VALUES = 3 * _BLOCK_NODES
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 # QUADPACK's G15/K31 pair: _GL_NODES, then the 16 Kronrod nodes, the roots
@@ -144,7 +154,7 @@ _K31_WEIGHTS = np.array([
     0.09664272698362368, 0.08856444305621176, 0.07684968075772038, 0.06200956780067064,
     0.04458975132476488, 0.02546084732671532, 0.005377479872923349,
 ])
-# Panels of the rule per integrand call.
+# Panels of the rule per integrand call, for a numerator of one to three rows.
 _BLOCK_PANELS = _BLOCK_NODES // _K31_NODES.size
 # GL15 values -> Legendre coefficients of their interpolant, and of its
 # antiderivative from x = -1 (exact: the rule integrates degree 29).
@@ -170,7 +180,9 @@ def limit_at_maximum(params: ElasticaParams, numerator: Callable):
     ks = params.kappa_star
     curv = -0.5 * q_second(params.p, params.a, ks)
     kappa = np.asarray([ks])
-    values = np.asarray(numerator(kappa, np.zeros(1), kappa ** (1.0 - params.p)), dtype=float)
+    values = np.asarray(
+        numerator(kappa, np.zeros(1), kappa ** (1.0 - params.p), params.a), dtype=float
+    )
     limit = values.reshape(values.shape[:-1]) * math.pi / math.sqrt(curv)
     return float(limit) if limit.ndim == 0 else limit
 
@@ -194,18 +206,23 @@ def _power(k: np.ndarray, e: float) -> np.ndarray:
     k^e = exp2((e E - I) + e log2 m) 2^I.  e E is formed from a head of e
     of at most 42 bits and its tail of at most 11, so both products with
     E (|E| < 2^11) are exact in float64; an unsplit e E would be off by up
-    to ~180 ulp where long double is float64.  Within 2 ulp of k ** e;
-    long double's pow was the costliest step of a node.
+    to ~180 ulp where long double is float64.  2^I scales as a float64
+    power of two, which is exact (equal to ldexp) for |I| <= 1021.  That
+    holds for e in (0, 1) at every kappa that curvature_bounds admits: the
+    arch lies within [2^-1022, 2^1021), so |I| <= |E| <= 1021.  Within 2 ulp
+    of k ** e; long double's pow was the costliest step of a node.
     """
     head_m, head_e = math.frexp(e)
     head = math.ldexp(math.floor(math.ldexp(head_m, 42)), head_e - 42)
     m, exponent = np.frexp(k)
     product = exponent * head
     whole = np.rint(product)
-    dtype = k.dtype.type
-    t = (product - whole).astype(k.dtype) + exponent * dtype(e - head)
-    t += dtype(e) * np.log2(m)
-    return np.ldexp(np.exp2(t), whole.astype(np.int32))
+    t = (product - whole).astype(k.dtype)
+    t += exponent * (e - head)
+    t += k.dtype.type(e) * np.log2(m)
+    r = np.exp2(t)
+    r *= np.ldexp(1.0, whole.astype(np.int32))
+    return r
 
 
 def _q_derivatives(p: float, a: float, kappa):
@@ -308,16 +325,20 @@ def _make_theta_integrand(params_seq, numerator: Callable):
     params_seq[arch] (arch holds one index per panel); the arches share p."""
     p = params_seq[0].p
     constants = _arch_constants(params_seq)
+    momenta = np.array([params.a for params in params_seq])
 
     def integrand(theta, arch):
-        # A block on one arch takes its constants as scalars, which numpy
-        # operates with at a fraction of the cost of 1-element arrays, and
-        # its nodes flat; a block on several arches takes one row (panels,
-        # 1) per constant, against the nodes (panels, nodes).
+        # A block on one arch takes its constants and momentum as scalars,
+        # which numpy operates with at a fraction of the cost of 1-element
+        # arrays, and its nodes flat; a block on several arches takes one
+        # row (panels, 1) per constant and of momenta, against the nodes
+        # (panels, nodes).
         if np.all(arch == arch[0]):
             columns, nodes = tuple(constants[:, arch[0]]), theta.ravel()
+            a = params_seq[arch[0]].a
         else:
             columns, nodes = tuple(constants[:, arch, None]), theta
+            a = momenta[arch, None]
         kl, q, r, s2, c2 = _theta_map(p, columns, nodes)
         if np.any(q <= 0.0):
             raise DomainError("Q <= 0 inside (beta, alpha): inconsistent roots")
@@ -325,7 +346,7 @@ def _make_theta_integrand(params_seq, numerator: Callable):
         # theta^2 underflows float64 and the integrand's pointwise
         # values can overflow it, even though the integral is O(1).
         g = (q / (columns[2] * s2 * c2)).ravel()
-        values = np.asarray(numerator(kl.ravel(), q.ravel(), r.ravel())).reshape(-1, g.size)
+        values = np.asarray(numerator(kl, q, r, a)).reshape(-1, g.size)
         return (values * (2.0 / np.sqrt(g))).reshape(-1, *theta.shape)
 
     return integrand
@@ -376,17 +397,24 @@ def _midpoints(lo, hi, log):
     return _local_nodes(lo, hi, log, 0.0)[0][:, 0]
 
 
-def _panels(f, lo, hi, log, arch):
+def _block_panels(rows: int) -> int:
+    """Panels of the rule per integrand call for a numerator of rows rows:
+    at most _BLOCK_NODES nodes and _BLOCK_VALUES node values over the rows."""
+    return min(_BLOCK_PANELS, _BLOCK_VALUES // (rows * _K31_NODES.size))
+
+
+def _panels(f, lo, hi, log, arch, rows):
     """(value, err) of the panels [lo, hi] of the arches arch (one index per
     panel), each of shape (rows, panels).
 
     value is a panel's K31 sum in its own variable and err its distance from
     the GL15 sum on the 15 Gauss nodes among them.  The panels go through the
-    integrand in blocks of at most _BLOCK_PANELS panels, one call each.
+    integrand in blocks of at most _block_panels(rows) panels, one call each.
     """
     blocks = []
-    for start in range(0, len(lo), _BLOCK_PANELS):
-        block = slice(start, start + _BLOCK_PANELS)
+    step = _block_panels(rows)
+    for start in range(0, len(lo), step):
+        block = slice(start, start + step)
         theta, h, dtheta = _local_nodes(lo[block], hi[block], log[block], _K31_NODES)
         values = f(theta, arch[block]) * dtheta
         # weighted sums in the integrand's (extended) precision, then narrowed
@@ -408,10 +436,11 @@ def _resolves(params: ElasticaParams, grade_floor: float | None) -> bool:
     return params.near_circular or grade_floor is None or grade_floor / 8.0 >= _THETA_FLOOR
 
 
-def _adapt(params_seq, numerator, rel_tol, grade_floors):
+def _adapt(params_seq, numerator, rel_tol, grade_floors, rows=1):
     """For each arch of params_seq (all at one p, each with the grade floor
     of the same place in grade_floors): row totals, their error sums and the
-    final mesh's panels (lo, hi, log), refined in rounds.
+    final mesh's panels (lo, hi, log), refined in rounds.  rows is the
+    numerator's row count, which sizes the integrand blocks.
 
     Each arch keeps its own mesh, tolerance share, rounds and panel cap, and
     a round's children follow the panels it leaves whole.  The arches'
@@ -426,6 +455,7 @@ def _adapt(params_seq, numerator, rel_tol, grade_floors):
             "the arch mesh's reach"
         )
     f = _make_theta_integrand(params_seq, numerator)
+    step = _block_panels(rows)
 
     def evaluate(arches, meshes):
         """(value, err) of each mesh (lo, hi, log), meshes[j] on arches[j].
@@ -434,13 +464,14 @@ def _adapt(params_seq, numerator, rel_tol, grade_floors):
         block goes alone, since sharing would save it no call and a block on
         several arches costs more a node.
         """
-        alone = [[j] for j, (lo, _, _) in enumerate(meshes) if lo.size >= _BLOCK_PANELS]
-        shared = [j for j, (lo, _, _) in enumerate(meshes) if lo.size < _BLOCK_PANELS]
+        alone = [[j] for j, (lo, _, _) in enumerate(meshes) if lo.size >= step]
+        shared = [j for j, (lo, _, _) in enumerate(meshes) if lo.size < step]
         sums = [None] * len(meshes)
         for group in alone + ([shared] if shared else []):
             sizes = [meshes[j][0].size for j in group]
             lo, hi, log = (np.concatenate(ends) for ends in zip(*(meshes[j] for j in group)))
-            value, err = _panels(f, lo, hi, log, np.repeat([arches[j] for j in group], sizes))
+            arch = np.repeat([arches[j] for j in group], sizes)
+            value, err = _panels(f, lo, hi, log, arch, rows)
             for j, i, n in zip(group, itertools.accumulate(sizes, initial=0), sizes):
                 sums[j] = (value[:, i : i + n], err[:, i : i + n])
         return sums
@@ -486,11 +517,12 @@ def _check_rel_tol(rel_tol: float) -> None:
         raise DomainError("rel_tol must lie in [1e-14, 1e-3]")
 
 
-def _integrate_arches(params_seq, numerator, rel_tol, grade_floors) -> list:
+def _integrate_arches(params_seq, numerator, rel_tol, grade_floors, rows=1) -> list:
     """integrate_over_arch over each arch of params_seq, all at one p, with
     the grade floor of the same place in grade_floors: near-circular arches
     take the local-maximum limit, and the rest go through one arch rule
-    (_adapt), whose panels share integrand blocks."""
+    (_adapt), whose panels share integrand blocks sized for the numerator's
+    rows."""
     _check_rel_tol(rel_tol)
     results = [None] * len(params_seq)
     arches = []
@@ -502,7 +534,11 @@ def _integrate_arches(params_seq, numerator, rel_tol, grade_floors) -> list:
             arches.append(i)
     if arches:
         adapted = _adapt(
-            [params_seq[i] for i in arches], numerator, rel_tol, [grade_floors[i] for i in arches]
+            [params_seq[i] for i in arches],
+            numerator,
+            rel_tol,
+            [grade_floors[i] for i in arches],
+            rows,
         )
         for i, (total, total_err, *_) in zip(arches, adapted):
             if total.size == 1:
@@ -517,12 +553,14 @@ def integrate_over_arch(
     rel_tol: float = DEFAULT_REL_TOL,
     grade_floor: float | None = None,
 ) -> SingularIntegral:
-    """Compute int_beta^alpha numerator(kappa, q, r)/sqrt(Q) dkappa adaptively.
+    """Compute int_beta^alpha numerator(kappa, q, r, a)/sqrt(Q) dkappa adaptively.
 
-    numerator(kappa, q, r) receives 1-D extended-precision node arrays (the
-    curvature, the stabilised Q and r = kappa^(1-p)), must act elementwise,
-    and returns an array of the nodes' shape or a stack of such rows; a stack
-    is integrated on shared nodes and gives one value per row.
+    numerator(kappa, q, r, a) receives extended-precision node arrays (the
+    curvature, the stabilised Q and r = kappa^(1-p)) and the momentum a, a
+    float or, where blocks are shared by several arches, a float64 array
+    that broadcasts against the nodes; it must act elementwise, and returns
+    an array of the nodes' shape or a stack of such rows; a stack is
+    integrated on shared nodes and gives one value per row.
 
     The initial mesh is uniform in u = log theta from pi/8 down to an
     eighth of the smaller of sqrt(beta/(alpha-beta)) and grade_floor (at
@@ -557,7 +595,7 @@ def _progression_numerator(p: float) -> Callable:
     the cancellation that wrecks it in the inner layer at large a.
     """
 
-    def numerator(k, q, r):
+    def numerator(k, q, r, a):
         return r / (q + (1.0 - p) ** 2 * k**2)
 
     return numerator
@@ -620,12 +658,12 @@ class ArchTrace:
         p, sqrt_a = params.p, math.sqrt(params.a)
         progression = _progression_numerator(p)
 
-        def numerator(k, q, r):
-            dpsi = p * (1.0 - p) ** 2 * sqrt_a * progression(k, q, r)
+        def numerator(k, q, r, a):
+            dpsi = p * (1.0 - p) ** 2 * sqrt_a * progression(k, q, r, a)
             return p * (1.0 - p) / k, dpsi, (1.0 - p / (sqrt_a * r)) * dpsi
 
         ((_, _, lo, hi, log),) = _adapt(
-            (params,), numerator, rel_tol, (_progression_layer(params),)
+            (params,), numerator, rel_tol, (_progression_layer(params),), rows=3
         )
         # the half panels in theta order; the panels tile [0, pi/2]
         order = np.argsort(lo)
@@ -713,7 +751,7 @@ def kappa_moment(params: ElasticaParams, t: float) -> float:
 
     which downstream rewrites of the second variation rely on.
     """
-    return integrate_over_arch(params, lambda k, q, r: k**t).value
+    return integrate_over_arch(params, lambda k, q, r, a: k**t).value
 
 
 def parts_identity_residual(params: ElasticaParams, t: float) -> float:

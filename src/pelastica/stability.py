@@ -1,8 +1,9 @@
 """Second variation of the bending energy along closed critical curves.
 
 The constant normal variation phi = 1 reduces the quadratic form to
-2 m Upsilon(a), with Upsilon a single arch quadrature of eta/sqrt(Q).  Three
-algebraic rewrites of Upsilon (obtained through the moment identity in
+2 m Upsilon(a), with Upsilon a single arch quadrature of eta/sqrt(Q) (one
+for all the momenta of a grid at one p: upsilon_grid).  Three algebraic
+rewrites of Upsilon (obtained through the moment identity in
 quad.kappa_moment) serve as independent cross-checks, and p = 1/2 admits a
 closed form in complete elliptic integrals.
 """
@@ -17,7 +18,7 @@ import numpy as np
 from .curve import CurveTrace
 from .errors import DomainError, ResolutionError
 from .qpotential import ElasticaParams, a_star
-from .quad import DEFAULT_REL_TOL, integrate_over_arch
+from .quad import DEFAULT_REL_TOL, _integrate_arches
 
 _AGM_TOL = 1e-15
 _MIN_SAMPLES_PER_PERIOD = 200
@@ -47,14 +48,14 @@ def _powers(kappa, r):
     return r, r / k2, inv_r, k2 * inv_r, inv_r / k2
 
 
-def _eta(params: ElasticaParams, powers):
-    """Integrand numerator of the phi = 1 second variation, from the five
-    powers of kappa that _powers returns.
+def _eta(p: float, a, powers):
+    """Integrand numerator of the phi = 1 second variation, from the
+    momentum a (a float, or one float64 value per panel) and the five powers
+    of kappa that _powers returns.
 
     eta = -(p+1) a k^(1-p) - (2-p) a k^(-1-p) + (1-p)^2 (2p+1) k^(p+1)
           + 2 (4p^2-4p+1) k^(p-1) + p^2 (3-2p) k^(p-3).
     """
-    p, a = params.p, params.a
     m_1mp, m_m1mp, m_pm1, m_1pp, m_pm3 = powers
     return (
         -(p + 1.0) * a * m_1mp
@@ -108,29 +109,55 @@ def _rewrite_values(params: ElasticaParams, moments) -> tuple[float, float, floa
     return r1, r2, r3
 
 
-def upsilon(
-    params: ElasticaParams, m: int = 1, rel_tol: float = DEFAULT_REL_TOL
-) -> SecondVariationReport:
-    """Upsilon by direct quadrature, cross-checked against its three rewrites.
+def upsilon_grid(
+    params_seq, m: int = 1, rel_tol: float = DEFAULT_REL_TOL
+) -> tuple[SecondVariationReport, ...]:
+    """Upsilon at each of a sequence of parameters at one p, by direct
+    quadrature, cross-checked against its three rewrites.
 
     The direct integral of eta and the five moments of the rewrites are the
-    rows of one arch integral, so they share its nodes.
+    rows of one arch integral, so they share its nodes, and the momenta's
+    panels share the integrand blocks of one arch quadrature.  Each
+    momentum keeps its own mesh, refinement and checks, and eta forms its
+    (p + 1) a and (2 - p) a in float64 from the momentum of each node's
+    arch, so every report equals upsilon's for its parameters alone, bit
+    for bit.
     """
     if m < 1:
         raise DomainError("m must be at least 1")
+    params_seq = tuple(params_seq)
+    if not params_seq:
+        return ()
+    p = params_seq[0].p
+    if any(params.p != p for params in params_seq):
+        raise DomainError("upsilon_grid needs every parameter set at one p")
 
-    def numerator(k, q, r):
+    def numerator(k, q, r, a):
         powers = _powers(k, r)
-        return (_eta(params, powers),) + powers
+        return (_eta(p, a, powers),) + powers
 
-    direct, *moments = integrate_over_arch(params, numerator, rel_tol).value.tolist()
-    scale = abs(direct) + 1e-300
-    residuals = tuple(abs(r - direct) / scale for r in _rewrite_values(params, moments))
-    return SecondVariationReport(
-        upsilon=direct,
-        delta_squared=2.0 * m * direct,
-        rewrite_residuals=residuals,
+    integrals = _integrate_arches(
+        params_seq, numerator, rel_tol, (None,) * len(params_seq), rows=6
     )
+    reports = []
+    for params, integral in zip(params_seq, integrals):
+        direct, *moments = integral.value.tolist()
+        scale = abs(direct) + 1e-300
+        residuals = tuple(abs(r - direct) / scale for r in _rewrite_values(params, moments))
+        reports.append(
+            SecondVariationReport(
+                upsilon=direct, delta_squared=2.0 * m * direct, rewrite_residuals=residuals
+            )
+        )
+    return tuple(reports)
+
+
+def upsilon(
+    params: ElasticaParams, m: int = 1, rel_tol: float = DEFAULT_REL_TOL
+) -> SecondVariationReport:
+    """Upsilon by direct quadrature, cross-checked against its three
+    rewrites: the one-momentum form of upsilon_grid."""
+    return upsilon_grid((params,), m, rel_tol)[0]
 
 
 def upsilon_elliptic_half(a: float) -> float:

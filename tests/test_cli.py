@@ -4,6 +4,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from pelastica import cli, qpotential
@@ -153,6 +154,24 @@ def test_sweep_command_csv(tmp_path):
     assert len(rows) == 6
     values = [float(r[1]) for r in rows[1:]]
     assert all(b < a for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("p,offset_max", [(0.99, 7498.942093324558), (0.01, 999.0)])
+def test_upsilon_sweep_equals_one_sweep_per_momentum(p, offset_max, tmp_path):
+    # the grid's momenta share one arch quadrature; each cell is the text of
+    # a one-momentum sweep at its offset
+    def cells(offset_min, offset_max, count):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--p", repr(p), "--quantity", "upsilon", "--count", str(count),
+                "--offset-min", repr(offset_min), "--offset-max", repr(offset_max),
+                "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        with open(out) as fh:
+            return list(csv.reader(fh))[1:]
+
+    offsets = np.geomspace(1e-6, offset_max, 8).tolist()
+    grid = cells(1e-6, offset_max, 8)
+    assert grid == [row for offset in offsets for row in cells(offset, offset, 1)]
 
 
 def test_config_file_overrides_defaults(tmp_path, capsys):

@@ -389,13 +389,15 @@ def test_stereographic_projection_in_place_matches_three_temporaries(pole, all_t
 
 
 def test_stereographic_projection_rounding_at_a_generic_pole(all_traces):
-    # against the same formula in long double, the program and the BLAS form
-    # both lie within 5 ulps of each row's largest coordinate
+    # against the same formula in long double, the program lies within 5 ulps
+    # of each row's largest coordinate (4.32 measured).  The BLAS form is not
+    # bounded here: its rounding depends on the BLAS kernel's summation order
+    # and FMA use, not on the program.
     vertices = build_torus(all_traces(0.5, 2, 3)).vertices.reshape(-1, 4)
     reference = _columnwise_projection(vertices, _POLE1, np.longdouble)
     ulp = np.spacing(np.max(np.abs(reference.astype(float)), axis=1))[:, None]
-    for projected in (stereographic_project(vertices, _POLE1), _blas_projection(vertices, _POLE1)):
-        assert np.max(np.abs(projected - reference) / ulp) <= 5.0
+    projected = stereographic_project(vertices, _POLE1)
+    assert np.max(np.abs(projected - reference) / ulp) <= 5.0
 
 
 def test_stereographic_pole_collision():

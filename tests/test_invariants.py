@@ -12,7 +12,7 @@ from pelastica.energy import energy_closed
 from pelastica.errors import ResolutionError
 from pelastica.qpotential import a_star, make_params, momentum_cap
 from pelastica.quad import DEFAULT_REL_TOL, kappa_moment
-from pelastica.stability import upsilon
+from pelastica.stability import upsilon, upsilon_limit
 
 SQRT2_PI = math.sqrt(2.0) * math.pi
 
@@ -44,16 +44,23 @@ def test_both_theorems_hold_on_a_dense_grid():
     # of Lambda -3.8e-7.  Near threshold Lambda may read above sqrt(2) pi by
     # less than its tolerance (ROADMAP item 3; nowhere on this grid), so
     # Lambda lies in (pi, sqrt(2) pi] wherever sqrt(2) pi - Lambda exceeds
-    # the tolerance, and within it of sqrt(2) pi elsewhere.
+    # the tolerance, and within it of sqrt(2) pi elsewhere.  Upsilon is
+    # below its threshold value upsilon_limit(p) = -sqrt(2 a_*) pi at every
+    # point and strictly decreasing in a along every p (ROADMAP item 15):
+    # the smallest margin is 3.7e-9 relative, at p = 1/2 and offset 1e-8,
+    # 37 times the default rel_tol.
     tol = DEFAULT_REL_TOL * SQRT2_PI
     points = 0
     for p in np.linspace(0.01, 0.99, 25).tolist():
         offsets, lams, upsilons = _grid_column(p)
         points += len(lams)
+        limit = upsilon_limit(p)
         for offset, lam, ups in zip(offsets, lams, upsilons):
             assert math.pi < lam <= SQRT2_PI + tol, (p, offset, lam)
             assert ups < 0.0, (p, offset, ups)
+            assert ups < limit, (p, offset, ups, limit)
         assert np.all(np.diff(lams) < 0.0), p
+        assert np.all(np.diff(upsilons) < 0.0), p
     assert points == 738
 
 

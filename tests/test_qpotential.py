@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from pelastica import qpotential
-from pelastica.errors import ConvergenceFailure, DomainError, NoPeriodicOrbit
+from pelastica.errors import ConvergenceFailure, DomainError, NoPeriodicOrbit, PElasticaError
 from pelastica.qpotential import (
     a_star,
     classify_positive_roots,
@@ -156,6 +156,116 @@ def test_curvature_bounds_roots_sit_at_a_sign_change(monkeypatch):
     assert 0 < domain_errors < len(cases) // 4
 
 
+def test_logaddexp_returns_numpy_bits():
+    rng = np.random.default_rng(29)
+    x = rng.uniform(-800.0, 800.0, 3000)
+    y = x + rng.standard_normal(3000) * 10.0 ** rng.uniform(-17.0, 3.0, 3000)
+    pairs = list(zip(x.tolist(), y.tolist())) + [
+        (1.5, 1.5), (0.0, -0.0), (-700.0, 700.0), (math.inf, 1.0), (1.0, math.inf),
+        (-math.inf, 1.0), (math.inf, math.inf), (-math.inf, -math.inf), (math.inf, -math.inf),
+    ]
+    for x, y in pairs:
+        got, ref = qpotential._logaddexp(x, y), float(np.logaddexp(x, y))
+        assert got == ref and math.copysign(1.0, got) == math.copysign(1.0, ref), (x, y)
+    assert math.isnan(qpotential._logaddexp(math.nan, 1.0))
+
+
+def _numpy_sign_log(p, a):
+    """The sign surrogate as np.logaddexp forms it, all three logs taken at
+    every evaluation: the reference for _q_sign_log's bits."""
+    return lambda u: math.log(a) + 2.0 * (1.0 - p) * u - np.logaddexp(
+        2.0 * u + 2.0 * math.log1p(-p), 2.0 * math.log(abs(p))
+    )
+
+
+def test_curvature_bounds_match_the_numpy_surrogate(monkeypatch):
+    # the surrogate on math takes numpy's own steps, so beta and alpha keep
+    # their bits, and so does every error raised on the way
+    rng = np.random.default_rng(31)
+    cases = [
+        (p, a_star(p) * (1.0 + 10.0 ** rng.uniform(-9.0, 6.0)))
+        for p in rng.uniform(0.001, 0.999, 3000).tolist()
+    ]
+
+    def bounds(p, a):
+        try:
+            return curvature_bounds(p, a)
+        except PElasticaError as exc:
+            return type(exc)
+
+    got = [bounds(p, a) for p, a in cases]
+    monkeypatch.setattr(qpotential, "_q_sign_log", _numpy_sign_log)
+    assert got == [bounds(p, a) for p, a in cases]
+    assert 0 < sum(isinstance(g, type) for g in got) < len(cases) // 10
+
+
+def _weight(x, y):
+    """The logaddexp weight e^x / (e^x + e^y), in (0, 1)."""
+    if x >= y:
+        return 1.0 / (1.0 + math.exp(y - x))
+    z = math.exp(x - y)
+    return z / (1.0 + z)
+
+
+def test_surrogate_derivative_signs_bound_the_root_count():
+    # Criterion 7 by its proof, for every (p, a) and any u, including roots
+    # outside classify_positive_roots' [-200, 200] window.  For p < 1 the
+    # surrogate is h(u) = log a + 2(1-p) u - logaddexp(2u + log (1-p)^2,
+    # log p^2), so h'(u) = 2(1-p) - 2 s(u) with s the weight of the first
+    # term, and h'' = -4 s (1 - s):
+    # - 0 < p < 1: h'' < 0, h is strictly concave and has at most two roots;
+    # - p < 0: h' > 2(1-p) - 2 = -2p > 0, at most one root.
+    # For p > 1 the surrogate log a - logaddexp(2p u + log (p-1)^2,
+    # 2(p-1) u + log p^2) has derivative -(2p t + 2(p-1)(1-t)) < 0, t the
+    # first term's weight: strictly decreasing, at most one root.  The
+    # formulas are checked against central differences of the program's
+    # surrogate.
+    rng = np.random.default_rng(37)
+    step = 1e-4
+    counts = {"0 < p < 1": 0, "p < 0": 0, "p > 1": 0}
+    for _ in range(200):
+        cases = [
+            ("0 < p < 1", float(rng.uniform(0.001, 0.999))),
+            ("p < 0", -float(rng.uniform(0.01, 5.0))),
+            ("p > 1", 1.0 + float(rng.uniform(0.01, 5.0))),
+        ]
+        for label, p in cases:
+            a = 10.0 ** rng.uniform(-3.0, 6.0)
+            h = qpotential._log_sign_fn(p, a)
+            if p < 1.0:
+                log_c, log_p2 = 2.0 * math.log1p(-p), 2.0 * math.log(abs(p))
+                # the transition, where s = 1/2 and the curvature peaks
+                centre = 0.5 * (log_p2 - log_c)
+
+                def slope(u):
+                    return 2.0 * (1.0 - p) - 2.0 * _weight(2.0 * u + log_c, log_p2)
+
+            else:
+                log_c, log_p2 = 2.0 * math.log(p - 1.0), 2.0 * math.log(p)
+                centre = 0.5 * (log_p2 - log_c)
+
+                def slope(u):
+                    t = _weight(2.0 * p * u + log_c, 2.0 * (p - 1.0) * u + log_p2)
+                    return -(2.0 * p * t + 2.0 * (p - 1.0) * (1.0 - t))
+
+            for u in (centre + rng.normal(0.0, 3.0), rng.uniform(-400.0, 400.0)):
+                difference = (h(u + step) - h(u - step)) / (2.0 * step)
+                assert slope(u) == pytest.approx(difference, rel=1e-6, abs=1e-6), (p, a, u)
+                if label == "0 < p < 1":
+                    s = _weight(2.0 * u + log_c, log_p2)
+                    curvature = -4.0 * s * (1.0 - s)
+                    second = (slope(u + step) - slope(u - step)) / (2.0 * step)
+                    assert curvature == pytest.approx(second, rel=1e-6, abs=1e-9), (p, u)
+                    assert curvature <= 0.0
+                    assert curvature < 0.0 or s in (0.0, 1.0)
+                elif label == "p < 0":
+                    assert slope(u) > 0.0
+                else:
+                    assert slope(u) < 0.0
+                counts[label] += 1
+    assert min(counts.values()) == 400
+
+
 def test_near_circular_flag():
     p = 0.3
     almost = make_params(p, a_star(p) * (1 + 1e-14))
@@ -225,7 +335,7 @@ def _classification_cells(p, a):
     else:
         u_lo, u_hi = -200.0, 200.0
     grid = np.linspace(u_lo, u_hi, 1024)
-    vals = fn(grid)
+    vals = np.array([fn(u) for u in grid.tolist()])
     return fn, [(grid[i], grid[i + 1]) for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0)]
 
 

@@ -22,7 +22,7 @@ from pelastica.quad import (
 from pelastica.stability import upsilon
 
 
-def _one(k, q, r):
+def _one(k, q, r, a):
     return np.ones_like(k)
 
 
@@ -68,7 +68,7 @@ def test_moments_match_scipy_oracle(p, mult, t):
 
 def test_error_estimate_is_honest():
     params = make_params(0.3, 1.5)
-    res = integrate_over_arch(params, lambda k, q, r: k)
+    res = integrate_over_arch(params, lambda k, q, r, a: k)
     ref, ref_err = _oracle_moment(params, 1.0)
     assert abs(res.value - ref) <= max(
         10 * (res.error_estimate + ref_err), 1e-9 * abs(ref)
@@ -98,7 +98,7 @@ def test_numerator_receives_q_and_r():
     params = make_params(0.3, 1.5)
     seen = {}
 
-    def numerator(k, q, r):
+    def numerator(k, q, r, a):
         seen["q_positive"] = bool(np.all(q > 0.0))
         seen["r_error"] = float(np.max(np.abs(r / k ** (1.0 - params.p) - 1.0)))
         return np.ones_like(k)
@@ -123,6 +123,40 @@ def test_power_is_within_two_ulp_of_pow(dtype):
     j = np.arange(-511, 250)
     fours = np.ldexp(np.ones(j.size, dtype=dtype), 2 * j)
     assert np.array_equal(quad._power(fours, 0.5), np.ldexp(np.ones(j.size, dtype=dtype), j))
+
+
+def _ldexp_power(k, e):
+    """_power with the tail product E (e - head) formed in k's dtype and the
+    scaling by 2^I through np.ldexp: the reference for _power's bits."""
+    head_m, head_e = math.frexp(e)
+    head = math.ldexp(math.floor(math.ldexp(head_m, 42)), head_e - 42)
+    m, exponent = np.frexp(k)
+    product = exponent * head
+    whole = np.rint(product)
+    dtype = k.dtype.type
+    t = (product - whole).astype(k.dtype) + exponent * dtype(e - head)
+    t += dtype(e) * np.log2(m)
+    return np.ldexp(np.exp2(t), whole.astype(np.int32))
+
+
+@pytest.mark.parametrize("dtype", [np.longdouble, np.float64])
+def test_power_equals_its_ldexp_form_across_the_curvature_range(dtype):
+    # The float64 tail product is exact (11 bits each) and 2^I a normal
+    # float64 for |I| <= 1021, so the result keeps its bits from the smallest
+    # normal curvature (E = -1021) to past the largest curvature_bounds
+    # admits (~1e158, at kappa_* = 1e150 and p near 1).
+    rng = np.random.default_rng(41)
+    tiny = np.finfo(np.float64).tiny
+    u = np.concatenate([
+        rng.uniform(math.log(tiny), math.log(tiny) + 40.0, 10_000),
+        rng.uniform(math.log(1e140), math.log(1e160), 10_000),
+        rng.uniform(-30.0, 30.0, 2_000),
+    ])
+    k = np.exp(u.astype(dtype))
+    k = np.concatenate([k, np.array([tiny, 1e158], dtype=dtype)])
+    for e in (1e-3, 0.01, 0.3, 0.5, 0.7, 0.99, 0.999, 1.0 - 2.0**-52):
+        got, ref = quad._power(k, e), _ldexp_power(k, e)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), e
 
 
 def _full_size_q(params, theta):
@@ -173,6 +207,28 @@ def test_stabilised_q_equals_full_size_taylor_selection(p, mult, alpha_cancels):
     assert np.any(cancelling & ~nearer_beta) == alpha_cancels
     # equal values, not bytes: long double arrays carry padding bytes
     assert q.dtype == ref.dtype and np.array_equal(q, ref)
+
+
+def test_numerator_receives_each_arch_momentum():
+    # the momentum of each node's arch: the float a on a block of one arch,
+    # one value per panel, broadcasting against the nodes, on a shared block
+    p = 0.3
+    params_seq = [make_params(p, a_star(p) * (1.0 + off)) for off in (0.5, 2.0, 40.0)]
+    seen = []
+
+    def numerator(k, q, r, a):
+        seen.append(a)
+        return a * k ** (1.0 - p)
+
+    shared = quad._integrate_arches(params_seq, numerator, quad.DEFAULT_REL_TOL, [None] * 3)
+    (a_rows,) = seen
+    assert a_rows.dtype == np.float64 and a_rows.shape[1] == 1
+    assert set(a_rows[:, 0].tolist()) == {params.a for params in params_seq}
+    for params, integral in zip(params_seq, shared):
+        seen.clear()
+        alone = integrate_over_arch(params, numerator)
+        assert seen == [params.a] and type(seen[0]) is float
+        assert (integral.value, integral.error_estimate) == (alone.value, alone.error_estimate)
 
 
 def test_rel_tol_domain():
@@ -312,11 +368,11 @@ def test_block_evaluation_matches_per_panel_rule_bit_for_bit(p, a, monkeypatch):
     numerator, rel_tol, floor = _lambda_call(params, monkeypatch)
     cases = [
         (numerator, rel_tol, floor),
-        (lambda k, q, r: k**0.7, quad.DEFAULT_REL_TOL, None),
+        (lambda k, q, r, a: k**0.7, quad.DEFAULT_REL_TOL, None),
         # a kink or a step at kappa_* makes the rule bisect, so children are
         # compared too
-        (lambda k, q, r: np.abs(k - params.kappa_star) ** 0.5, quad.DEFAULT_REL_TOL, None),
-        (lambda k, q, r: np.where(k < params.kappa_star, 1.0, 2.0), quad.DEFAULT_REL_TOL, None),
+        (lambda k, q, r, a: np.abs(k - params.kappa_star) ** 0.5, quad.DEFAULT_REL_TOL, None),
+        (lambda k, q, r, a: np.where(k < params.kappa_star, 1.0, 2.0), quad.DEFAULT_REL_TOL, None),
     ]
     bisected = log_bisected = 0
     for numerator, rel_tol, floor in cases:
@@ -343,9 +399,9 @@ def test_initial_mesh_is_evaluated_in_bounded_blocks(p, mult, monkeypatch):
     assert bisections == 0
     sizes = []
 
-    def counted(k, q, r):
+    def counted(k, q, r, a):
         sizes.append(k.size)
-        return numerator(k, q, r)
+        return numerator(k, q, r, a)
 
     integrate_over_arch(params, counted, rel_tol, floor)
     assert len(sizes) == math.ceil(panels / 185)
@@ -361,7 +417,7 @@ def test_panel_cap_is_reached_in_bounded_work(rows):
     rng = np.random.default_rng(20)
     sizes = []
 
-    def noise(k, q, r):
+    def noise(k, q, r, a):
         sizes.append(k.size)
         return 1.0 + 0.1 * rng.standard_normal((rows, k.size))
 
@@ -415,13 +471,13 @@ def test_error_estimate_is_honest_where_the_rule_bisects(kind, rel_tol):
     ks = params.kappa_star
     if kind == "kink":
 
-        def numerator(k, q, r):
+        def numerator(k, q, r, a):
             return np.abs(k - ks) ** 0.5
 
         ref, ref_err = _oracle_split_at_kappa_star(params, 0.5, 1.0)
     else:
 
-        def numerator(k, q, r):
+        def numerator(k, q, r, a):
             return np.where(k < ks, 1.0, 2.0)
 
         ref, ref_err = _oracle_split_at_kappa_star(params, 0.0, 2.0)
@@ -433,9 +489,9 @@ def test_error_estimate_is_honest_where_the_rule_bisects(kind, rel_tol):
 def test_stacked_rows_equal_separate_integrals():
     params = make_params(0.3, 2.0)
     ts = (0.0, -1.0, 0.7)
-    stacked = integrate_over_arch(params, lambda k, q, r: [k**t for t in ts])
+    stacked = integrate_over_arch(params, lambda k, q, r, a: [k**t for t in ts])
     for t, value, err in zip(ts, stacked.value, stacked.error_estimate):
-        single = integrate_over_arch(params, lambda k, q, r: k**t)
+        single = integrate_over_arch(params, lambda k, q, r, a: k**t)
         assert (value, err) == (single.value, single.error_estimate)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import ellipe, ellipk
 
+from pelastica import quad
 from pelastica.errors import DomainError, ResolutionError
 from pelastica.qpotential import a_star, make_params
 from pelastica.stability import (
@@ -16,6 +17,7 @@ from pelastica.stability import (
     second_variation,
     upsilon,
     upsilon_elliptic_half,
+    upsilon_grid,
     upsilon_limit,
 )
 
@@ -42,7 +44,8 @@ def test_eta_matches_direct_formula():
         + 2 * (4 * p**2 - 4 * p + 1) * k ** (p - 1)
         + p**2 * (3 - 2 * p) * k ** (p - 3)
     )
-    assert float(_eta(params, _powers(k, k ** (1 - p)))) == pytest.approx(expected, rel=1e-14)
+    eta = float(_eta(p, params.a, _powers(k, k ** (1 - p))))
+    assert eta == pytest.approx(expected, rel=1e-14)
 
 
 def test_rewrites_agree_with_direct_quadrature():
@@ -71,6 +74,92 @@ def test_upsilon_negative_and_delta_squared_scaling():
     assert rep.delta_squared == pytest.approx(6.0 * rep.upsilon)
     with pytest.raises(DomainError):
         upsilon(make_params(0.3, 1.0), m=0)
+
+
+# The benchmark's five Upsilon sweep grids (seed 1): 8 offsets from 1e-6 to
+# the largest each p's Lambda sweep reaches.  The p = 0.99 and p = 0.881
+# grids refine, and the p = 0.01 and p = 0.99 ones fill more than a block.
+_SWEEP_GRIDS = [
+    (0.01, 523.5116567016549),
+    (0.5, 1e5),
+    (0.99, 7498.942093324558),
+    (0.11, 1e5),
+    (0.881, 1e5),
+]
+
+
+def _sweep_params(p, offset_max, count=8):
+    """The parameters of cmd_sweep's momentum grid."""
+    grid = a_star(p) * (1.0 + np.geomspace(1e-6, offset_max, count))
+    return [make_params(p, a) for a in grid]
+
+
+def _work(monkeypatch):
+    """Node counts of the theta-integrand calls and the number of bisection
+    rounds of each arch, from here on."""
+    sizes, rounds = [], []
+    make, midpoints = quad._make_theta_integrand, quad._midpoints
+
+    def counting(params_seq, numerator):
+        f = make(params_seq, numerator)
+
+        def counted(theta, arch):
+            sizes.append(theta.size)
+            return f(theta, arch)
+
+        return counted
+
+    def bisecting(lo, hi, log):
+        rounds.append(lo.size)
+        return midpoints(lo, hi, log)
+
+    monkeypatch.setattr(quad, "_make_theta_integrand", counting)
+    monkeypatch.setattr(quad, "_midpoints", bisecting)
+    return sizes, rounds
+
+
+@pytest.mark.parametrize("p,offset_max", _SWEEP_GRIDS)
+def test_upsilon_grid_equals_one_call_per_momentum(p, offset_max, monkeypatch):
+    # every Upsilon, delta^2 and rewrite residual, bit for bit, on the same
+    # nodes and refinement rounds in fewer integrand calls
+    params_seq = _sweep_params(p, offset_max)
+    sizes, rounds = _work(monkeypatch)
+    grid = upsilon_grid(params_seq, m=3)
+    grid_sizes, grid_rounds = list(sizes), list(rounds)
+    del sizes[:], rounds[:]
+    assert grid == tuple(upsilon(params, m=3) for params in params_seq)
+    assert sum(grid_sizes) == sum(sizes) and grid_rounds == rounds
+    assert len(grid_sizes) < len(sizes)
+    assert (len(rounds) > 0) == (p in (0.99, 0.881))
+    # six rows take blocks of 92 panels, 2,852 nodes
+    assert max(grid_sizes) <= 92 * 31
+
+
+def test_upsilon_grid_work_on_the_sweep_grids(monkeypatch):
+    # 10 integrand calls of 19,933 nodes for the five grids' 40 momenta,
+    # against 46 calls of the same nodes for one call per momentum
+    sizes, _ = _work(monkeypatch)
+    for p, offset_max in _SWEEP_GRIDS:
+        upsilon_grid(_sweep_params(p, offset_max))
+    assert len(sizes) <= 12
+    assert sum(sizes) <= 22_000
+
+
+def test_upsilon_grid_mixes_near_circular_and_arch_momenta():
+    # a near-circular momentum takes the local-maximum limit beside the
+    # arches of the grid, each as upsilon gives it alone
+    p = 0.3
+    params_seq = [make_params(p, a_star(p) * (1.0 + off)) for off in (1e-14, 1.0, 1e-14, 50.0)]
+    assert params_seq[0].near_circular and not params_seq[1].near_circular
+    assert upsilon_grid(params_seq) == tuple(upsilon(params) for params in params_seq)
+
+
+def test_upsilon_grid_domain():
+    assert upsilon_grid([]) == ()
+    with pytest.raises(DomainError):
+        upsilon_grid([make_params(0.3, 1.0), make_params(0.4, 1.0)])
+    with pytest.raises(DomainError):
+        upsilon_grid([make_params(0.3, 1.0)], m=0)
 
 
 def test_elliptic_closed_form_matches_quadrature():
