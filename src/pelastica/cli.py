@@ -155,15 +155,26 @@ def _solve_indices(rows) -> dict:
 
 
 def _solve_rows(rows) -> list:
-    """(tag, p, n, m, a, energy, delta2) for each row, in the rows' order."""
+    """(tag, p, n, m, a, energy, delta2) for each row, in the rows' order.
+
+    One Upsilon quadrature per exponent serves all of its rows, and gives
+    each both delta2 and the energy: the energy's moment M(p-1) is one of
+    Upsilon's rows, on the mesh energy.energy_closed integrates it on.
+    """
     solved = _solve_indices(rows)
+    params = [make_params(p, solved[(p, n, m)].a_solved) for _, p, n, m, *_ in rows]
+    by_p = {}
+    for i, (_, p, *_) in enumerate(rows):
+        by_p.setdefault(p, []).append(i)
+    arch_rows = [None] * len(rows)
+    for at_p in by_p.values():
+        for i, values in zip(at_p, stability._upsilon_rows([params[i] for i in at_p])):
+            arch_rows[i] = values
     computed = []
-    for tag, p, n, m, *_ in rows:
-        a = solved[(p, n, m)].a_solved
-        params = make_params(p, a)
-        theta = energy.energy_closed(params, m)
-        delta2 = stability.upsilon(params, m=m).delta_squared
-        computed.append((tag, p, n, m, a, theta, delta2))
+    for (tag, p, n, m, *_), row_params, values in zip(rows, params, arch_rows):
+        direct, _, _, m_pm1, _, _ = values
+        theta = energy._closed_energy(p, m, m_pm1)
+        computed.append((tag, p, n, m, row_params.a, theta, 2.0 * m * direct))
     return computed
 
 

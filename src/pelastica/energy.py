@@ -27,9 +27,13 @@ def energy_closed(params: ElasticaParams, m: int) -> float:
     """Total bending energy over m curvature periods."""
     if m < 1:
         raise DomainError("m must be at least 1")
-    p = params.p
     # kappa^(p-1) = 1/r, with r = kappa^(1-p) formed by the arch rule
     moment = integrate_over_arch(params, lambda k, q, r, a: 1.0 / r).value
+    return _closed_energy(params.p, m, moment)
+
+
+def _closed_energy(p: float, m: int, moment: float) -> float:
+    """Energy over m curvature periods from the arch moment M(p-1)."""
     return 2.0 * m * p * (1.0 - p) * moment
 
 

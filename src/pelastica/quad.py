@@ -19,9 +19,9 @@ taken exactly from theta; every other node takes the direct form.  The
 choice rests on the nodes' positions, never on the computed Q.
 
 One rule serves every arch quantity of a (p, a), on one mesh.  Below
-theta = pi/8 it is uniform in u = log theta, in which the smooth integrand
-above, F(theta), becomes theta F(theta): panels at most 3 wide in u run
-from pi/8 down to an eighth of
+theta = pi/8 it is in u = log theta, in which the smooth integrand above,
+F(theta), becomes theta F(theta): log panels run from pi/8 down to an
+eighth of
 
     floor = min(sqrt(beta / (alpha - beta)), grade_floor),
 
@@ -31,7 +31,14 @@ beta, the layer of every kappa^t moment; grade_floor is a numerator's own,
 deeper layer (Lambda's).  Below a layer F is about constant and above it F
 is a power of theta, so in u a layer is a transition of width O(1) however
 deep it lies, and theta F is smooth on the scale of a panel; one panel
-spans 3 / log 2 = 4.3 octaves of theta.  Toward theta = pi/2 the integrand
+spans 3 / log 2 = 4.3 octaves of theta.  The log panels are uniform, at
+most 3 wide, within 33 of the mesh's three layers in u: its bottom end,
+the moment layer and pi/8.  Between those zones theta F decays
+exponentially away from both layers, so each empty stretch takes one
+panel (as many as keep it within 350 wide, so that its nodes' theta ratios
+stay finite); at the edge exponents, where Lambda's layer lies hundreds of
+e-folds below the moment layer, the mesh takes ~50 panels, and a deeper
+layer costs about the same.  Toward theta = pi/2 the integrand
 is analytic, since Q has a simple root at alpha, so the rest of the arch
 takes uniform theta panels no wider than pi/8 and three halving levels.
 The mesh grades toward theta = 0 only, so a numerator's layers must lie
@@ -121,6 +128,16 @@ _HIGH_LEVELS = 3
 # Hopf lift's horizontality reads 1.3e-10 on p = 0.7 gamma_{11,19}, above
 # the 1e-10 its test allows.
 _LOG_WIDTH = 3.0
+# Half width in u of the zone of uniform log panels about each of the mesh's
+# layers; one log panel spans each stretch between zones.  Above Lambda's
+# layer theta F decays like e^-u, so a stretch holds ~e^-31 of the layer's
+# integral, and neither the rule's K31 sum nor the arch trace's GL15 half
+# panels on it move Lambda or the trace's totals by more than a few ulps.
+# At 24 Lambda moved by up to 7e-14, at 30 the trace's progression by 1.1e-14.
+_LAYER_REACH = 33.0
+# Widest panel across a stretch in u: its nodes' theta ratios, up to e^(2h),
+# stay far inside float64's range.
+_STRETCH_WIDTH = 350.0
 # Smallest theta the mesh may reach (its log panels start at an eighth of
 # grade_floor); finer panel ends would run out of float64 range.
 _THETA_FLOOR = 1e-300
@@ -352,25 +369,57 @@ def _make_theta_integrand(params_seq, numerator: Callable):
     return integrand
 
 
+def _log_ends(u_low: float, u_moment: float, u_high: float) -> np.ndarray:
+    """Lower ends in u = log theta of the log panels from u_low to u_high.
+
+    Uniform panels at most _LOG_WIDTH wide cover each zone within
+    _LAYER_REACH of u_low, of the moment layer u_moment (where it lies
+    between them) and of u_high; zones that meet merge into one.  Each
+    stretch between two zones takes one panel, or as many equal ones as keep
+    them within _STRETCH_WIDTH.  A piece's ends are lo + i (hi - lo) / n, as
+    np.linspace forms them, so a range of at most 2 _LAYER_REACH, one zone,
+    keeps the uniform breaks from u_low to u_high bit for bit.
+    """
+    zones = [(u_low, u_low + _LAYER_REACH), (u_high - _LAYER_REACH, u_high)]
+    if u_low < u_moment < u_high:
+        zones.append((u_moment - _LAYER_REACH, u_moment + _LAYER_REACH))
+    merged = []
+    for lo, hi in sorted((max(lo, u_low), min(hi, u_high)) for lo, hi in zones):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    pieces, end = [], u_low
+    for lo, hi in merged:
+        if lo > end:
+            pieces.append((end, lo, math.ceil((lo - end) / _STRETCH_WIDTH)))
+        pieces.append((lo, hi, math.ceil((hi - lo) / _LOG_WIDTH)))
+        end = hi
+    return np.array([lo + i * ((hi - lo) / n) for lo, hi, n in pieces for i in range(n)])
+
+
 def _arch_breaks(params: ElasticaParams, grade_floor: float | None = None):
     """Panel ends in theta of the initial mesh for one (p, a), and a mask of
-    the panels integrated in u = log theta."""
+    the panels integrated in u = log theta.
+
+    The log panels run from an eighth of the floor to pi/8 (_log_ends), with
+    a theta panel from 0 below them and theta panels toward pi/2 above.
+    """
     half_pi = 0.5 * math.pi
-    # sqrt(beta / (alpha - beta)) in logs: the ratio underflows at large a.
-    floor = math.exp(0.5 * (math.log(params.beta) - math.log(params.alpha - params.beta)))
+    # log sqrt(beta / (alpha - beta)): the ratio underflows at large a
+    u_moment = 0.5 * (math.log(params.beta) - math.log(params.alpha - params.beta))
+    floor = math.exp(u_moment)
     if grade_floor is not None:
         floor = min(floor, grade_floor)
     u_low = math.log(min(floor / 8.0, half_pi * 2.0**-_LOW_LEVELS))
-    u_high = math.log(0.125 * math.pi)
-    logs = math.ceil((u_high - u_low) / _LOG_WIDTH)
-    # a theta panel from 0, uniform log panels up to pi/8, uniform pi/8
-    # panels, halving toward pi/2
-    lows = np.exp(np.linspace(u_low, u_high, logs + 1))[:-1]
+    lows = np.exp(_log_ends(u_low, u_moment, math.log(0.125 * math.pi)))
+    # a theta panel from 0, the log panels up to pi/8, uniform pi/8 panels,
+    # halving toward pi/2
     mids = [0.125 * math.pi, 0.25 * math.pi, 0.375 * math.pi]
     highs = [half_pi - 0.125 * math.pi * 2.0**-k for k in range(1, _HIGH_LEVELS + 1)]
     breaks = np.concatenate([[0.0], lows, mids, highs, [half_pi]])
     log = np.zeros(breaks.size - 1, dtype=bool)
-    log[1 : logs + 1] = True
+    log[1 : lows.size + 1] = True
     return breaks, log
 
 
@@ -562,10 +611,11 @@ def integrate_over_arch(
     an array of the nodes' shape or a stack of such rows; a stack is
     integrated on shared nodes and gives one value per row.
 
-    The initial mesh is uniform in u = log theta from pi/8 down to an
-    eighth of the smaller of sqrt(beta/(alpha-beta)) and grade_floor (at
-    least to pi/2 2^-8), with one theta panel below and coarse theta panels
-    toward the upper root.  Each panel takes the 31 nodes of the
+    The initial mesh is in u = log theta from pi/8 down to an eighth of
+    the smaller of sqrt(beta/(alpha-beta)) and grade_floor (at least to
+    pi/2 2^-8), uniform near those ends and the moment layer and one panel
+    across each stretch between, with one theta panel below and coarse
+    theta panels toward the upper root.  Each panel takes the 31 nodes of the
     Gauss-Kronrod pair G15/K31: its value is the K31 sum and its error
     estimate |K31 - G15|, with G15 the 15-point Gauss-Legendre sum on the
     embedded Gauss nodes.  Panels are evaluated in blocks of at most 5760

@@ -109,6 +109,24 @@ def _rewrite_values(params: ElasticaParams, moments) -> tuple[float, float, floa
     return r1, r2, r3
 
 
+def _upsilon_rows(params_seq, rel_tol: float = DEFAULT_REL_TOL) -> list:
+    """[direct Upsilon, M(1-p), M(-1-p), M(p-1), M(p+1), M(p-3)] at each of
+    a sequence of parameters at one p: the six rows of one arch quadrature,
+    on shared nodes, whose momenta share the integrand blocks."""
+    p = params_seq[0].p
+    if any(params.p != p for params in params_seq):
+        raise DomainError("upsilon_grid needs every parameter set at one p")
+
+    def numerator(k, q, r, a):
+        powers = _powers(k, r)
+        return (_eta(p, a, powers),) + powers
+
+    integrals = _integrate_arches(
+        params_seq, numerator, rel_tol, (None,) * len(params_seq), rows=6
+    )
+    return [integral.value.tolist() for integral in integrals]
+
+
 def upsilon_grid(
     params_seq, m: int = 1, rel_tol: float = DEFAULT_REL_TOL
 ) -> tuple[SecondVariationReport, ...]:
@@ -128,20 +146,8 @@ def upsilon_grid(
     params_seq = tuple(params_seq)
     if not params_seq:
         return ()
-    p = params_seq[0].p
-    if any(params.p != p for params in params_seq):
-        raise DomainError("upsilon_grid needs every parameter set at one p")
-
-    def numerator(k, q, r, a):
-        powers = _powers(k, r)
-        return (_eta(p, a, powers),) + powers
-
-    integrals = _integrate_arches(
-        params_seq, numerator, rel_tol, (None,) * len(params_seq), rows=6
-    )
     reports = []
-    for params, integral in zip(params_seq, integrals):
-        direct, *moments = integral.value.tolist()
+    for params, (direct, *moments) in zip(params_seq, _upsilon_rows(params_seq, rel_tol)):
         scale = abs(direct) + 1e-300
         residuals = tuple(abs(r - direct) / scale for r in _rewrite_values(params, moments))
         reports.append(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
+from pelastica.cli import REFERENCE_TABLE, _solve_rows
 from pelastica.energy import (
     circle_energy,
     circle_radius,
@@ -15,6 +16,7 @@ from pelastica.energy import (
 )
 from pelastica.errors import DomainError
 from pelastica.qpotential import a_star, make_params
+from pelastica.stability import upsilon
 
 
 def _oracle_energy(params, m):
@@ -98,6 +100,17 @@ def test_circle_energy_domain():
 def test_closed_curve_energies_positive(solved_rows):
     for (p, n, m), solved in solved_rows.items():
         assert energy_closed(make_params(p, solved.a_solved), m) > 0.0
+
+
+def test_table_energy_is_the_upsilon_quadrature_moment_row(solved_rows):
+    # table1 runs one Upsilon quadrature per exponent and takes each row's
+    # energy from its M(p-1) row and delta^2 from its direct row: both equal
+    # energy_closed and upsilon at the row's momentum, bit for bit.
+    for tag, p, n, m, a, theta, delta2 in _solve_rows(REFERENCE_TABLE):
+        assert a == solved_rows[(p, n, m)].a_solved, tag
+        params = make_params(p, a)
+        assert theta == energy_closed(params, m), tag
+        assert delta2 == upsilon(params, m=m).delta_squared, tag
 
 
 def test_energy_against_arc_length_quadrature(g23_trace, g23_solved):

@@ -11,7 +11,7 @@ from pelastica import closure
 from pelastica.energy import energy_closed
 from pelastica.errors import ResolutionError
 from pelastica.qpotential import a_star, make_params, momentum_cap
-from pelastica.quad import DEFAULT_REL_TOL, kappa_moment
+from pelastica.quad import DEFAULT_REL_TOL, ArchTrace, kappa_moment
 from pelastica.stability import upsilon, upsilon_limit
 
 SQRT2_PI = math.sqrt(2.0) * math.pi
@@ -108,6 +108,20 @@ def test_dual_reference_rows_share_their_closure(solved_rows, p, dual):
     assert upsilon(high, m=3).delta_squared == pytest.approx(
         upsilon(low, m=3).delta_squared, rel=1e-12, abs=0.0
     )
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 5), (5, 8)])
+def test_dual_area_plus_length_is_a_multiple_of_two_pi(solved_rows, n, m):
+    # On a closed curve the swept area of the 1 - p curve plus the length of
+    # the p curve at the same momentum is 0 mod 2 pi (ROADMAP item 8); here
+    # it is 2 pi n.  The 0.3 and 0.7 curves of (n, m) share their momentum,
+    # since Lambda_p = Lambda_{1-p}.  Measured: within 6.4e-14 of 2 pi n.
+    a = solved_rows[(0.3, n, m)].a_solved
+    for p, dual in ((0.3, 0.7), (0.7, 0.3)):
+        length = m * ArchTrace(make_params(p, a)).period
+        area = m * ArchTrace(make_params(dual, a)).area
+        assert abs(math.remainder(area + length, 2.0 * math.pi)) <= 1e-12, p
+        assert round((area + length) / (2.0 * math.pi)) == n, p
 
 
 # At p = 1/2, Q = a kappa - kappa^2/4 - 1/4 is a quadratic in kappa, so

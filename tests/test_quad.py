@@ -11,15 +11,16 @@ from scipy.integrate import quad as scipy_quad
 
 from pelastica import closure, quad
 from pelastica.cli import REFERENCE_TABLE, _solve_rows
+from pelastica.energy import energy_closed
 from pelastica.errors import ConvergenceFailure, DomainError, ResolutionError
-from pelastica.qpotential import a_star, make_params
+from pelastica.qpotential import a_star, make_params, momentum_cap
 from pelastica.quad import (
     integrate_over_arch,
     kappa_moment,
     limit_at_maximum,
     parts_identity_residual,
 )
-from pelastica.stability import upsilon
+from pelastica.stability import upsilon, upsilon_grid
 
 
 def _one(k, q, r, a):
@@ -345,6 +346,27 @@ def _fixed_mesh_breaks(params, grade_floor=None):
     return breaks, np.zeros(breaks.size - 1, dtype=bool)
 
 
+def _uniform_log_breaks(params, grade_floor=None):
+    """The arch mesh with uniform log panels at most 3 wide from an eighth
+    of the floor all the way to pi/8, across the empty stretches between
+    its layers as well: the rule's mesh before those stretches took one
+    panel each."""
+    half_pi = 0.5 * math.pi
+    floor = math.exp(0.5 * (math.log(params.beta) - math.log(params.alpha - params.beta)))
+    if grade_floor is not None:
+        floor = min(floor, grade_floor)
+    u_low = math.log(min(floor / 8.0, half_pi * 2.0**-quad._LOW_LEVELS))
+    u_high = math.log(0.125 * math.pi)
+    logs = math.ceil((u_high - u_low) / quad._LOG_WIDTH)
+    lows = np.exp(np.linspace(u_low, u_high, logs + 1))[:-1]
+    mids = [0.125 * math.pi, 0.25 * math.pi, 0.375 * math.pi]
+    highs = [half_pi - 0.125 * math.pi * 2.0**-k for k in range(1, quad._HIGH_LEVELS + 1)]
+    breaks = np.concatenate([[0.0], lows, mids, highs, [half_pi]])
+    log = np.zeros(breaks.size - 1, dtype=bool)
+    log[1 : logs + 1] = True
+    return breaks, log
+
+
 def _lambda_call(params, monkeypatch):
     """Lambda's arch integral: its numerator, rel_tol and grade_floor."""
     seen = []
@@ -540,6 +562,99 @@ def test_moment_below_fixed_mesh_reach_is_resolved():
     assert (p - 2.0) * p**2 * m_low == pytest.approx(rhs, rel=1e-8)
 
 
+@pytest.mark.parametrize("p", [0.001, 0.01, 0.3, 0.5, 0.7, 0.99, 0.999])
+def test_log_panels_are_uniform_within_reach_of_every_layer(p):
+    # Uniform panels at most 3 wide in u = log theta within 33 of the bottom
+    # end, the moment layer and pi/8; panels at most 350 wide across each
+    # stretch between; and the uniform mesh's breaks, bit for bit, on a log
+    # range of at most 66.
+    reach, seen = quad._LAYER_REACH, set()
+    for offset in np.geomspace(1e-6, 1e5, 23):
+        try:
+            params = make_params(p, a_star(p) * (1.0 + offset))
+        except DomainError:  # beta below the float64 range
+            break
+        layer = quad._progression_layer(params)
+        if params.a >= momentum_cap(p) or not quad._resolves(params, layer):
+            break
+        for floor in (None, layer):
+            breaks, log = quad._arch_breaks(params, floor)
+            u = np.log(breaks[1 : np.count_nonzero(log) + 2])
+            u_moment = 0.5 * (math.log(params.beta) - math.log(params.alpha - params.beta))
+            layers = [u[0], u[-1]] + ([u_moment] if u[0] < u_moment < u[-1] else [])
+            widths = np.diff(u)
+            stretch = widths > quad._LOG_WIDTH * (1.0 + 1e-12)
+            assert np.all(widths <= quad._STRETCH_WIDTH), (p, offset)
+            # a stretch panel keeps _LAYER_REACH from every layer
+            for lo, hi in zip(u[:-1][stretch], u[1:][stretch]):
+                assert all(hi <= x - reach + 1e-9 or lo >= x + reach - 1e-9 for x in layers)
+            uniform = _uniform_log_breaks(params, floor)
+            if u[-1] - u[0] <= 2.0 * reach:
+                assert np.array_equal(breaks, uniform[0]) and np.array_equal(log, uniform[1])
+                seen.add("uniform")
+            else:
+                assert log.size <= uniform[1].size
+            if np.any(stretch):
+                seen.add("stretched")
+    assert "uniform" in seen and ("stretched" in seen) == (p in (0.001, 0.01, 0.99, 0.999))
+
+
+def test_layer_mesh_panel_count_deep_in_lambdas_layer():
+    # At p = 0.99 and 6.7e3 a_* Lambda's layer lies ~570 e-folds below pi/8:
+    # uniform log panels all the way took 230 panels, 201 of them holding
+    # less than 1e-20 of Lambda each.
+    params = make_params(0.99, 6.7e3 * a_star(0.99))
+    layer = quad._progression_layer(params)
+    assert _uniform_log_breaks(params, layer)[1].size == 230
+    assert quad._arch_breaks(params, layer)[1].size <= 55
+
+
+# Each p's wall: the largest momentum offset that momentum_cap admits (at
+# p = 0.001 and 0.01) or whose Lambda layer the mesh reaches (0.99, 0.999).
+_WALLS = {0.001: 1.0, 0.01: 1.0e3, 0.99: 9.1e3, 0.999: 1.49}
+
+
+def _mesh_quantities(params):
+    """Lambda, the period, the energy and the arch trace's three totals (s,
+    psi, A), then Upsilon and the trace's dense output at 64 arc lengths."""
+    trace = quad.ArchTrace(params)
+    exact = {
+        "lambda": closure.lambda_p(params),
+        "period": closure.period(params),
+        "energy": energy_closed(params, 1),
+        "s": trace.period,
+        "psi": trace.progression,
+        "A": trace.area,
+    }
+    dense = trace.at((np.arange(64) + 0.5) / 64 * trace.period)
+    return exact, upsilon(params).upsilon, dense
+
+
+@pytest.mark.parametrize("p", sorted(_WALLS))
+def test_layer_mesh_matches_uniform_log_mesh(p, monkeypatch):
+    # One panel across each empty stretch moves Lambda, the period and the
+    # energy by at most 5.7e-16 relative over 40 offsets per p, and the
+    # trace's totals by 7.1e-16 over 60; Upsilon by up to 6.6e-12, within
+    # rel_tol, while both meshes read within ~5e-12 of a rel_tol 1e-12
+    # reference.  The trace's dense output agrees to its rel_tol.
+    stretched = 0
+    for offset in np.geomspace(1e-2, _WALLS[p], 8):
+        params = make_params(p, a_star(p) * (1.0 + offset))
+        exact, ups, dense = _mesh_quantities(params)
+        with monkeypatch.context() as patched:
+            patched.setattr(quad, "_arch_breaks", _uniform_log_breaks)
+            ref_exact, ref_ups, ref_dense = _mesh_quantities(params)
+        for key, value in exact.items():
+            assert value == pytest.approx(ref_exact[key], rel=1e-15, abs=0.0), (key, offset)
+        assert ups == pytest.approx(ref_ups, rel=quad.DEFAULT_REL_TOL, abs=0.0), offset
+        for column, ref in zip(dense, ref_dense):
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(column - ref)) <= quad.DEFAULT_REL_TOL * scale, offset
+        layer = quad._progression_layer(params)
+        stretched += quad._arch_breaks(params, layer)[1].size < _uniform_log_breaks(params, layer)[1].size
+    assert stretched >= 2
+
+
 def _integrand_call_sizes(monkeypatch):
     """The node count of every theta-integrand call from here on."""
     sizes = []
@@ -560,34 +675,63 @@ def _integrand_call_sizes(monkeypatch):
 
 def test_table_work_stays_within_node_budget(monkeypatch):
     # Integrand nodes of table1's work on the 11 reference rows (closure
-    # solves, one scan per exponent or dual pair (p, 1 - p), then energy and
-    # Upsilon): 94,147 here, refinement rounds included.  One scan per
-    # exponent took 148,738, GL15 against its halves (45 nodes a panel)
-    # 216,360, one octave panel per level below pi/8 620,325, solved pair by
-    # pair 819,045, and the fixed 48/48 mesh 2,956,590.
+    # solves, one scan per exponent or dual pair (p, 1 - p), then one Upsilon
+    # quadrature per exponent, whose M(p-1) row gives the energy): 72,695
+    # here, refinement rounds included.  With uniform log panels across the
+    # empty stretches between the mesh's layers it took 94,147 (and a lone
+    # energy and Upsilon per row), one scan per exponent 148,738, GL15
+    # against its halves (45 nodes a panel) 216,360, one octave panel per
+    # level below pi/8 620,325, solved pair by pair 819,045, and the fixed
+    # 48/48 mesh 2,956,590.
     nodes = _integrand_call_sizes(monkeypatch)
     _solve_rows(REFERENCE_TABLE)
-    assert sum(nodes) <= 110_000
+    assert sum(nodes) <= 75_000
 
 
 def test_table_scans_share_integrand_calls(monkeypatch):
-    # table1's work on the 11 reference rows takes 94 integrand calls of
-    # 94,147 nodes: each scan puts its own-side grid, and its 1 - p
-    # continuation, through one arch rule whose momenta share blocks.  One
-    # call per momentum took 208 calls (median 279 nodes) for the same nodes.
+    # table1's work on the 11 reference rows takes 73 integrand calls of
+    # 72,695 nodes: each scan puts its own-side grid, and its 1 - p
+    # continuation, through one arch rule whose momenta share blocks, and
+    # the rows at one exponent share one Upsilon quadrature.  With a lone
+    # energy and Upsilon per row and uniform log panels it took 94 calls,
+    # and with one call per momentum 208.
     sizes = _integrand_call_sizes(monkeypatch)
     _solve_rows(REFERENCE_TABLE)
-    assert len(sizes) <= 100
-    assert sum(sizes) <= 110_000
+    assert len(sizes) <= 76
+    assert sum(sizes) <= 75_000
     assert max(sizes) <= 5_760
+
+
+# The benchmark's sweep grids at the edge exponents: offsets 1e-6 to these,
+# 16 momenta for Lambda and 8 for Upsilon.
+_SWEEP_OFFSET_MAX = {0.01: 523.5116567016549, 0.99: 7498.942093324558}
+
+
+@pytest.mark.parametrize("p,budget", [(0.01, 12_500), (0.99, 19_000)])
+def test_edge_sweep_grids_stay_within_node_budget(p, budget, monkeypatch):
+    # Lambda's and Upsilon's grids take 7,688 + 3,844 nodes at p = 0.01 and
+    # 12,989 + 4,526 at p = 0.99; with uniform log panels across the empty
+    # stretches between the mesh's layers they took 9,424 + 4,960 and
+    # 29,140 + 6,913.
+    def grid(count):
+        offsets = np.geomspace(1e-6, _SWEEP_OFFSET_MAX[p], count)
+        return [make_params(p, a_star(p) * (1.0 + off)) for off in offsets]
+
+    nodes = _integrand_call_sizes(monkeypatch)
+    closure.lambda_grid(grid(16))
+    upsilon_grid(grid(8))
+    assert sum(nodes) <= budget
+
 
 def test_trace_is_evaluated_in_bounded_blocks(monkeypatch):
     # One call per 185-panel block of the rule's mesh (here the initial one,
-    # deep into Lambda's layer), 31 nodes a panel, then one per block of 384
-    # half panels, 15 nodes each, for the dense output: neither pass exceeds
-    # 5,760 nodes.
+    # deep into Lambda's layer on the uniform log mesh, which spans several
+    # blocks), 31 nodes a panel, then one per block of 384 half panels, 15
+    # nodes each, for the dense output: neither pass exceeds 5,760 nodes.
+    monkeypatch.setattr(quad, "_arch_breaks", _uniform_log_breaks)
     params = make_params(0.99, 7.4e3 * a_star(0.99))
     panels = len(quad._arch_breaks(params, quad._progression_layer(params))[1])
+    assert panels > 185
     sizes = _integrand_call_sizes(monkeypatch)
     quad.ArchTrace(params)
     assert len(sizes) == math.ceil(panels / 185) + math.ceil(2 * panels / 384)
