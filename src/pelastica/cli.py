@@ -180,7 +180,6 @@ def _solve_rows(rows) -> list:
 
 def cmd_table1(args) -> int:
     computed = _solve_rows(REFERENCE_TABLE)
-    rows = []
     all_ok = True
     for ref, got in zip(REFERENCE_TABLE, computed):
         tag, p, n, m = ref[:4]
@@ -193,7 +192,6 @@ def cmd_table1(args) -> int:
         )
         row_ok = all(ok for *_, ok in checks)
         all_ok = all_ok and row_ok
-        rows.append(got)
         cells = "  ".join(
             f"{name}={val:.2f} (ref {ref_v:.2f}) {'ok' if ok else 'FAIL'}"
             for name, val, ref_v, ok in checks
@@ -203,7 +201,7 @@ def cmd_table1(args) -> int:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["figure", "p", "n", "m", "a", "energy", "delta2"])
-            for tag, p, n, m, a_val, th_val, d2_val in rows:
+            for tag, p, n, m, a_val, th_val, d2_val in computed:
                 writer.writerow(
                     [tag, p, n, m, f"{a_val:.12g}", f"{th_val:.12g}", f"{d2_val:.12g}"]
                 )

@@ -67,35 +67,35 @@ distance from the 15-point Gauss-Legendre sum on the Gauss nodes among them,
 so it measures the error of GL15 on the whole panel.  While the summed
 estimate of any row misses rel_tol, a round bisects every panel whose
 estimate exceeds an even share, rel_tol |total| / panels, of such a row's
-tolerance, and re-sums the rows.  The initial mesh and each round's children
-go through the integrand in blocks of at most 5760 nodes (185 panels) per
-call, and of at most 17280 node values over a numerator's rows (92 panels
-for Upsilon's six rows), so that no block holds more than the arch trace's
-three rows; the values equal those of one call per panel bit for bit, since
-every node and every weighted sum is formed the same way.
+tolerance, and re-sums the rows.
+
+Every integrand call, of the rule and of the arch trace's dense output
+alike, takes one block of panels from one loop (_blocks): at most 5760
+nodes, and at most 17280 node values over a numerator's rows (the arch
+trace's three rows on a full block).  That is 185 K31 panels for one to
+three rows, 92 for Upsilon's six and 384 GL15 half panels for the trace.
+The values equal those of one call per panel bit for bit, since every node
+and every weighted sum is formed the same way.
 
 One rule serves several momenta at one p as well (_integrate_arches, behind
 closure.lambda_grid and stability.upsilon_grid): every arch keeps its own
 mesh, tolerance share, rounds, panel cap and reach check, and its totals
-are summed over its own panels in the same order, but the panels of all
-arches share the integrand blocks, each carrying its arch's roots, width,
-a and Taylor coefficients.  A numerator reads its arch's momentum from its
-fourth argument: the float a on a block of one arch, and one float64 value
-per panel, shape (panels, 1) against the nodes (panels, nodes), on a block
-of several, so a product of a with a float forms the same bits either way.
-Each arch's results equal those of a call for it alone bit for bit, and
-the ~34 momenta of a closure scan, ~9 panels each, take 2 integrand calls
-instead of 34.
-Arches that fill a block by themselves go through their own blocks, since
-sharing would save them no call and a block on several arches costs more a
-node (its constants broadcast one row per panel, a lone arch's are scalars).
-integrate_over_arch is the one-arch form of the same path.
+are summed over its own panels in the same order, but all of a round's
+panels, whatever their arch, share the integrand blocks, each carrying its
+arch's roots, width, a and Taylor coefficients.  A numerator reads its
+arch's momentum from its fourth argument: the float a on a block of one
+arch, and one float64 value per panel, shape (panels, 1) against the nodes
+(panels, nodes), on a block of several, so a product of a with a float
+forms the same bits either way.  Each arch's results equal those of a call
+for it alone bit for bit, and the ~34 momenta of a closure scan, ~9 panels
+each, take 2 integrand calls instead of 34.  integrate_over_arch is the
+one-arch form of the same path.
 
 ArchTrace runs the same rule on the rows of arc length, progression and
-swept area, evaluates its final mesh's half panels at their GL15 nodes in
-blocks of at most 5760 nodes (384 half panels) and keeps the 15 values as
-the Legendre coefficients of their antiderivative in the half panel's own
-variable: a dense output of the three integrals, from which a curve's
+swept area, with one integrand for both passes, evaluates its final mesh's
+half panels at their GL15 nodes in the same blocks and keeps the 15 values
+as the Legendre coefficients of their antiderivative in the half panel's
+own variable: a dense output of the three integrals, from which a curve's
 profile is read at any arc length.
 """
 
@@ -171,8 +171,6 @@ _K31_WEIGHTS = np.array([
     0.09664272698362368, 0.08856444305621176, 0.07684968075772038, 0.06200956780067064,
     0.04458975132476488, 0.02546084732671532, 0.005377479872923349,
 ])
-# Panels of the rule per integrand call, for a numerator of one to three rows.
-_BLOCK_PANELS = _BLOCK_NODES // _K31_NODES.size
 # GL15 values -> Legendre coefficients of their interpolant, and of its
 # antiderivative from x = -1 (exact: the rule integrates degree 29).
 _TO_LEGENDRE = (
@@ -446,10 +444,16 @@ def _midpoints(lo, hi, log):
     return _local_nodes(lo, hi, log, 0.0)[0][:, 0]
 
 
-def _block_panels(rows: int) -> int:
-    """Panels of the rule per integrand call for a numerator of rows rows:
-    at most _BLOCK_NODES nodes and _BLOCK_VALUES node values over the rows."""
-    return min(_BLOCK_PANELS, _BLOCK_VALUES // (rows * _K31_NODES.size))
+def _blocks(f, lo, hi, log, arch, x, rows):
+    """Per block of the panels [lo, hi] of the arches arch (one index per
+    panel), one integrand call each: the (rows, panels, x.size) values of f
+    d(theta) at the local variables x, and the half widths h (panels, 1).
+    A block holds at most _BLOCK_NODES nodes and _BLOCK_VALUES node values."""
+    step = min(_BLOCK_NODES, _BLOCK_VALUES // rows) // x.size
+    for start in range(0, len(lo), step):
+        block = slice(start, start + step)
+        theta, h, dtheta = _local_nodes(lo[block], hi[block], log[block], x)
+        yield f(theta, arch[block]) * dtheta, h
 
 
 def _panels(f, lo, hi, log, arch, rows):
@@ -457,15 +461,10 @@ def _panels(f, lo, hi, log, arch, rows):
     panel), each of shape (rows, panels).
 
     value is a panel's K31 sum in its own variable and err its distance from
-    the GL15 sum on the 15 Gauss nodes among them.  The panels go through the
-    integrand in blocks of at most _block_panels(rows) panels, one call each.
+    the GL15 sum on the 15 Gauss nodes among them, from _blocks.
     """
     blocks = []
-    step = _block_panels(rows)
-    for start in range(0, len(lo), step):
-        block = slice(start, start + step)
-        theta, h, dtheta = _local_nodes(lo[block], hi[block], log[block], _K31_NODES)
-        values = f(theta, arch[block]) * dtheta
+    for values, h in _blocks(f, lo, hi, log, arch, _K31_NODES, rows):
         # weighted sums in the integrand's (extended) precision, then narrowed
         kronrod = h[:, 0] * (values @ _K31_WEIGHTS)
         gauss = h[:, 0] * (values[..., : _GL_NODES.size] @ _GL_WEIGHTS)
@@ -485,15 +484,16 @@ def _resolves(params: ElasticaParams, grade_floor: float | None) -> bool:
     return params.near_circular or grade_floor is None or grade_floor / 8.0 >= _THETA_FLOOR
 
 
-def _adapt(params_seq, numerator, rel_tol, grade_floors, rows=1):
+def _adapt(params_seq, f, rel_tol, grade_floors, rows=1):
     """For each arch of params_seq (all at one p, each with the grade floor
     of the same place in grade_floors): row totals, their error sums and the
-    final mesh's panels (lo, hi, log), refined in rounds.  rows is the
-    numerator's row count, which sizes the integrand blocks.
+    final mesh's panels (lo, hi, log), refined in rounds.  f is the arches'
+    integrand (_make_theta_integrand) and rows its row count, which sizes
+    the integrand blocks.
 
     Each arch keeps its own mesh, tolerance share, rounds and panel cap, and
-    a round's children follow the panels it leaves whole.  The arches'
-    panels share _panels' blocks, and a panel's value does not depend on the
+    a round's children follow the panels it leaves whole.  All of a round's
+    meshes share _panels' blocks, and a panel's value does not depend on the
     block it is in, so every arch's results are those of a call for it
     alone, bit for bit.  Any arch the mesh cannot resolve raises
     ResolutionError before the first integrand call.
@@ -503,27 +503,14 @@ def _adapt(params_seq, numerator, rel_tol, grade_floors, rows=1):
             f"inner layer's theta scale is below {8.0 * _THETA_FLOOR:g}, "
             "the arch mesh's reach"
         )
-    f = _make_theta_integrand(params_seq, numerator)
-    step = _block_panels(rows)
 
     def evaluate(arches, meshes):
-        """(value, err) of each mesh (lo, hi, log), meshes[j] on arches[j].
-
-        Meshes of fewer panels than a block share blocks; one that fills a
-        block goes alone, since sharing would save it no call and a block on
-        several arches costs more a node.
-        """
-        alone = [[j] for j, (lo, _, _) in enumerate(meshes) if lo.size >= step]
-        shared = [j for j, (lo, _, _) in enumerate(meshes) if lo.size < step]
-        sums = [None] * len(meshes)
-        for group in alone + ([shared] if shared else []):
-            sizes = [meshes[j][0].size for j in group]
-            lo, hi, log = (np.concatenate(ends) for ends in zip(*(meshes[j] for j in group)))
-            arch = np.repeat([arches[j] for j in group], sizes)
-            value, err = _panels(f, lo, hi, log, arch, rows)
-            for j, i, n in zip(group, itertools.accumulate(sizes, initial=0), sizes):
-                sums[j] = (value[:, i : i + n], err[:, i : i + n])
-        return sums
+        """(value, err) of each mesh (lo, hi, log), meshes[j] on arches[j]."""
+        sizes = [lo.size for lo, _, _ in meshes]
+        lo, hi, log = (np.concatenate(ends) for ends in zip(*meshes))
+        value, err = _panels(f, lo, hi, log, np.repeat(arches, sizes), rows)
+        starts = itertools.accumulate(sizes, initial=0)
+        return [(value[:, i : i + n], err[:, i : i + n]) for i, n in zip(starts, sizes)]
 
     meshes = []
     for params, floor in zip(params_seq, grade_floors):
@@ -582,14 +569,9 @@ def _integrate_arches(params_seq, numerator, rel_tol, grade_floors, rows=1) -> l
         else:
             arches.append(i)
     if arches:
-        adapted = _adapt(
-            [params_seq[i] for i in arches],
-            numerator,
-            rel_tol,
-            [grade_floors[i] for i in arches],
-            rows,
-        )
-        for i, (total, total_err, *_) in zip(arches, adapted):
+        arch_params, floors = [params_seq[i] for i in arches], [grade_floors[i] for i in arches]
+        f = _make_theta_integrand(arch_params, numerator)
+        for i, (total, total_err, *_) in zip(arches, _adapt(arch_params, f, rel_tol, floors, rows)):
             if total.size == 1:
                 total, total_err = float(total[0]), float(total_err[0])
             results[i] = SingularIntegral(value=total, error_estimate=total_err)
@@ -712,9 +694,8 @@ class ArchTrace:
             dpsi = p * (1.0 - p) ** 2 * sqrt_a * progression(k, q, r, a)
             return p * (1.0 - p) / k, dpsi, (1.0 - p / (sqrt_a * r)) * dpsi
 
-        ((_, _, lo, hi, log),) = _adapt(
-            (params,), numerator, rel_tol, (_progression_layer(params),), rows=3
-        )
+        f = _make_theta_integrand((params,), numerator)
+        ((_, _, lo, hi, log),) = _adapt((params,), f, rel_tol, (_progression_layer(params),), 3)
         # the half panels in theta order; the panels tile [0, pi/2]
         order = np.argsort(lo)
         lo, hi, log = lo[order], hi[order], log[order]
@@ -722,18 +703,17 @@ class ArchTrace:
         self._lo = np.column_stack([lo, mid]).ravel()
         self._hi = np.column_stack([mid, hi]).ravel()
         self._log = np.repeat(log, 2)
-        # (rows, half panels, 15), evaluated in blocks of at most _BLOCK_NODES
-        f = _make_theta_integrand((params,), numerator)
-        nodes, half, dtheta = _local_nodes(self._lo, self._hi, self._log, _GL_NODES)
-        step = _BLOCK_NODES // _GL_NODES.size
-        blocks = np.split(nodes, range(step, len(nodes), step))
-        values = np.concatenate([f(b, np.zeros(len(b), dtype=int)) for b in blocks], axis=1)
-        values *= dtheta
-        # Scaled by the half width in extended precision before narrowing:
-        # the integrand's values can overflow float64 on the deepest panels.
-        antiderivative = values @ _ANTIDERIVATIVE.T * half
+        # Each block's (rows, half panels, 15) values, scaled by the half
+        # width in extended precision before narrowing: the integrand's
+        # values can overflow float64 on the deepest panels.
+        arch = np.zeros(len(self._lo), dtype=int)
+        blocks = [
+            (values @ _ANTIDERIVATIVE.T * half, values[0] @ _TO_LEGENDRE.T * half)
+            for values, half in _blocks(f, self._lo, self._hi, self._log, arch, _GL_NODES, 3)
+        ]
+        antiderivative, slope = (np.concatenate(b, axis=-2) for b in zip(*blocks))
         self._antiderivative = antiderivative.astype(float)
-        self._slope = (values[0] @ _TO_LEGENDRE.T * half).astype(float)
+        self._slope = slope.astype(float)
         # P_k(1) = 1, so a half panel's integral is its coefficients' sum.
         steps = antiderivative.sum(axis=-1)
         self._cumulative = np.concatenate(
@@ -752,19 +732,27 @@ class ArchTrace:
         cumulative = self._cumulative[0]
         last = len(self._lo) - 1
         panel = np.clip(np.searchsorted(cumulative, s_half, side="right") - 1, 0, last)
-        target = s_half - cumulative[panel]
-        coeffs, slope = self._antiderivative[0, panel], self._slope[panel]
-        x = np.clip(2.0 * target / (cumulative[panel + 1] - cumulative[panel]) - 1.0, -1.0, 1.0)
+        # Far above threshold the half panels next to alpha can hold no
+        # float64 arc length; the one picked at s_half = T/2 is read at its
+        # end, x = 1, and the others by Newton's method.
+        width = cumulative[panel + 1] - cumulative[panel]
+        solve = width > 0.0
+        solved = panel[solve]
+        target = s_half[solve] - cumulative[solved]
+        coeffs, slope = self._antiderivative[0, solved], self._slope[solved]
+        y = np.clip(2.0 * target / width[solve] - 1.0, -1.0, 1.0)
         for _ in range(_NEWTON_STEPS):
-            basis = np.polynomial.legendre.legvander(x, _GL_NODES.size)
+            basis = np.polynomial.legendre.legvander(y, _GL_NODES.size)
             step = (np.einsum("ij,ij->i", basis, coeffs) - target) / np.einsum(
                 "ij,ij->i", basis[:, :-1], slope
             )
-            x = np.clip(x - step, -1.0, 1.0)
+            y = np.clip(y - step, -1.0, 1.0)
             if np.max(np.abs(step), initial=0.0) < _NEWTON_X_TOL:
                 break
         else:
             raise ConvergenceFailure("Newton's method on the arc-length polynomial failed")
+        x = np.ones_like(s_half)
+        x[solve] = y
         return panel, x, np.polynomial.legendre.legvander(x, _GL_NODES.size)
 
     def at(self, s):

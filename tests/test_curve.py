@@ -473,6 +473,24 @@ def test_narrowest_traced_arch_keeps_its_progression():
     assert arch.progression == pytest.approx(lambda_p(params), rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("p,mult", [(0.01, 1001.0), (0.001, 2.0)])
+def test_trace_reads_half_period_where_no_arc_length_is_left(p, mult):
+    # Far above threshold the half panels next to alpha hold no float64 arc
+    # length, so s = T/2 falls on a plateau of the cumulative arc length; it
+    # is read at the arch's end, without a 0/0 (a RuntimeWarning is an error).
+    params = make_params(p, mult * a_star(p))
+    trace = sample_profile(params, 1.0, samples_per_period=2)
+    arch = trace.arch
+    assert np.diff(arch._cumulative[0])[-1] == 0.0
+    s = np.linspace(0.0, arch.period, 101)
+    assert s[50] == 0.5 * arch.period
+    kappa, _, psi, _ = arch.at(s)
+    assert np.all(np.diff(kappa[:51]) >= 0.0)
+    assert np.all(np.diff(psi) > 0.0)
+    assert kappa[50] == pytest.approx(params.alpha, rel=1e-10, abs=0.0)
+    assert psi[50] == 0.5 * arch.progression
+
+
 @pytest.mark.parametrize("p,n,m", _REFERENCE_CURVES)
 def test_progression_over_one_period_is_lambda(solved_curves, p, n, m):
     params = make_params(p, solved_curves(p, n, m).a_solved)

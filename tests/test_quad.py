@@ -736,3 +736,29 @@ def test_trace_is_evaluated_in_bounded_blocks(monkeypatch):
     quad.ArchTrace(params)
     assert len(sizes) == math.ceil(panels / 185) + math.ceil(2 * panels / 384)
     assert max(sizes) <= 5_760
+
+
+def test_a_mesh_that_fills_blocks_shares_them_with_small_ones(monkeypatch):
+    # One arch of more than a block's 185 panels (deep into Lambda's layer on
+    # the uniform log mesh) and two small ones go through the same blocks:
+    # ceil(total panels / 185) calls, 31 nodes a panel, and each arch's value
+    # and error estimate are those of its lone integral, bit for bit.
+    monkeypatch.setattr(quad, "_arch_breaks", _uniform_log_breaks)
+    p = 0.99
+    params_seq = [make_params(p, mult * a_star(p)) for mult in (7.4e3, 1.5, 3.0)]
+    floors = [quad._progression_layer(params) for params in params_seq]
+    panels = [quad._arch_breaks(params, floor)[1].size for params, floor in zip(params_seq, floors)]
+    assert panels[0] > 185 and sum(panels[1:]) < 185
+    numerator = quad._progression_numerator(p)
+    sizes = []
+
+    def counted(k, q, r, a):
+        sizes.append(k.size)
+        return numerator(k, q, r, a)
+
+    shared = quad._integrate_arches(params_seq, counted, quad.DEFAULT_REL_TOL, floors)
+    assert len(sizes) == math.ceil(sum(panels) / 185)
+    assert sum(sizes) == 31 * sum(panels)
+    for params, floor, integral in zip(params_seq, floors, shared):
+        alone = integrate_over_arch(params, numerator, quad.DEFAULT_REL_TOL, floor)
+        assert (integral.value, integral.error_estimate) == (alone.value, alone.error_estimate)
