@@ -16,7 +16,6 @@ unresolvable quadrature, 5 I/O.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -199,12 +198,9 @@ def cmd_table1(args) -> int:
         print(f"{tag:<18} p={p:<5} ({n},{m}): {cells}")
     if args.out:
         with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["figure", "p", "n", "m", "a", "energy", "delta2"])
+            fh.write("figure,p,n,m,a,energy,delta2\r\n")
             for tag, p, n, m, a_val, th_val, d2_val in computed:
-                writer.writerow(
-                    [tag, p, n, m, f"{a_val:.12g}", f"{th_val:.12g}", f"{d2_val:.12g}"]
-                )
+                fh.write(f"{tag},{p},{n},{m},{a_val:.12g},{th_val:.12g},{d2_val:.12g}\r\n")
     return EXIT_OK if all_ok else EXIT_INVARIANT
 
 
@@ -284,15 +280,13 @@ def cmd_sweep(args) -> int:
     else:
         reports = stability.upsilon_grid([make_params(args.p, a_val) for a_val in grid])
         values = [report.upsilon for report in reports]
-    writer_target = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(writer_target)
-        writer.writerow(["a", args.quantity])
-        for a_val, v in zip(grid, values):
-            writer.writerow([f"{a_val:.12g}", f"{v:.12g}"])
-    finally:
-        if args.out:
-            writer_target.close()
+    rows = b"".join(curve._number_lines("%.12g,%.12g\r\n", np.column_stack([grid, values])))
+    text = f"a,{args.quantity}\r\n" + rows.decode("ascii")
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -67,7 +67,8 @@ distance from the 15-point Gauss-Legendre sum on the Gauss nodes among them,
 so it measures the error of GL15 on the whole panel.  While the summed
 estimate of any row misses rel_tol, a round bisects every panel whose
 estimate exceeds an even share, rel_tol |total| / panels, of such a row's
-tolerance, and re-sums the rows.
+tolerance, and re-sums the rows; sums that float64 cannot hold raise
+ResolutionError (see _PANEL_MAX).
 
 Every integrand call, of the rule and of the arch trace's dense output
 alike, takes one block of panels from one loop (_blocks): at most 5760
@@ -149,6 +150,8 @@ _BLOCK_NODES = 5760
 # rows on a full block.  Upsilon's six rows take blocks of 92 panels, so its
 # extended-precision rows and temporaries stay within the trace's.
 _BLOCK_VALUES = 3 * _BLOCK_NODES
+# Largest K31 or G15 panel value narrowed to float64: their difference fits.
+_PANEL_MAX = 0.5 * np.finfo(float).max
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 # QUADPACK's G15/K31 pair: _GL_NODES, then the 16 Kronrod nodes, the roots
@@ -468,7 +471,10 @@ def _panels(f, lo, hi, log, arch, rows):
         # weighted sums in the integrand's (extended) precision, then narrowed
         kronrod = h[:, 0] * (values @ _K31_WEIGHTS)
         gauss = h[:, 0] * (values[..., : _GL_NODES.size] @ _GL_WEIGHTS)
-        blocks.append(np.stack([kronrod, gauss]).astype(float))
+        block = np.stack([kronrod, gauss])
+        if not np.all(np.abs(block) <= _PANEL_MAX):  # NaN fails too
+            raise ResolutionError("arch integral does not fit in float64")
+        blocks.append(block.astype(float))
     kronrod, gauss = np.concatenate(blocks, axis=-1)
     return kronrod, np.abs(kronrod - gauss)
 
@@ -496,7 +502,8 @@ def _adapt(params_seq, f, rel_tol, grade_floors, rows=1):
     meshes share _panels' blocks, and a panel's value does not depend on the
     block it is in, so every arch's results are those of a call for it
     alone, bit for bit.  Any arch the mesh cannot resolve raises
-    ResolutionError before the first integrand call.
+    ResolutionError before the first integrand call, and any integral that
+    does not fit in float64 (_PANEL_MAX) after its block or round.
     """
     if not all(map(_resolves, params_seq, grade_floors)):
         raise ResolutionError(
@@ -523,7 +530,10 @@ def _adapt(params_seq, f, rel_tol, grade_floors, rows=1):
         refining = []
         for i in pending:
             (lo, hi, log), (value, err) = meshes[i], sums[i]
-            total, total_err = value.sum(axis=1), err.sum(axis=1)
+            with np.errstate(over="ignore"):
+                total, total_err = value.sum(axis=1), err.sum(axis=1)
+            if not all(map(math.isfinite, total.tolist() + total_err.tolist())):
+                raise ResolutionError("arch integral's sum does not fit in float64")
             tol = rel_tol * np.maximum(np.abs(total), 1e-300)
             missing = total_err > tol
             if not np.any(missing):
@@ -792,15 +802,21 @@ def kappa_moment(params: ElasticaParams, t: float) -> float:
     return integrate_over_arch(params, lambda k, q, r, a: k**t).value
 
 
+def _parts_coefficients(p: float, a: float, t: float) -> tuple[float, float, float]:
+    """(1-p)^2 (1+t), a (1+t-p) and t p^2: the coefficients of M(1+t),
+    M(1+t-2p) and M(-1+t) in the integration-by-parts identity at t."""
+    return (1.0 - p) ** 2 * (1.0 + t), a * (1.0 + t - p), t * p**2
+
+
 def parts_identity_residual(params: ElasticaParams, t: float) -> float:
     """Relative residual of the integration-by-parts identity at exponent t.
 
     Normalized by the largest of the three term magnitudes: near t = -1 the
     identity's sides both vanish, so side-based normalization is meaningless.
     """
-    p, a = params.p, params.a
-    t1 = (1.0 - p) ** 2 * (1.0 + t) * kappa_moment(params, 1.0 + t)
-    t2 = a * (1.0 + t - p) * kappa_moment(params, 1.0 + t - 2.0 * p)
-    t3 = t * p**2 * kappa_moment(params, -1.0 + t)
+    c_up, c_mid, c_down = _parts_coefficients(params.p, params.a, t)
+    t1 = c_up * kappa_moment(params, 1.0 + t)
+    t2 = c_mid * kappa_moment(params, 1.0 + t - 2.0 * params.p)
+    t3 = c_down * kappa_moment(params, -1.0 + t)
     scale = max(abs(t1), abs(t2), abs(t3), 1e-300)
     return abs(t1 - (t2 - t3)) / scale

@@ -2,10 +2,10 @@
 
 The constant normal variation phi = 1 reduces the quadratic form to
 2 m Upsilon(a), with Upsilon a single arch quadrature of eta/sqrt(Q) (one
-for all the momenta of a grid at one p: upsilon_grid).  Three algebraic
-rewrites of Upsilon (obtained through the moment identity in
-quad.kappa_moment) serve as independent cross-checks, and p = 1/2 admits a
-closed form in complete elliptic integrals.
+for all the momenta of a grid at one p: upsilon_grid).  Three rewrites of
+Upsilon, eta on its kappa moments with two of them solved through the
+moment identity in quad.kappa_moment, serve as cross-checks, and p = 1/2
+admits a closed form in complete elliptic integrals.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .curve import CurveTrace
 from .errors import DomainError, ResolutionError
 from .qpotential import ElasticaParams, a_star
-from .quad import DEFAULT_REL_TOL, _integrate_arches
+from .quad import DEFAULT_REL_TOL, _integrate_arches, _parts_coefficients
 
 _AGM_TOL = 1e-15
 _MIN_SAMPLES_PER_PERIOD = 200
@@ -82,31 +82,20 @@ class SecondVariationReport:
 
 
 def _rewrite_values(params: ElasticaParams, moments) -> tuple[float, float, float]:
-    """Three equivalent three-moment expressions for Upsilon.
-
-    moments are M(t) for t = 1-p, -1-p, p-1, p+1, p-3, in that order.
-    """
+    """Upsilon as eta on the moments M(t), t = 1-p, -1-p, p-1, p+1, p-3 (in
+    that order), with M(p+1) and M(p-3) solved from M(p-1) by the parts
+    identity at t = p and t = p - 2, and M(p-1) as integrated (r1) or solved
+    from M(p+1) (r2) or M(p-3) (r3) by the same identities."""
     p, a = params.p, params.a
-    c_crit = -4.0 * p**4 + 8.0 * p**3 + 2.0 * p**2 - 6.0 * p + 1.0
     m_1mp, m_m1mp, m_pm1, m_1pp, m_pm3 = moments
-    r1 = (
-        -a * p**2 / (1.0 + p) * m_1mp
-        - a * (1.0 - p) ** 2 / (2.0 - p) * m_m1mp
-        + c_crit / ((1.0 + p) * (2.0 - p)) * m_pm1
+    # c1 M(p+1) = c2 M(1-p) - c3 M(p-1) and d1 M(p-1) = d2 M(-1-p) - d3 M(p-3)
+    c1, c2, c3 = _parts_coefficients(p, a, p)
+    d1, d2, d3 = _parts_coefficients(p, a, p - 2.0)
+    return tuple(
+        _eta(p, a, (m_1mp, m_m1mp, pm1, (c2 * m_1mp - c3 * pm1) / c1,
+                    (d2 * m_m1mp - d1 * pm1) / d3))
+        for pm1 in (m_pm1, (c2 * m_1mp - c1 * m_1pp) / c3, (d2 * m_m1mp - d3 * m_pm3) / d1)
     )
-    r2 = (
-        -a * (1.0 - p) * (p**4 - 2.0 * p**3 - 3.0 * p**2 + 6.0 * p - 1.0)
-        / (p**3 * (2.0 - p)) * m_1mp
-        - a * (1.0 - p) ** 2 / (2.0 - p) * m_m1mp
-        - (1.0 - p) ** 2 * c_crit / (p**3 * (2.0 - p)) * m_1pp
-    )
-    r3 = (
-        -a * p**2 / (1.0 + p) * m_1mp
-        - p**2 * c_crit / ((1.0 + p) * (1.0 - p) ** 3) * m_pm3
-        - a * p * (-(p**5) + 4.0 * p**4 - p**3 - 8.0 * p**2 + 3.0 * p + 2.0)
-        / ((1.0 + p) * (1.0 - p) ** 3 * (2.0 - p)) * m_m1mp
-    )
-    return r1, r2, r3
 
 
 def _upsilon_rows(params_seq, rel_tol: float = DEFAULT_REL_TOL) -> list:

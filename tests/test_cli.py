@@ -1,6 +1,7 @@
 """Command line interface: subcommands, outputs and exit codes."""
 
 import csv
+import io
 import json
 import math
 
@@ -109,12 +110,23 @@ def test_stability_command_closed_curve_report(capsys):
     assert payload["delta2"] == 2 * payload["m"] * payload["upsilon"]
 
 
-def test_stability_non_finite_report_exits_4_and_writes_nothing(tmp_path, capsys):
-    # At p = 0.99, a = 953921.8 the kappa^(p-3) moment is ~3e303 and its
-    # term in the third rewrite overflows, so that residual is NaN, which
-    # has no JSON text.
+def test_stability_unrepresentable_upsilon_exits_4_and_writes_nothing(tmp_path, capsys):
+    # At p = 0.99, a = 1.3e6 the kappa^(p-3) moment of Upsilon's arch
+    # quadrature no longer fits in float64: the rule refuses it, with no
+    # numpy warning (pyproject turns those into errors).
     out = tmp_path / "report.json"
-    code = main(["stability", "--p", "0.99", "--a", "953921.8", "--out", str(out)])
+    code = main(["stability", "--p", "0.99", "--a", "1.3e6", "--out", str(out)])
+    assert code == EXIT_INVARIANT
+    assert "does not fit in float64" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stability_non_finite_report_exits_4_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # a NaN has no JSON text: the report is refused, not written as NaN
+    nan_report = cli.stability.SecondVariationReport(-1.0, -2.0, (0.0, math.nan, 0.0))
+    monkeypatch.setattr(cli.stability, "upsilon", lambda params, m: nan_report)
+    out = tmp_path / "report.json"
+    code = main(["stability", "--p", "0.3", "--a", "1.0", "--out", str(out)])
     assert code == EXIT_INVARIANT
     assert "not finite" in capsys.readouterr().err
     assert not out.exists()
@@ -172,6 +184,40 @@ def test_upsilon_sweep_equals_one_sweep_per_momentum(p, offset_max, tmp_path):
     offsets = np.geomspace(1e-6, offset_max, 8).tolist()
     grid = cells(1e-6, offset_max, 8)
     assert grid == [row for offset in offsets for row in cells(offset, offset, 1)]
+
+
+def _csv_text(rows) -> str:
+    """The csv module's text of rows, the reference of the CLI's CSVs."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("to_file", [True, False])
+def test_sweep_csv_is_the_csv_modules_text(to_file, tmp_path, monkeypatch, capsys):
+    # zeros of both signs, nan, inf, exponent notation and ties at 12 digits
+    values = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, -2.5e17, 0.1 + 0.2]
+    values += np.random.default_rng(5).standard_normal(32).tolist()
+    monkeypatch.setattr(cli.closure, "lambda_grid", lambda params_seq: values)
+    argv = ["sweep", "--p", "0.3", "--count", str(len(values))]
+    argv += ["--out", str(tmp_path / "s.csv")] if to_file else []
+    assert main(argv) == EXIT_OK
+    text = (tmp_path / "s.csv").read_bytes().decode() if to_file else capsys.readouterr().out
+    grid = qpotential.a_star(0.3) * (1.0 + np.geomspace(1e-3, 1e3, len(values)))
+    expected = [["a", "lambda"]] + [[f"{a:.12g}", f"{v:.12g}"] for a, v in zip(grid, values)]
+    assert text == _csv_text(expected)
+
+
+def test_table_csv_is_the_csv_modules_text(tmp_path, monkeypatch):
+    # the reference rows stand in for the computed ones
+    monkeypatch.setattr(cli, "_solve_rows", lambda rows: list(REFERENCE_TABLE))
+    out = tmp_path / "table.csv"
+    assert main(["table1", "--out", str(out)]) == EXIT_OK
+    expected = [["figure", "p", "n", "m", "a", "energy", "delta2"]] + [
+        [tag, p, n, m, f"{a:.12g}", f"{energy:.12g}", f"{delta2:.12g}"]
+        for tag, p, n, m, a, energy, delta2 in REFERENCE_TABLE
+    ]
+    assert out.read_bytes().decode() == _csv_text(expected)
 
 
 def test_config_file_overrides_defaults(tmp_path, capsys):

@@ -6,21 +6,25 @@ import math
 
 import numpy as np
 import pytest
+from rewrite_reference import condition, rewrite_terms, rounding_bound
 
 from pelastica import closure
 from pelastica.energy import energy_closed
 from pelastica.errors import ResolutionError
 from pelastica.qpotential import a_star, make_params, momentum_cap
 from pelastica.quad import DEFAULT_REL_TOL, ArchTrace, kappa_moment
-from pelastica.stability import upsilon, upsilon_limit
+from pelastica.stability import _rewrite_values, _upsilon_rows, upsilon, upsilon_limit
 
 SQRT2_PI = math.sqrt(2.0) * math.pi
 
 
 def _grid_column(p):
-    """(offsets, Lambda, Upsilon) along a = a_* (1 + offset), offsets 1e-8 to
-    1e6, up to momentum_cap or the first Lambda the mesh cannot resolve."""
-    offsets, lams, upsilons = [], [], []
+    """(offsets, Lambda, Upsilon's arch rows) along a = a_* (1 + offset),
+    offsets 1e-8 to 1e6, up to momentum_cap or the first Lambda the mesh
+    cannot resolve.  The rows are [Upsilon, M(1-p), M(-1-p), M(p-1), M(p+1),
+    M(p-3)] from one Upsilon quadrature per column; each Upsilon equals
+    upsilon's alone, bit for bit (upsilon_grid)."""
+    offsets, lams, params_seq = [], [], []
     for offset in np.geomspace(1e-8, 1e6, 30):
         a = a_star(p) * (1.0 + offset)
         if a >= momentum_cap(p):
@@ -32,11 +36,17 @@ def _grid_column(p):
             break
         offsets.append(offset)
         lams.append(lam)
-        upsilons.append(upsilon(params).upsilon)
-    return offsets, lams, upsilons
+        params_seq.append(params)
+    return offsets, lams, params_seq, _upsilon_rows(params_seq)
 
 
-def test_both_theorems_hold_on_a_dense_grid():
+@pytest.fixture(scope="module")
+def dense_grid():
+    """_grid_column at 25 p from 0.01 to 0.99: 738 points."""
+    return {p: _grid_column(p) for p in np.linspace(0.01, 0.99, 25).tolist()}
+
+
+def test_both_theorems_hold_on_a_dense_grid(dense_grid):
     # Existence needs Lambda to sweep (pi, sqrt(2) pi) monotonically, and
     # instability needs Upsilon < 0.  738 points: p = 0.01 stops at
     # momentum_cap (offset ~1.3e3), p = 0.99 at the mesh's reach (~1.2e4).
@@ -51,8 +61,8 @@ def test_both_theorems_hold_on_a_dense_grid():
     # 37 times the default rel_tol.
     tol = DEFAULT_REL_TOL * SQRT2_PI
     points = 0
-    for p in np.linspace(0.01, 0.99, 25).tolist():
-        offsets, lams, upsilons = _grid_column(p)
+    for p, (offsets, lams, _, rows) in dense_grid.items():
+        upsilons = [row[0] for row in rows]
         points += len(lams)
         limit = upsilon_limit(p)
         for offset, lam, ups in zip(offsets, lams, upsilons):
@@ -62,6 +72,40 @@ def test_both_theorems_hold_on_a_dense_grid():
         assert np.all(np.diff(lams) < 0.0), p
         assert np.all(np.diff(upsilons) < 0.0), p
     assert points == 738
+
+
+def _grid_rewrites(dense_grid):
+    """(p, offset, Upsilon, derived rewrites, reference terms) at every
+    point of the dense grid, from its own quadratures."""
+    for p, (offsets, _, params_seq, rows) in dense_grid.items():
+        for offset, params, (direct, *moments) in zip(offsets, params_seq, rows):
+            derived = _rewrite_values(params, moments)
+            yield p, offset, direct, derived, rewrite_terms(p, params.a, moments)
+
+
+def test_rewrites_match_their_hand_expanded_algebra(dense_grid):
+    # Each rewrite, derived from eta and the parts identity, equals its
+    # written-out three-moment sum to rounding: within what rounding in
+    # that sum can cost, relative to Upsilon.  Measured: at most 1.9e-12,
+    # 1.3e-6 and 4.3e-6 (r1, r2, r3), and at most 0.19 of the bound.
+    for p, offset, direct, derived, reference in _grid_rewrites(dense_grid):
+        for k, (value, terms) in enumerate(zip(derived, reference)):
+            gap = abs(value - sum(terms)) / abs(direct)
+            assert gap <= rounding_bound(terms), (p, offset, k + 1, gap)
+
+
+def test_rewrite_residuals_are_bounded_by_their_conditioning(dense_grid):
+    # ROADMAP item 3: every rewrite's residual against the direct Upsilon is
+    # finite and within what rounding in its three-moment sum can cost, and
+    # the best-conditioned rewrite agrees to 1e-10.  Measured: at most
+    # 1.7e-12, 1.7e-6 and 9.1e-7 (r1, r2, r3), at most 0.17 of the bound,
+    # and 1.7e-12 for the best-conditioned rewrite.
+    for p, offset, direct, derived, reference in _grid_rewrites(dense_grid):
+        residuals = [abs(value - direct) / abs(direct) for value in derived]
+        for k, (residual, terms) in enumerate(zip(residuals, reference)):
+            assert residual <= rounding_bound(terms), (p, offset, k + 1, residual)
+        best = min(range(3), key=lambda k: condition(reference[k]))
+        assert residuals[best] <= 1e-10, (p, offset, best + 1, residuals[best])
 
 
 _DUAL_P = (0.01, 0.05, 0.2, 0.3, 0.45)

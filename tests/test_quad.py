@@ -259,6 +259,38 @@ def test_wide_dynamic_range_stays_finite():
         assert np.isfinite(val) and val > 0.0
 
 
+def test_parts_identity_residual_keeps_its_products():
+    # the identity's coefficients come from one helper, formed and
+    # multiplied in the order the written-out identity takes them
+    for p, mult, t in ((0.3, 2.0, 0.7), (0.01, 50.0, 0.01 - 2.0), (0.99, 3.0, 0.99)):
+        params = make_params(p, a_star(p) * mult)
+        a = params.a
+        t1 = (1.0 - p) ** 2 * (1.0 + t) * kappa_moment(params, 1.0 + t)
+        t2 = a * (1.0 + t - p) * kappa_moment(params, 1.0 + t - 2.0 * p)
+        t3 = t * p**2 * kappa_moment(params, -1.0 + t)
+        expected = abs(t1 - (t2 - t3)) / max(abs(t1), abs(t2), abs(t3), 1e-300)
+        assert parts_identity_residual(params, t) == expected
+
+
+def test_integrals_past_float64_raise_resolution_error():
+    # An integral, or a sum of its panels, that float64 cannot hold is
+    # refused before it is narrowed or summed, so no numpy overflow or
+    # invalid-value warning (errors under pyproject's filterwarnings) is
+    # raised.  M(0) is 6.53 here, on 9 panels, the largest 26% of it.
+    params = make_params(0.3, 1.5)
+    big = np.finfo(float).max
+    m0 = kappa_moment(params, 0.0)
+    for scale, message in (
+        (big, "arch integral does not fit"),
+        (math.nan, "arch integral does not fit"),
+        (big / m0 * 1.5, "sum does not fit"),
+    ):
+        with pytest.raises(ResolutionError, match=message):
+            integrate_over_arch(params, lambda k, q, r, a: scale * k**0)
+    half = integrate_over_arch(params, lambda k, q, r, a: (0.5 * big / m0) * k**0).value
+    assert half == pytest.approx(0.5 * big, rel=1e-12)
+
+
 def test_unreachable_grade_floor_raises():
     params = make_params(0.3, 2.0)
     # the mesh grades down to grade_floor / 8 and stops at 1e-300

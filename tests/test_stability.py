@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from rewrite_reference import rewrite_terms
 from scipy.special import ellipe, ellipk
 
 from pelastica import quad
@@ -12,6 +13,7 @@ from pelastica.qpotential import a_star, make_params
 from pelastica.stability import (
     _eta,
     _powers,
+    _upsilon_rows,
     circle_second_variation,
     elliptic_ke,
     second_variation,
@@ -66,6 +68,20 @@ def test_first_and_third_rewrites_agree_at_small_p(off):
     p = 0.01
     r1, _, r3 = upsilon(make_params(p, a_star(p) * (1.0 + off))).rewrite_residuals
     assert max(r1, r3) < 1e-10
+
+
+def test_third_rewrite_is_finite_where_its_expanded_sum_overflows():
+    # At p = 0.99, a = 953921.8 M(p-3) is ~3e303 and Upsilon ~-3e299.  The
+    # written-out r3 multiplies M(p-3) by its 1/(1-p)^3 coefficient, which
+    # overflows to inf, and its sum is NaN; derived through the parts
+    # identity r3 solves M(p-1) from M(p-3) and stays finite.  Measured:
+    # residuals 8.1e-14, 8.1e-14 and 9.1e-7.
+    params = make_params(0.99, 953921.8)
+    _, *moments = _upsilon_rows([params])[0]
+    assert math.isnan(sum(rewrite_terms(params.p, params.a, moments)[2]))
+    residuals = upsilon(params).rewrite_residuals
+    assert all(map(math.isfinite, residuals))
+    assert residuals[2] < 1e-5
 
 
 def test_upsilon_negative_and_delta_squared_scaling():
