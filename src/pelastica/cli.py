@@ -280,8 +280,9 @@ def cmd_sweep(args) -> int:
     else:
         reports = stability.upsilon_grid([make_params(args.p, a_val) for a_val in grid])
         values = [report.upsilon for report in reports]
-    rows = b"".join(curve._number_lines("%.12g,%.12g\r\n", np.column_stack([grid, values])))
-    text = f"a,{args.quantity}\r\n" + rows.decode("ascii")
+    text = f"a,{args.quantity}\r\n" + "".join(
+        f"{a_val:.12g},{v:.12g}\r\n" for a_val, v in zip(grid, values)
+    )
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)

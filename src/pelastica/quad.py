@@ -502,8 +502,7 @@ def _adapt(params_seq, f, rel_tol, grade_floors, rows=1):
     meshes share _panels' blocks, and a panel's value does not depend on the
     block it is in, so every arch's results are those of a call for it
     alone, bit for bit.  Any arch the mesh cannot resolve raises
-    ResolutionError before the first integrand call, and any integral that
-    does not fit in float64 (_PANEL_MAX) after its block or round.
+    ResolutionError before the first integrand call.
     """
     if not all(map(_resolves, params_seq, grade_floors)):
         raise ResolutionError(
