@@ -75,8 +75,6 @@ def lambda_grid(params_seq, rel_tol: float = DEFAULT_REL_TOL) -> tuple[float, ..
     if not params_seq:
         return ()
     p = params_seq[0].p
-    if any(params.p != p for params in params_seq):
-        raise DomainError("lambda_grid needs every parameter set at one p")
     layers = [_progression_layer(params) for params in params_seq]
     integrals = _integrate_arches(params_seq, _progression_numerator(p), rel_tol, layers)
     return tuple(
@@ -140,6 +138,8 @@ def solve_closures(p: float, indices) -> tuple[ClosureIndex, ...]:
     if not indices:
         return ()
     thr = a_star(p)
+    if not 1.0 - p < 1.0:
+        raise DomainError(f"p = {p!r} is too small: its dual 1 - p is not below 1 in float64")
     a_end = thr * (1.0 + _SCAN_CAP)
     sides = tuple((q, min(a_end, momentum_cap(q))) for q in (p, 1.0 - p))
 

@@ -233,8 +233,14 @@ def stereographic_project(
 
 
 def _pole_frame(pole):
-    """The unit pole direction n and the plane basis orthogonal to it."""
+    """The unit pole direction n and the plane basis orthogonal to it.
+
+    The pole is first scaled by the power of two that brings its largest
+    component into [1/2, 1), so its norm neither overflows nor underflows;
+    the scaling is exact, so a pole of representable norm keeps n's bits.
+    """
     pole = np.asarray(pole, dtype=float)
+    pole = np.ldexp(pole, -math.frexp(float(np.max(np.abs(pole))))[1])
     n = pole / np.linalg.norm(pole)
     return n, _plane_basis(n)
 

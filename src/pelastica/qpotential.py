@@ -46,18 +46,6 @@ def q_eval(p: float, a: float, kappa):
     return float(val) if val.ndim == 0 else val
 
 
-def q_prime(p: float, a: float, kappa):
-    """First derivative of Q with respect to kappa."""
-    kappa = np.asarray(kappa, dtype=float)
-    val = 2.0 * a * (1.0 - p) * kappa ** (1.0 - 2.0 * p) - 2.0 * (1.0 - p) ** 2 * kappa
-    return float(val) if val.ndim == 0 else val
-
-
-def q_second(p: float, a: float, kappa: float) -> float:
-    """Second derivative of Q with respect to kappa."""
-    return 2.0 * a * (1.0 - p) * (1.0 - 2.0 * p) * kappa ** (-2.0 * p) - 2.0 * (1.0 - p) ** 2
-
-
 def a_star(p: float) -> float:
     """Momentum threshold p^p (1-p)^(1-p); symmetric under p <-> 1-p."""
     if not 0.0 < p < 1.0:
@@ -76,6 +64,8 @@ def momentum_cap(p: float) -> float:
     Beyond this the quadrature would have to square kappa values past the
     float64 range; scans should stop here.
     """
+    if not 0.0 < p < 1.0:
+        raise DomainError(f"momentum_cap requires p in (0, 1), got {p!r}")
     val = 2.0 * p * _LOG_KAPPA_CAP + math.log1p(-p)
     return math.inf if val > 700.0 else math.exp(val)
 
@@ -90,7 +80,6 @@ class ElasticaParams:
 
     p: float
     a: float
-    a_star: float
     kappa_star: float
     beta: float
     alpha: float
@@ -100,7 +89,10 @@ class ElasticaParams:
         return self.alpha - self.beta < NEAR_CIRCULAR_WIDTH * self.kappa_star
 
     def q_prime(self, kappa):
-        return q_prime(self.p, self.a, kappa)
+        """First derivative of Q with respect to kappa, in float64."""
+        a, p, kappa = self.a, self.p, np.asarray(kappa, dtype=float)
+        val = 2.0 * a * (1.0 - p) * kappa ** (1.0 - 2.0 * p) - 2.0 * (1.0 - p) ** 2 * kappa
+        return float(val) if val.ndim == 0 else val
 
 
 _LOG_2 = math.log(2.0)
@@ -240,9 +232,7 @@ def curvature_bounds(p: float, a: float) -> tuple[float, float]:
 def make_params(p: float, a: float) -> ElasticaParams:
     """Construct validated parameters for a non-circular orbit."""
     beta, alpha = curvature_bounds(p, a)
-    return ElasticaParams(
-        p=p, a=a, a_star=a_star(p), kappa_star=kappa_star(p, a), beta=beta, alpha=alpha
-    )
+    return ElasticaParams(p=p, a=a, kappa_star=kappa_star(p, a), beta=beta, alpha=alpha)
 
 
 def _log_sign_fn(p: float, a: float):
@@ -278,9 +268,12 @@ def classify_positive_roots(p: float, a: float) -> tuple[float, ...]:
         # kappa^2 term; pad each side by a safe margin
         u_lo = (2.0 * math.log(p) - math.log(a)) / (2.0 * (1.0 - p)) - 2.0
         u_hi = (math.log(a) - 2.0 * math.log1p(-p)) / (2.0 * p) + 2.0
+        # Q > 0 at kappa_*, between the roots: a scan point there separates
+        # them however close to threshold they share a grid cell
+        extra = [(math.log(a) - math.log1p(-p)) / (2.0 * p)]
     else:
-        u_lo, u_hi = -200.0, 200.0
-    grid = np.linspace(u_lo, u_hi, 1024)
+        u_lo, u_hi, extra = -200.0, 200.0, []
+    grid = np.sort(np.append(np.linspace(u_lo, u_hi, 1024), extra))
     vals = np.array([fn(u) for u in grid.tolist()])
     roots = []
     for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)):

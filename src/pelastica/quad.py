@@ -110,7 +110,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceFailure, DomainError, ResolutionError
-from .qpotential import ElasticaParams, q_second
+from .qpotential import ElasticaParams
 
 DEFAULT_REL_TOL = 1e-10
 # Q is its cubic Taylor expansion about a root at the nodes whose distance d
@@ -194,9 +194,12 @@ def limit_at_maximum(params: ElasticaParams, numerator: Callable):
 
     As a -> a_* both roots tend to kappa_* and the integral tends to
     numerator(kappa_*) * pi / sqrt(-Q''(kappa_*)/2), one value per row.
+    On shell, a kappa_*^(-2p) = 1 - p, so -Q''(kappa_*)/2 = 2p(1-p)^2 at
+    every a: Q'' evaluated there would cancel to a relative error of
+    ~1e-16/p, and to the wrong sign at p = 1e-17.
     """
     ks = params.kappa_star
-    curv = -0.5 * q_second(params.p, params.a, ks)
+    curv = 2.0 * params.p * (1.0 - params.p) ** 2
     kappa = np.asarray([ks])
     values = np.asarray(
         numerator(kappa, np.zeros(1), kappa ** (1.0 - params.p), params.a), dtype=float
@@ -569,6 +572,8 @@ def _integrate_arches(params_seq, numerator, rel_tol, grade_floors, rows=1) -> l
     (_adapt), whose panels share integrand blocks sized for the numerator's
     rows."""
     _check_rel_tol(rel_tol)
+    if any(params.p != params_seq[0].p for params in params_seq):
+        raise DomainError("an arch quadrature needs every parameter set at one p")
     results = [None] * len(params_seq)
     arches = []
     for i, params in enumerate(params_seq):

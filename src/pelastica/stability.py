@@ -103,8 +103,6 @@ def _upsilon_rows(params_seq, rel_tol: float = DEFAULT_REL_TOL) -> list:
     a sequence of parameters at one p: the six rows of one arch quadrature,
     on shared nodes, whose momenta share the integrand blocks."""
     p = params_seq[0].p
-    if any(params.p != p for params in params_seq):
-        raise DomainError("upsilon_grid needs every parameter set at one p")
 
     def numerator(k, q, r, a):
         powers = _powers(k, r)
@@ -200,11 +198,7 @@ def second_variation(trace: CurveTrace) -> float:
 def circle_second_variation(p: float) -> float:
     """Second variation of the critical circle under phi = 1.
 
-    Equals -2 Theta at the circle: -4 pi p^(p/2) (1-p)^((1-p)/2).
+    Equals -2 Theta at the circle: -4 pi p^(p/2) (1-p)^((1-p)/2) = -4 pi sqrt(a_*).
     """
-    if not 0.0 < p < 1.0:
-        raise DomainError("circle_second_variation requires p in (0, 1)")
-    return -4.0 * math.pi * math.exp(
-        0.5 * (p * math.log(p) + (1.0 - p) * math.log1p(-p))
-    )
+    return -4.0 * math.pi * math.sqrt(a_star(p))
 

@@ -313,6 +313,42 @@ def test_bad_arguments_exit_2_before_any_computation(argv, tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+_PAIR = ["--n", "2", "--m", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [command, "--p", p, *extra]
+        for p in ("1e-17", "1e-300", repr(1.0 - 2.0**-53))
+        for command, extra in (
+            ("curve", _PAIR), ("hopf", _PAIR), ("stability", _PAIR), ("sweep", [])
+        )
+    ]
+    + [
+        ["sweep", "--quantity", quantity, "--p", "1e-17", "--count", "1",
+         "--offset-min", "1e-15", "--offset-max", "1e-15"]
+        for quantity in ("lambda", "upsilon")
+    ]
+    + [
+        ["hopf", "--p", "0.5", *_PAIR, "--pole", pole]
+        for pole in ("1e200,1e200,0,0", "1e-200,0,0,-1e-200", "5e-324,0,0,0")
+    ],
+)
+def test_extreme_valid_inputs_exit_with_a_code_not_a_traceback(argv, tmp_path, capsys):
+    # exponents at the ends of (0, 1) in float64 and poles whose norm leaves
+    # the float64 range; a RuntimeWarning fails the test
+    out = str(tmp_path / "out")
+    argv = [*argv, "--out", out + (".csv" if argv[0] == "sweep" else "")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_ADMISSIBILITY, EXIT_CONVERGENCE, EXIT_INVARIANT)
+    if "--pole" in argv:
+        assert code == EXIT_OK and (tmp_path / "out.obj").exists()
+    elif code != EXIT_OK:
+        assert captured.err and list(tmp_path.iterdir()) == []
+
+
 def test_config_errors_map_to_exit_codes(tmp_path, capsys):
     argv = ["curve", "--p", "0.3", "--n", "5", "--m", "7"]
     assert main(["--config", str(tmp_path / "missing.cfg"), *argv]) == EXIT_IO

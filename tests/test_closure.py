@@ -369,3 +369,10 @@ def test_lambda_pin_holds_with_beta_moved_by_ulps(ulps):
         beta = math.nextafter(beta, math.copysign(math.inf, ulps))
     value = lambda_p(replace(params, beta=beta))
     assert value == pytest.approx(3.1420400156464322, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [1e-17, 2.0**-54, 1e-300])
+def test_exponent_without_a_float64_dual_is_a_domain_error(p):
+    # 1 - p rounds to 1.0, so the scan has no dual side to continue on
+    with pytest.raises(DomainError, match=f"p = {p!r} is too small"):
+        solve_closures(p, [ClosureIndex(2, 3)])

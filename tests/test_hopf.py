@@ -400,6 +400,32 @@ def test_stereographic_projection_rounding_at_a_generic_pole(all_traces):
     assert np.max(np.abs(projected - reference) / ulp) <= 5.0
 
 
+@pytest.mark.parametrize("pole", [(0.0, 0.0, 0.0, -1.0), _POLE1, (3.0, 4.0, 0.0, 0.0)])
+def test_pole_frame_does_not_depend_on_the_pole_scale(pole):
+    n, basis = hopf._pole_frame(pole)
+    for k in (660, -660):
+        n_k, basis_k = hopf._pole_frame(np.ldexp(np.array(pole), k))
+        assert n_k.tobytes() == n.tobytes() and basis_k.tobytes() == basis.tobytes()
+
+
+@pytest.mark.parametrize(
+    "pole",
+    [
+        (1e200, 1e200, 0.0, 0.0),
+        (1e-200, 0.0, 0.0, -1e-200),
+        (5e-324, 0.0, 0.0, 0.0),
+        (5e-324, -5e-324, 0.0, 5e-324),
+        (1.7e308, -1.7e308, 1.7e308, -1.7e308),
+    ],
+)
+def test_pole_frame_of_extreme_components_is_a_unit_frame(pole):
+    # an unscaled norm overflows or underflows here (RuntimeWarning is an error)
+    n, basis = hopf._pole_frame(pole)
+    assert np.linalg.norm(n) == pytest.approx(1.0, abs=4e-16)
+    assert np.allclose(basis @ basis.T, np.eye(3), atol=1e-15)
+    assert np.max(np.abs(basis @ n)) < 1e-15
+
+
 def test_stereographic_pole_collision():
     q = np.array([[0.0, 0.0, 0.0, -2.0]])
     with pytest.raises(PoleCollision):

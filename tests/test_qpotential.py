@@ -18,9 +18,8 @@ from pelastica.qpotential import (
     make_params,
     momentum_cap,
     q_eval,
-    q_prime,
-    q_second,
 )
+from pelastica.quad import _q_derivatives
 
 
 def test_threshold_values():
@@ -50,20 +49,25 @@ def test_q_eval_against_direct_formula():
 
 def test_q_derivatives_match_finite_differences():
     p, a, k = 0.42, 1.5, 1.3
+    params = make_params(p, a)
+    d1, d2, _ = _q_derivatives(p, a, k)
     h = 1e-6
     fd1 = (q_eval(p, a, k + h) - q_eval(p, a, k - h)) / (2 * h)
-    assert q_prime(p, a, k) == pytest.approx(fd1, rel=1e-8)
+    assert float(d1) == pytest.approx(fd1, rel=1e-8)
+    assert params.q_prime(k) == pytest.approx(fd1, rel=1e-8)
     # wider step for the second difference: roundoff scales like eps / h^2
     h = 1e-4
     fd2 = (q_eval(p, a, k + h) - 2 * q_eval(p, a, k) + q_eval(p, a, k - h)) / h**2
-    assert q_second(p, a, k) == pytest.approx(fd2, rel=1e-6)
+    assert float(d2) == pytest.approx(fd2, rel=1e-6)
 
 
 def test_kappa_star_is_critical_point():
     p, a = 0.35, 1.1
     ks = kappa_star(p, a)
-    assert q_prime(p, a, ks) == pytest.approx(0.0, abs=1e-12)
-    assert q_second(p, a, ks) < 0.0
+    d1, d2, _ = _q_derivatives(p, a, ks)
+    assert float(d1) == pytest.approx(0.0, abs=1e-12)
+    assert make_params(p, a).q_prime(ks) == pytest.approx(0.0, abs=1e-12)
+    assert d2 < 0.0
 
 
 @given(
@@ -107,6 +111,13 @@ def test_momentum_cap_monotone_and_respected():
     assert all(b > a for a, b in zip(caps, caps[1:]))
     with pytest.raises(DomainError):
         curvature_bounds(0.01, caps[0] * 10.0)
+
+
+def test_momentum_cap_refuses_exponents_outside_the_unit_interval():
+    # 1 - 1e-17 rounds to 1.0: the dual of an exponent at or below 2^-54
+    for bad in (0.0, 1.0, 1.0 - 1e-17, -0.3, 1.7):
+        with pytest.raises(DomainError, match="momentum_cap requires p in"):
+            momentum_cap(bad)
 
 
 def test_curvature_minimum_below_float_range_is_a_domain_error():
@@ -283,6 +294,25 @@ def test_classification_two_roots_inside_unit_interval():
         assert len(roots) == 2
         beta, alpha = roots
         assert beta < alpha
+
+
+def test_classification_separates_roots_that_share_a_grid_cell():
+    # near threshold both roots fall into one cell of the 1,024-point scan;
+    # the scan point at kappa_* separates them down to offsets of 1e-14
+    points = 0
+    for p in (0.001, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999):
+        for k in range(-14, 3):
+            a = a_star(p) * (1.0 + 10.0**k)
+            try:
+                bounds = curvature_bounds(p, a)
+            except DomainError:
+                continue
+            roots = classify_positive_roots(p, a)
+            assert len(roots) == 2, (p, k)
+            tol = 1e-10 if k >= -6 else 1e-7
+            assert roots == pytest.approx(bounds, rel=tol), (p, k)
+            points += 1
+    assert points == 149
 
 
 def test_classification_other_exponents_never_two():

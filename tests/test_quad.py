@@ -794,3 +794,25 @@ def test_a_mesh_that_fills_blocks_shares_them_with_small_ones(monkeypatch):
     for params, floor, integral in zip(params_seq, floors, shared):
         alone = integrate_over_arch(params, numerator, quad.DEFAULT_REL_TOL, floor)
         assert (integral.value, integral.error_estimate) == (alone.value, alone.error_estimate)
+
+
+def test_an_arch_quadrature_refuses_parameters_at_two_exponents():
+    mixed = [make_params(0.3, 2.0 * a_star(0.3)), make_params(0.5, 2.0 * a_star(0.5))]
+    for grid in (closure.lambda_grid, upsilon_grid):
+        with pytest.raises(DomainError, match="at one p"):
+            grid(mixed)
+
+
+def test_near_circular_limit_takes_the_on_shell_curvature():
+    def one(k, q, r, a):
+        return np.ones(k.shape)
+
+    for p in (0.1, 0.3, 0.5, 0.9):
+        params = make_params(p, a_star(p) * (1.0 + 1e-14))
+        assert params.near_circular
+        d2 = float(quad._q_derivatives(p, params.a, params.kappa_star)[1])
+        limit = quad.limit_at_maximum(params, one)
+        assert limit == pytest.approx(math.pi / math.sqrt(-0.5 * d2), rel=1e-13)
+    # Q'' evaluated at kappa_* cancels to relative errors of ~1e-16/p
+    params = make_params(1e-17, a_star(1e-17) * (1.0 + 1e-15))
+    assert quad.limit_at_maximum(params, one) == pytest.approx(math.pi / math.sqrt(2e-17))
